@@ -9,7 +9,7 @@ underprovisioned, overestimated workload and reports
 * who pays for contention: response times split by memory class;
 * the runtime dilation distribution (the remote-memory slowdown);
 * the wasted-work bound of Fail/Restart;
-* an event-log excerpt tracing the most-delayed job's life.
+* a lifecycle excerpt tracing the most-delayed job's life.
 
 Run:  python examples/schedule_analysis.py
 """
@@ -18,6 +18,7 @@ import argparse
 
 from repro import SystemConfig, simulate, synthetic_workload
 from repro.experiments.report import render_table
+from repro.obs import Telemetry, lifecycle_rows
 from repro.metrics.analysis import (
     COMPARE_HEADERS,
     compare_policies,
@@ -43,11 +44,12 @@ def main() -> None:
                                             n_nodes=args.nodes)
 
     results = {}
+    telemetry = Telemetry()
     for policy in ("baseline", "static", "dynamic"):
         results[policy] = simulate(
             workload.fresh_jobs(), config, policy=policy,
             profiles=workload.profiles,
-            log_events=(policy == "dynamic"),
+            telemetry=telemetry if policy == "dynamic" else None,
         )
 
     print(render_table(COMPARE_HEADERS, compare_policies(results),
@@ -85,14 +87,17 @@ def main() -> None:
         f"<= {waste['wasted_fraction_bound']:.2%} of completed work wasted."
     )
 
-    # Trace the slowest job through the event log.
-    log = results["dynamic"].meta["event_log"]
+    # Trace the slowest job through the lifecycle view of the run's
+    # provenance record.
     slowest = max(results["dynamic"].completed(),
                   key=lambda r: r.response_time)
     print(f"\nLife of the most-delayed job ({slowest.jid}, "
           f"{slowest.response_time:.0f}s response):")
-    for entry in log.for_job(slowest.jid)[:12]:
-        print("  " + entry.render())
+    life = [row for row in lifecycle_rows(telemetry.provenance)
+            if row["jid"] == slowest.jid]
+    for row in life[:12]:
+        print(f"  [{row['t']:12.1f}s] {row['event']:<10} "
+              f"{row.get('detail', '')}")
 
 
 if __name__ == "__main__":

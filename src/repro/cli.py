@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="slowest control-loop phases to show (default 10)")
     tr.add_argument("--job", type=int, metavar="JID",
                     help="explain one job: reconstruct its lifecycle "
-                         "from the exported event log")
+                         "from the exported events.jsonl")
     tr.add_argument("--series", action="store_true",
                     help="also render the sampled time series as ASCII "
                          "strip charts")
@@ -372,9 +372,11 @@ def _cmd_simulate(args) -> int:
             fh.write(result_records_csv(result))
         console.status(f"wrote per-job CSV to {args.csv}")
     if telemetry is not None:
+        from .obs.provenance import lifecycle_rows
+
         telemetry.export(args.telemetry)
         n_spans = len(telemetry.tracer) if telemetry.tracer else 0
-        n_events = len(telemetry.event_log) if telemetry.event_log else 0
+        n_events = len(lifecycle_rows(telemetry.provenance))
         console.status(
             f"wrote telemetry to {args.telemetry} "
             f"({len(telemetry.registry.counters)} counters, "
@@ -679,7 +681,7 @@ def _cmd_trace(args) -> int:
 
     status = 0
     if args.strict:
-        dropped = int(load_meta(args.directory).get("events_dropped", 0) or 0)
+        dropped = int(load_meta(args.directory).get("provenance_dropped", 0) or 0)
         if dropped:
             console.status(
                 f"strict: {dropped} events were evicted from the ring "

@@ -7,11 +7,13 @@ authoritative write path stays in :class:`~repro.cluster.cluster.Cluster`
 listeners coherent); this module only provides the storage layout plus
 whole-state operations that are natural on arrays:
 
-* :meth:`NodeColumns.snapshot` / :meth:`NodeColumns.restore` — O(columns)
-  ``np.copy`` of the full per-node state, the primitive behind cheap
-  what-if forks (ROADMAP item 5).  ``restore`` writes **in place** so
-  every alias and read-only view held by ``Cluster`` (and any
-  :class:`~repro.cluster.node.Node` view) stays valid across it.
+* :class:`ColumnPageStore` — the page-granular copy-on-write store
+  behind what-if forks (:mod:`repro.whatif`).  Its rollback writes
+  **in place**, so every alias and read-only view held by ``Cluster``
+  (and any :class:`~repro.cluster.node.Node` view) stays valid across
+  it.
+* :meth:`NodeColumns.content_hash` — a stable digest of the per-node
+  state (the fork cache's dedupe key).
 * :meth:`NodeColumns.validate` — brute-force coherence check of the
   derived columns (``free_local``, ``memnode``) against the primary
   ledgers, used by ``Cluster.check_invariants``.
@@ -36,16 +38,18 @@ column              dtype      meaning
 from __future__ import annotations
 
 import hashlib
-import os
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
-__all__ = ["NodeColumns", "ColumnPageStore", "MUTABLE_COLUMNS", "COW_COLUMNS"]
+__all__ = ["NodeColumns", "ColumnPageStore", "COW_COLUMNS"]
 
-#: Mutable per-node columns captured by snapshot/restore, in a fixed
-#: order (capacity/is_large are immutable and shared, not copied).
-MUTABLE_COLUMNS = (
+#: Columns tracked by the copy-on-write page store, in a fixed order:
+#: every mutable column, plus ``capacity_mb`` — immutable under normal
+#: operation, but the ``add-memnodes`` what-if perturbation boosts it,
+#: so forks must be able to roll it back too (``is_large`` never
+#: changes).
+COW_COLUMNS = (
     "local_used_mb",
     "lent_mb",
     "remote_held_mb",
@@ -53,12 +57,8 @@ MUTABLE_COLUMNS = (
     "job_on_node",
     "free_local",
     "memnode",
+    "capacity_mb",
 )
-
-#: Columns tracked by the copy-on-write page store.  ``capacity_mb`` is
-#: immutable under normal operation but the ``add-memnodes`` what-if
-#: perturbation boosts it, so forks must be able to roll it back too.
-COW_COLUMNS = MUTABLE_COLUMNS + ("capacity_mb",)
 
 #: Nodes per COW page.  Small enough that a ~100-node perturbation on a
 #: 16384-node cluster dirties only a few percent of the pages, large
@@ -99,41 +99,6 @@ class NodeColumns:
         self.job_on_node = np.full(n, -1, dtype=np.int64)
         self.free_local = self.capacity_mb.copy()
         self.memnode = np.zeros(n, dtype=bool)
-
-    # ------------------------------------------------------------------
-    # Whole-state operations (the COW-snapshot primitive)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        """Copies of every mutable column (a handful of ``np.copy`` calls)."""
-        return {name: getattr(self, name).copy() for name in MUTABLE_COLUMNS}
-
-    def restore(self, snap: Dict[str, np.ndarray]) -> None:
-        """Write ``snap`` back **in place**, keeping aliases/views valid.
-
-        Shape and dtype are checked per column before any write, so a
-        snapshot taken from a differently-sized cluster fails loudly
-        instead of broadcasting into (or partially overwriting) this
-        store.  Under pytest the derived columns are re-validated after
-        the restore.
-        """
-        for name in MUTABLE_COLUMNS:
-            dst = getattr(self, name)
-            src = np.asarray(snap[name])
-            if src.shape != dst.shape:
-                raise ValueError(
-                    f"snapshot column '{name}' has shape {src.shape}, "
-                    f"store (n_nodes={self.n_nodes}) has {dst.shape}: "
-                    "snapshot does not belong to this cluster"
-                )
-            if src.dtype != dst.dtype:
-                raise ValueError(
-                    f"snapshot column '{name}' has dtype {src.dtype}, "
-                    f"store expects {dst.dtype}"
-                )
-        for name in MUTABLE_COLUMNS:
-            getattr(self, name)[:] = snap[name]
-        if "PYTEST_CURRENT_TEST" in os.environ:  # pragma: no cover - test aid
-            self.validate()
 
     # ------------------------------------------------------------------
     # Content identity
@@ -246,18 +211,7 @@ class ColumnPageStore:
                 self._copy_page(p)
             self._dirty[p] = True
 
-    def touch_all(self) -> None:
-        """Preserve every page (whole-array writes, e.g. ``restore``)."""
-        for p in range(self.n_pages):
-            if not self._dirty[p]:
-                if p not in self._pages:
-                    self._copy_page(p)
-                self._dirty[p] = True
-
     # -- restore -------------------------------------------------------
-    def dirty_pages(self) -> Iterable[int]:
-        return [int(p) for p in np.flatnonzero(self._dirty)]
-
     def rollback(self) -> int:
         """Restore all pages dirtied since capture/last rollback.
 

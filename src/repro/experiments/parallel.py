@@ -57,7 +57,6 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .runner import (
-    CAMPAIGN_LOG_ENTRIES,
     CAMPAIGN_PROV_ENTRIES,
     base_workload,
     clear_caches,
@@ -151,8 +150,7 @@ def _run_policy_group(
     else:
         jobs = wl.fresh_jobs()
     telemetry = (
-        Telemetry(trace_spans=False, max_log_entries=CAMPAIGN_LOG_ENTRIES,
-                  max_prov_entries=CAMPAIGN_PROV_ENTRIES)
+        Telemetry(trace_spans=False, max_prov_entries=CAMPAIGN_PROV_ENTRIES)
         if collect_telemetry
         else None
     )

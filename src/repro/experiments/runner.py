@@ -144,10 +144,6 @@ def base_workload(scenario: Scenario) -> Workload:
     return wl
 
 
-#: Event-log bound for campaign-collected telemetry: the campaign layer
-#: only persists the metrics registry, so a small ring suffices.
-CAMPAIGN_LOG_ENTRIES = 10_000
-
 #: Provenance ring bound for campaign-collected telemetry: per-scenario
 #: dumps keep the *tail* of the causal stream (enough to bisect a run
 #: that went wrong) without holding a full graph per scenario.
@@ -183,8 +179,7 @@ def run(scenario: Scenario, collect_telemetry: bool = False) -> SimulationResult
     else:
         jobs = wl.fresh_jobs()
     telemetry = (
-        Telemetry(trace_spans=False, max_log_entries=CAMPAIGN_LOG_ENTRIES,
-                  max_prov_entries=CAMPAIGN_PROV_ENTRIES)
+        Telemetry(trace_spans=False, max_prov_entries=CAMPAIGN_PROV_ENTRIES)
         if collect_telemetry
         else None
     )

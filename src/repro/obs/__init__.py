@@ -9,8 +9,9 @@ Seven pieces (see ``docs/OBSERVABILITY.md``):
 * :mod:`~repro.obs.tracing` — wall-clock + simulated-time spans of the
   controller tick and the Monitor/Decider/Actuator/Executor phases.
 * :mod:`~repro.obs.provenance` — the causal event graph recorded at the
-  simulator's decision seams, plus :mod:`~repro.obs.blame` — per-job
-  wait-time attribution (``repro explain``).
+  simulator's decision seams (the run's one event record; its
+  job-lifecycle view is ``events.jsonl``), plus :mod:`~repro.obs.blame`
+  — per-job wait-time attribution (``repro explain``).
 * :mod:`~repro.obs.diff` — run-divergence bisection between two
   exported runs (``repro diff A B``).
 * :mod:`~repro.obs.perfetto` — Chrome trace-event export for the
@@ -48,6 +49,7 @@ from .provenance import (
     NullProvenance,
     ProvenanceLog,
     causal_chain,
+    lifecycle_rows,
     load_provenance,
 )
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -82,6 +84,7 @@ __all__ = [
     "diff_runs",
     "disable_profiling",
     "enable_profiling",
+    "lifecycle_rows",
     "load_blame",
     "load_provenance",
     "metrics_csv",

@@ -64,7 +64,7 @@ def _us(t: float) -> int:
 
 
 def _job_events(events: List[Dict]) -> List[Dict]:
-    """Wait/run slices and instants per job from the event log."""
+    """Wait/run slices and instants per job from the lifecycle rows."""
     out: List[Dict] = []
     submit_t: Dict[int, float] = {}
     start_t: Dict[int, float] = {}

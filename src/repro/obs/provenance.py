@@ -12,9 +12,13 @@ back to its causes (``repro explain``, ``repro diff``).
 Determinism contract: events are stamped with *simulated* time (the
 emitter sets :attr:`ProvenanceLog.now` from the engine clock) and ids
 are sequential integers, so two identical-seed runs produce
-byte-identical ``provenance.jsonl`` dumps.  The log is a ring buffer
-(like the event log): ``max_entries`` bounds memory, ``dropped`` counts
-evictions, and walks simply stop at evicted parents.
+byte-identical ``provenance.jsonl`` dumps.  The log is a ring buffer:
+``max_entries`` bounds memory, ``dropped`` counts evictions, and walks
+simply stop at evicted parents.
+
+The log is the run's only event record.  The job-lifecycle stream that
+``repro trace --job`` and the Perfetto job tracks read
+(``events.jsonl``) is a view over it: :func:`lifecycle_rows`.
 
 :data:`NULL_PROVENANCE` is the disabled singleton.  Emitters guard with
 ``if prov.enabled:`` so a disabled run performs no calls and no
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "NULL_PROVENANCE",
@@ -34,6 +38,8 @@ __all__ = [
     "ProvenanceEvent",
     "ProvenanceLog",
     "causal_chain",
+    "lifecycle_jsonl",
+    "lifecycle_rows",
     "load_provenance",
     "provenance_jsonl",
     "render_row",
@@ -255,6 +261,50 @@ NULL_PROVENANCE = NullProvenance()
 def provenance_jsonl(rows: Sequence[Dict[str, object]]) -> str:
     """Deterministic JSONL dump of provenance rows."""
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+#: The job-lifecycle provenance kinds: ``kind -> (events.jsonl event
+#: name, detail template over the event's data)``.
+_LIFECYCLE = {
+    "submit": ("submit", "n={n_nodes} req={mem_request_mb}MB"),
+    "start": ("start", "nodes={nodes} local={local_mb}MB remote={remote_mb}MB "
+                       "slowdown={slowdown:.3f}"),
+    "finish": ("finish", "runtime={runtime_s:.0f}s"),
+    "resize": ("resize", "freed={freed_mb}MB grown={grown_mb}MB"),
+    "oom_kill": ("oom-kill", "restarts={restarts}"),
+    "timeout": ("timeout", "limit={limit_s:.0f}s"),
+    "unrunnable": ("unrunnable", ""),
+}
+
+
+def lifecycle_rows(events: Iterable[ProvenanceEvent]) -> List[Dict[str, object]]:
+    """The job-lifecycle view of a provenance stream, oldest-first.
+
+    Rows follow the ``events.jsonl`` schema: ``t``, ``event``, ``jid``
+    and a human-readable ``detail`` (omitted when empty).  A ring that
+    evicted events yields only the surviving lifecycle rows.
+    """
+    rows: List[Dict[str, object]] = []
+    for e in events:
+        spec = _LIFECYCLE.get(e.kind)
+        if spec is None:
+            continue
+        event, template = spec
+        row: Dict[str, object] = {"t": e.t, "event": event, "jid": e.jid}
+        if template:
+            row["detail"] = template.format(**e.data)
+        rows.append(row)
+    return rows
+
+
+def lifecycle_jsonl(events: Iterable[ProvenanceEvent]) -> str:
+    """:func:`lifecycle_rows` as ``events.jsonl`` text.
+
+    Keys keep the schema order (``t``, ``event``, ``jid``, ``detail``)
+    rather than being sorted, so existing dumps stay comparable with
+    ``repro diff``.
+    """
+    return "".join(json.dumps(row) + "\n" for row in lifecycle_rows(events))
 
 
 def load_provenance(directory: Union[str, Path]) -> List[Dict]:

@@ -5,9 +5,9 @@
 
 * a run summary — counters, histogram digests, per-event-kind counts,
   and the top-N slowest control-loop phases by total wall time;
-* a per-job lifecycle reconstruction ("explain job N") from the
-  structured event log, with queue-wait / runtime / response-time
-  derived in place.
+* a per-job lifecycle reconstruction ("explain job N") from
+  ``events.jsonl`` (the job-lifecycle view of the provenance record),
+  with queue-wait / runtime / response-time derived in place.
 
 Every file of the directory layout is optional, so the same command
 also works on a merged campaign telemetry directory (metrics only, no
@@ -73,7 +73,7 @@ def load_spans(directory: PathLike) -> List[Span]:
 
 
 def load_events(directory: PathLike) -> List[Dict]:
-    """Structured event-log rows from ``events.jsonl`` (empty if absent)."""
+    """Job-lifecycle rows from ``events.jsonl`` (empty if absent)."""
     return _read_jsonl(Path(directory) / "events.jsonl")
 
 
@@ -210,15 +210,15 @@ def _last(events: Sequence[Dict], kinds: Tuple[str, ...]) -> Optional[float]:
 
 
 def render_job_trace(directory: PathLike, jid: int) -> str:
-    """Reconstruct one job's lifecycle from the exported event log.
+    """Reconstruct one job's lifecycle from the exported event rows.
 
-    When the export's ring buffer evicted events (``events_dropped`` in
+    When the provenance ring evicted events (``provenance_dropped`` in
     ``meta.json``), the reconstruction says so up front — an eviction
     can swallow a job's submit/start, and the derived wait/runtime lines
     below would otherwise silently read as authoritative.
     """
     directory = Path(directory)
-    dropped = int(load_meta(directory).get("events_dropped", 0) or 0)
+    dropped = int(load_meta(directory).get("provenance_dropped", 0) or 0)
     events = [e for e in load_events(directory) if e.get("jid") == jid]
     spans = [s for s in load_spans(directory) if s.jid == jid]
 
@@ -277,7 +277,7 @@ def render_explain(directory: PathLike, jid: int, chain_limit: int = 20) -> str:
     """Causal "why" report for one job: lifecycle, blame, ancestry.
 
     ``repro explain DIR JID`` answers "why did job N wait / run slow?"
-    from the exported artifacts alone: the event-log lifecycle, the
+    from the exported artifacts alone: the job's lifecycle, the
     wait-time blame decomposition (components sum to the recorded
     wait), the latest slowdown decomposition with per-lender contention
     contributions, and the causal why-chain walked back through the

@@ -4,9 +4,9 @@ One :class:`Telemetry` instance observes one simulation run: it owns the
 metrics registry (deterministic, simulated-time driven), the span tracer
 (wall-clock, diagnostics only), the phase accumulator that turns the
 per-job Monitor/Decider/Actuator timings into one aggregated span per
-controller tick, and — after the run — the structured event log, and it
-knows how to export all of it to a directory that ``repro trace`` can
-read back.
+controller tick, and the causal provenance record with its wait-time
+blame.  It knows how to export all of it to a directory that
+``repro trace`` can read back.
 
 :data:`NULL_TELEMETRY` is the disabled singleton: every hook is a no-op
 and the controller/policies pay only an attribute lookup and a call, so
@@ -26,6 +26,7 @@ from .provenance import (
     DEFAULT_MAX_PROV_ENTRIES,
     NULL_PROVENANCE,
     ProvenanceLog,
+    lifecycle_jsonl,
 )
 from .registry import MetricsRegistry
 from .tracing import SpanTracer
@@ -42,10 +43,6 @@ RESIZE_BUCKETS_MB = (256, 1024, 4096, 16384, 65536, 262144)
 #: Default simulated-time sampling cadence — the paper's 5-minute
 #: monitoring interval.
 DEFAULT_SAMPLE_INTERVAL = 300.0
-
-#: Default event-log ring-buffer bound when telemetry implicitly enables
-#: event logging (long campaigns must not grow without bound).
-DEFAULT_MAX_LOG_ENTRIES = 200_000
 
 
 class _PhaseTimer:
@@ -93,7 +90,6 @@ class Telemetry:
     def __init__(
         self,
         sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
-        max_log_entries: Optional[int] = DEFAULT_MAX_LOG_ENTRIES,
         trace_spans: bool = True,
         provenance: bool = True,
         max_prov_entries: Optional[int] = DEFAULT_MAX_PROV_ENTRIES,
@@ -103,7 +99,6 @@ class Telemetry:
                 f"sample_interval must be positive, got {sample_interval}"
             )
         self.sample_interval = sample_interval
-        self.max_log_entries = max_log_entries
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer() if trace_spans else None
         #: causal event graph + wait-time blame (``repro explain``);
@@ -114,8 +109,6 @@ class Telemetry:
         else:
             self.provenance = NULL_PROVENANCE
             self.blame = None
-        #: the run's structured event log (attached by ``simulate``)
-        self.event_log = None
         #: run metadata stamped by ``simulate`` (policy, system, summary)
         self.meta: Dict[str, object] = {}
         self._phase_acc: Dict[str, List[float]] = {}
@@ -198,9 +191,7 @@ class Telemetry:
 
         Wall-clock diagnostics (tracer spans, phase accumulators) are
         excluded — they are already excluded from determinism
-        comparisons, and a fork keeps accumulating into them.  The
-        structured event log is captured by the simulator snapshot (it
-        is shared with the controller).
+        comparisons, and a fork keeps accumulating into them.
         """
         state: Dict[str, object] = {
             "registry": self.registry.snapshot_state(),
@@ -237,9 +228,9 @@ class Telemetry:
 
         Files: ``metrics.jsonl`` / ``metrics.csv`` / ``metrics.prom``
         (deterministic registry dumps), ``spans.jsonl`` (wall-clock
-        spans), ``events.jsonl`` (structured event log),
-        ``provenance.jsonl`` / ``blame.json`` (causal graph + wait-time
-        attribution, when enabled), ``meta.json``.
+        spans), ``provenance.jsonl`` / ``events.jsonl`` / ``blame.json``
+        (causal graph, its job-lifecycle view, wait-time attribution;
+        when provenance is enabled), ``meta.json``.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -248,18 +239,15 @@ class Telemetry:
         (directory / "metrics.prom").write_text(prometheus_text(self.registry))
         if self.tracer is not None:
             (directory / "spans.jsonl").write_text(self.tracer.to_jsonl())
-        if self.event_log is not None:
-            (directory / "events.jsonl").write_text(
-                event_log_jsonl(self.event_log)
-            )
-            # `repro trace --job` detects ring-buffer truncation from
-            # these (an absent key reads as an untruncated legacy dump).
-            self.meta["events_logged"] = len(self.event_log)
-            self.meta["events_dropped"] = getattr(self.event_log, "dropped", 0)
         if self.provenance.enabled:
             (directory / "provenance.jsonl").write_text(
                 self.provenance.to_jsonl()
             )
+            (directory / "events.jsonl").write_text(
+                lifecycle_jsonl(self.provenance)
+            )
+            # `repro trace --job` detects ring-buffer truncation from
+            # the drop count (an absent key reads as untruncated).
             self.meta["provenance_events"] = self.provenance.next_eid
             self.meta["provenance_dropped"] = self.provenance.dropped
         if self.blame is not None:
@@ -271,23 +259,6 @@ class Telemetry:
             json.dumps(self.meta, indent=2, sort_keys=True, default=str) + "\n"
         )
         return directory
-
-
-def event_log_jsonl(event_log) -> str:
-    """Serialise an :class:`repro.scheduler.eventlog.EventLog` to JSONL.
-
-    Duck-typed (entries with ``time``/``event``/``jid``/``detail``) so
-    :mod:`repro.obs` stays import-independent of the scheduler package.
-    """
-    lines = []
-    for e in event_log:
-        row: Dict[str, object] = {"t": e.time, "event": e.event}
-        if e.jid is not None:
-            row["jid"] = e.jid
-        if e.detail:
-            row["detail"] = e.detail
-        lines.append(json.dumps(row))
-    return "".join(line + "\n" for line in lines)
 
 
 class NullTelemetry(Telemetry):

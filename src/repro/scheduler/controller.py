@@ -34,8 +34,6 @@ from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..policies.base import AllocationPolicy
 from ..slowdown.model import ContentionModel
 from .backfill import can_backfill, shadow_time
-from .eventlog import EventLog, NullEventLog
-from . import eventlog as _ev
 from .queue import PendingQueue
 
 #: Relative slowdown change below which finish events are not rescheduled.
@@ -72,7 +70,6 @@ class Controller:
         model: ContentionModel,
         config: SystemConfig,
         sample_interval: Optional[float] = None,
-        event_log: Optional[EventLog] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.engine = engine
@@ -110,7 +107,6 @@ class Controller:
         )
         self.timeline = UtilizationTimeline()
         self.sample_interval = sample_interval
-        self.event_log = event_log if event_log is not None else NullEventLog()
         self._last_account = 0.0
         self._sched_scheduled = False
         self._mem_scheduled = False
@@ -162,8 +158,6 @@ class Controller:
         job: Job = ev.payload
         self._account(engine.now)
         self.telemetry.inc("jobs_submitted")
-        self.event_log.log(engine.now, _ev.SUBMIT, job.jid,
-                           f"n={job.n_nodes} req={job.mem_request_mb}MB")
         prov = self.prov
         if prov.enabled:
             prov.now = engine.now
@@ -175,7 +169,6 @@ class Controller:
             job.set_state(JobState.UNRUNNABLE)
             self.result.unrunnable.append(job.jid)
             self.telemetry.inc("jobs_unrunnable")
-            self.event_log.log(engine.now, _ev.UNRUNNABLE, job.jid)
             if prov.enabled:
                 prov.emit("unrunnable", jid=job.jid)
             return
@@ -220,8 +213,6 @@ class Controller:
         self.policy.on_finish(job)
         self.telemetry.inc("jobs_finished")
         self.telemetry.observe_time("job_response_s", now - job.submit_time)
-        self.event_log.log(now, _ev.FINISH, job.jid,
-                           f"runtime={now - (job.start_time or now):.0f}s")
         if prov.enabled:
             prov.scope = prov.emit(
                 "finish", jid=job.jid,
@@ -275,10 +266,6 @@ class Controller:
                     if outcome.grown_mb > 0:
                         tel.inc("resize_grown_mb", outcome.grown_mb)
                         tel.observe_resize(outcome.grown_mb)
-                    self.event_log.log(
-                        now, _ev.RESIZE, job.jid,
-                        f"freed={outcome.freed_mb}MB grown={outcome.grown_mb}MB",
-                    )
                     if prov.enabled:
                         prov.emit(
                             "resize", jid=job.jid,
@@ -482,12 +469,6 @@ class Controller:
         job.slowdown = self.model.slowdown(job, self.cluster, self.jobs)
         self.telemetry.inc("jobs_started")
         self.telemetry.observe_time("job_wait_s", now - job.submit_time)
-        self.event_log.log(
-            now, _ev.START, job.jid,
-            f"nodes={alloc.nodes[:4]}{'...' if len(alloc.nodes) > 4 else ''} "
-            f"local={alloc.total_local()}MB remote={alloc.total_remote()}MB "
-            f"slowdown={job.slowdown:.3f}",
-        )
         prov = self.prov
         if prov.enabled:
             start_eid = prov.emit(
@@ -535,8 +516,6 @@ class Controller:
         self.wall_events.pop(job.jid, None)
         job.set_state(JobState.TIMEOUT)
         self.telemetry.inc("timeouts")
-        self.event_log.log(now, _ev.TIMEOUT, job.jid,
-                           f"limit={job.walltime_limit:.0f}s")
         if prov.enabled:
             prov.scope = prov.emit(
                 "timeout", jid=job.jid, limit_s=job.walltime_limit
@@ -566,8 +545,6 @@ class Controller:
             self.engine.cancel(ev)
         job.set_state(JobState.KILLED)
         self.telemetry.inc("oom_kills")
-        self.event_log.log(now, _ev.OOM_KILL, job.jid,
-                           f"restarts={job.restarts + 1}")
         prov = self.prov
         if prov.enabled:
             prov.emit("oom_kill", jid=job.jid, restarts=job.restarts + 1)

@@ -32,7 +32,6 @@ from ..policies.base import AllocationPolicy
 from ..slowdown.model import ContentionModel
 from ..slowdown.profiles import AppProfile, profile_pool
 from .controller import Controller
-from .eventlog import EventLog
 
 
 @dataclass
@@ -51,7 +50,6 @@ class SimulationHandle:
     config: SystemConfig
     controller: Controller
     telemetry: Optional[Telemetry]
-    event_log: Optional[EventLog]
     max_events: int
 
     @property
@@ -92,11 +90,8 @@ class SimulationHandle:
         self.cluster.check_invariants()
         result = controller.finalize()
         result.meta["config"] = self.config
-        if self.event_log is not None:
-            result.meta["event_log"] = self.event_log
         if self.observed:
             telemetry = self.telemetry
-            telemetry.event_log = self.event_log
             # controller.policy (not a captured local): a what-if policy
             # swap must stamp the policy that actually ran the suffix.
             telemetry.meta.setdefault("policy", controller.policy.name)
@@ -119,7 +114,6 @@ def build_simulation(
     profiles: Optional[Sequence[AppProfile]] = None,
     model: Optional[ContentionModel] = None,
     sample_interval: Optional[float] = None,
-    log_events: bool = False,
     max_events: int = 50_000_000,
     telemetry: Optional[Telemetry] = None,
     **policy_kwargs,
@@ -148,19 +142,9 @@ def build_simulation(
             profiles if profiles is not None else profile_pool(),
             node_bw_gbps=config.node_bw_gbps,
         )
-    observed = telemetry is not None and telemetry.enabled
-    if log_events:
-        event_log = EventLog()
-    elif observed:
-        # Telemetry wants the event log for `repro trace`, but bounded:
-        # long campaigns must not grow without limit.
-        event_log = EventLog(max_entries=telemetry.max_log_entries)
-    else:
-        event_log = None
     controller = Controller(
         engine, cluster, pol, model, config,
-        sample_interval=sample_interval, event_log=event_log,
-        telemetry=telemetry,
+        sample_interval=sample_interval, telemetry=telemetry,
     )
     controller.load(jobs)
     return SimulationHandle(
@@ -171,7 +155,6 @@ def build_simulation(
         config=config,
         controller=controller,
         telemetry=telemetry,
-        event_log=event_log,
         max_events=max_events,
     )
 
@@ -183,7 +166,6 @@ def simulate(
     profiles: Optional[Sequence[AppProfile]] = None,
     model: Optional[ContentionModel] = None,
     sample_interval: Optional[float] = None,
-    log_events: bool = False,
     max_events: int = 50_000_000,
     telemetry: Optional[Telemetry] = None,
     **policy_kwargs,
@@ -206,22 +188,19 @@ def simulate(
     sample_interval:
         If set, record a utilisation timeline sample every so many
         simulated seconds.
-    log_events:
-        Record a structured event log (``result.meta["event_log"]``) of
-        submits, starts, finishes, resizes, and kills.
     telemetry:
         A :class:`repro.obs.Telemetry` instance to observe the run —
-        metric counters/gauges sampled on its simulated-time cadence,
-        control-loop spans, and (unless ``log_events`` already asked for
-        an unbounded log) a ring-buffered event log attached to
-        ``telemetry.event_log``.  When the telemetry carries provenance
-        (the default), the run also records the causal event graph and
-        per-job wait blame (``result.meta["blame"]``, ``repro explain``).
-        ``None`` (default) keeps every hook a no-op.
+        metric counters/gauges sampled on its simulated-time cadence and
+        control-loop spans.  When the telemetry carries provenance (the
+        default), the run also records the causal event graph, whose
+        job-lifecycle view is the run's event log
+        (:func:`repro.obs.provenance.lifecycle_rows`), and per-job wait
+        blame (``result.meta["blame"]``, ``repro explain``).  ``None``
+        (default) keeps every hook a no-op.
     """
     handle = build_simulation(
         jobs, config, policy=policy, profiles=profiles, model=model,
-        sample_interval=sample_interval, log_events=log_events,
-        max_events=max_events, telemetry=telemetry, **policy_kwargs,
+        sample_interval=sample_interval, max_events=max_events,
+        telemetry=telemetry, **policy_kwargs,
     )
     return handle.finish()

@@ -28,8 +28,8 @@ from ..core.config import SystemConfig
 from ..jobs.job import Job
 from ..metrics.records import SimulationResult
 from ..metrics.utilization import UtilizationTimeline
-from ..obs.telemetry import event_log_jsonl
 from ..obs.export import metrics_jsonl
+from ..obs.provenance import lifecycle_jsonl
 from ..scheduler.simulator import SimulationHandle, build_simulation
 from .cache import ForkCache
 from .perturb import Perturbation
@@ -62,12 +62,11 @@ def _detach_result(result: SimulationResult) -> SimulationResult:
     The live result object is rewound by :meth:`SimSnapshot.restore`, so
     reports keep an independent copy.  Records are frozen dataclasses —
     sharing them is safe; the timeline and meta containers are copied.
-    Live observability objects (event log, telemetry) are dropped from
-    the copied meta — they are rolled back with the simulation; use
-    ``WhatIf(capture_observability=True)`` for serialized dumps.
+    Live observability state (telemetry) is rolled back with the
+    simulation; use ``WhatIf(capture_observability=True)`` for
+    serialized dumps.
     """
     meta = dict(result.meta)
-    meta.pop("event_log", None)
     timeline = meta.get("timeline")
     if isinstance(timeline, UtilizationTimeline):
         meta["timeline"] = UtilizationTimeline(
@@ -158,8 +157,8 @@ class WhatIf:
     cache_size:
         Fork-cache capacity (reports memoized by state + perturbation).
     capture_observability:
-        Serialize metrics/provenance/blame/event-log dumps into each
-        report (requires an enabled ``telemetry=`` for the full set).
+        Serialize the metrics/provenance/events/blame dumps into each
+        report (requires an enabled ``telemetry=``).
     """
 
     def __init__(
@@ -244,11 +243,9 @@ class WhatIf:
             obs["metrics_jsonl"] = metrics_jsonl(telemetry.registry)
             if telemetry.provenance.enabled:
                 obs["provenance_jsonl"] = telemetry.provenance.to_jsonl()
+                obs["events_jsonl"] = lifecycle_jsonl(telemetry.provenance)
             if telemetry.blame is not None:
                 obs["blame"] = telemetry.blame.to_dict()
-        event_log = self.handle.event_log
-        if event_log is not None and event_log.enabled:
-            obs["events_jsonl"] = event_log_jsonl(event_log)
         return obs
 
     def stats(self) -> Dict[str, object]:

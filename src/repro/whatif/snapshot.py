@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
-from ..scheduler.eventlog import EventLog, NullEventLog
 from ..scheduler.simulator import SimulationHandle
 
 __all__ = ["SimSnapshot"]
@@ -120,14 +119,6 @@ class SimSnapshot:
             state["pool"] = pool.snapshot_state()
         if controller.telemetry.enabled:
             state["telemetry"] = controller.telemetry.snapshot_state()
-        event_log = controller.event_log
-        if isinstance(event_log, EventLog) and not isinstance(
-            event_log, NullEventLog
-        ):
-            # Entries are frozen dataclasses — the capture shares them.
-            # A ring-buffered log evicts old entries, so truncation is
-            # not enough: rebuild the container on restore.
-            state["event_log"] = (tuple(event_log.entries), event_log.dropped)
         snap = cls(handle, state)
         snap._cow = cow
         return snap
@@ -208,18 +199,6 @@ class SimSnapshot:
         # 6. Observability.
         if "telemetry" in state:
             controller.telemetry.restore_state(state["telemetry"])
-        if "event_log" in state:
-            log_entries, dropped = state["event_log"]
-            event_log = controller.event_log
-            if event_log.max_entries is not None:
-                from collections import deque
-
-                event_log.entries = deque(
-                    log_entries, maxlen=event_log.max_entries
-                )
-            else:
-                event_log.entries = list(log_entries)
-            event_log.dropped = dropped
 
         # 7. Result accumulators + timeline (append-only: truncate).
         self._restore_result(controller.result, state["result"])

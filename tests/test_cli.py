@@ -259,7 +259,7 @@ def test_trace_strict_fails_on_truncated_log(tmp_path, capsys):
     # Simulate a ring-buffered export: stamp drops into the metadata.
     meta_path = tel_dir / "meta.json"
     meta = json.loads(meta_path.read_text())
-    meta["events_dropped"] = 7
+    meta["provenance_dropped"] = 7
     meta_path.write_text(json.dumps(meta))
     rc = main(["trace", str(tel_dir), "--job", "0"])
     assert rc == 0  # marker only, non-strict stays green

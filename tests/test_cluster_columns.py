@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.allocation import JobAllocation
 from repro.cluster.cluster import Cluster
-from repro.cluster.columns import MUTABLE_COLUMNS, NodeColumns
+from repro.cluster.columns import NodeColumns
 
 
 @pytest.fixture
@@ -41,43 +41,50 @@ def test_column_length_mismatch_rejected():
 
 
 # ----------------------------------------------------------------------
-# snapshot / restore — the what-if fork primitive
+# copy-on-write snapshot / rollback — the what-if fork primitive
 # ----------------------------------------------------------------------
 def test_snapshot_restore_round_trip(cluster):
+    """Arm COW, apply and release allocations, roll back: the columns
+    return to their state at arming, and only dirtied pages are written."""
     cluster.apply(1, JobAllocation(nodes=[2, 3], local_mb={2: 1024, 3: 512},
                                    remote_mb={2: {5: 2048}}))
-    snap = cluster.columns.snapshot()
-    want = {name: arr.copy() for name, arr in snap.items()}
-    cluster.apply(2, JobAllocation(nodes=[7], local_mb={7: 4096}))
+    before = cluster.columns.content_hash()
+    store = cluster.arm_cow(page_nodes=8)
+    cluster.apply(2, JobAllocation(nodes=[17], local_mb={17: 4096}))
     cluster.release(1)
-    cluster.columns.restore(snap)
-    for name in MUTABLE_COLUMNS:
-        assert np.array_equal(getattr(cluster.columns, name), want[name]), name
+    assert cluster.columns.content_hash() != before
+    # Nodes 2, 3 and 5 sit on page 0; node 17 on page 2.
+    assert store.rollback() == 2
+    assert cluster.columns.content_hash() == before
     cluster.columns.validate()
 
 
 def test_snapshot_is_a_copy_not_a_view(cluster):
-    snap = cluster.columns.snapshot()
+    """Saved pages are copies: a second fork over the same pages copies
+    nothing new and still rolls back to the armed state."""
+    before = cluster.columns.content_hash()
+    store = cluster.arm_cow(page_nodes=8)
     cluster.set_local_used(0, 999)
-    assert int(snap["local_used_mb"][0]) == 0
+    assert store.rollback() == 1
+    copied = store.pages_copied
+    cluster.set_local_used(0, 555)
+    cluster.set_local_used(1, 333)
+    assert store.pages_copied == copied == 1
+    assert store.rollback() == 1
+    assert cluster.columns.content_hash() == before
 
 
 def test_restore_writes_in_place_so_aliases_survive(cluster):
     local_alias = cluster.local_used_mb
     node_view = cluster.node(0)
-    snap = cluster.columns.snapshot()
+    store = cluster.arm_cow()
     cluster.set_local_used(0, 777)
-    cluster.columns.restore(snap)
+    assert node_view.local_used_mb == 777
+    store.rollback()
     assert cluster.local_used_mb is local_alias
+    assert local_alias is cluster.columns.local_used_mb
     assert int(local_alias[0]) == 0
     assert node_view.local_used_mb == 0
-
-
-def test_restore_rejects_wrong_length(cluster):
-    snap = cluster.columns.snapshot()
-    snap["lent_mb"] = np.zeros(cluster.n_nodes + 1, dtype=np.int64)
-    with pytest.raises(ValueError, match="lent_mb"):
-        cluster.columns.restore(snap)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.obs.export import metrics_jsonl, parse_prometheus_text
+from repro.obs.provenance import lifecycle_rows
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.scheduler.simulator import simulate
 from repro.traces.pipeline import synthetic_workload
@@ -53,7 +54,7 @@ def test_disabled_telemetry_adds_zero_records(workload):
     assert null_run.events_processed == plain.events_processed
     assert "telemetry_dump" not in null_run.meta
     assert len(NULL_TELEMETRY.registry) == 0
-    assert NULL_TELEMETRY.event_log is None
+    assert len(NULL_TELEMETRY.provenance) == 0
     # An observed run *does* process extra (TELEMETRY) engine events.
     tel = Telemetry()
     observed = _run(workload, telemetry=tel)
@@ -73,7 +74,7 @@ def test_expected_metrics_recorded(workload):
     assert reg.histograms["job_response_s"].count == n
     assert len(reg.series) > 0
     assert tel.meta["summary"] == res.summary()
-    assert tel.event_log is not None and len(tel.event_log) > 0
+    assert len(lifecycle_rows(tel.provenance)) > 0
 
 
 def test_export_directory_layout(workload, tmp_path):
@@ -88,16 +89,19 @@ def test_export_directory_layout(workload, tmp_path):
     assert samples["repro_jobs_finished_total"] == len(workload)
     events = [json.loads(line)
               for line in (out / "events.jsonl").read_text().splitlines()]
-    assert len(events) == len(tel.event_log)
+    assert events == lifecycle_rows(tel.provenance)
     meta = json.loads((out / "meta.json").read_text())
     assert meta["policy"] == "dynamic"
 
 
 def test_event_log_ring_buffer_bound(workload):
-    tel = Telemetry(max_log_entries=10)
+    # The event log is a view over the provenance ring, so that ring's
+    # bound bounds it too.
+    tel = Telemetry(max_prov_entries=10)
     _run(workload, telemetry=tel)
-    assert len(tel.event_log) == 10
-    assert tel.event_log.dropped > 0
+    assert len(tel.provenance) == 10
+    assert tel.provenance.dropped > 0
+    assert len(lifecycle_rows(tel.provenance)) <= 10
 
 
 def test_spans_can_be_disabled(workload):

@@ -6,7 +6,7 @@ to the fork point, inject a perturbation, replay the suffix — produces
 would have produced: same records, same metrics, same telemetry stream,
 same provenance.  These tests hold it to that promise, alongside unit
 coverage of the fork cache, the snapshot-hygiene seams (tombstone
-compaction, columnar shape guards), the sampler-livelock regression,
+compaction, COW re-arming), the sampler-livelock regression,
 and the prefix-memoized campaign path built on t=0 forks.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +21,11 @@ from hypothesis import strategies as st
 from repro.core.config import SystemConfig
 from repro.core.errors import SimulationError
 from repro.core.events import EventKind, EventQueue
-from repro.cluster.columns import NodeColumns
 from repro.jobs.job import Job
 from repro.jobs.usage import UsageTrace
 from repro.obs.export import metrics_jsonl
-from repro.obs.telemetry import Telemetry, event_log_jsonl
+from repro.obs.provenance import lifecycle_jsonl
+from repro.obs.telemetry import Telemetry
 from repro.scheduler.simulator import build_simulation, simulate
 from repro.traces.pipeline import synthetic_workload
 from repro.whatif import (
@@ -117,7 +116,7 @@ def test_fork_parity_includes_observability():
     assert obs["metrics_jsonl"] == metrics_jsonl(telemetry.registry)
     assert obs["provenance_jsonl"] == telemetry.provenance.to_jsonl()
     assert obs["blame"] == telemetry.blame.to_dict()
-    assert obs["events_jsonl"] == event_log_jsonl(handle.event_log)
+    assert obs["events_jsonl"] == lifecycle_jsonl(telemetry.provenance)
 
 
 def test_golden_large_cluster_parity():
@@ -272,27 +271,6 @@ def test_dual_sampler_chains_terminate():
                    max_events=500_000)
     assert res.events_processed < 500_000  # terminated on its own
     assert res.all_jobs_ran()
-
-
-def test_columns_restore_rejects_foreign_snapshot():
-    cap8 = np.full(8, 65536, dtype=np.int64)
-    cap4 = np.full(4, 65536, dtype=np.int64)
-    big = NodeColumns(cap8.copy(), np.zeros(8, dtype=bool))
-    small = NodeColumns(cap4.copy(), np.zeros(4, dtype=bool))
-    snap = big.snapshot()
-    with pytest.raises(ValueError, match="does not belong"):
-        small.restore(snap)
-    # ... and nothing was partially overwritten
-    small.validate()
-
-
-def test_columns_restore_rejects_wrong_dtype():
-    cap = np.full(4, 65536, dtype=np.int64)
-    store = NodeColumns(cap.copy(), np.zeros(4, dtype=bool))
-    snap = store.snapshot()
-    snap["free_local"] = snap["free_local"].astype(np.float64)
-    with pytest.raises(ValueError, match="dtype"):
-        store.restore(snap)
 
 
 def test_capture_rearms_cow_and_invalidates_prior_snapshot():
