@@ -64,6 +64,13 @@ class JobAllocation:
     _nodes_arr: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Monitor reading (MB) the dynamic policy last sized every node
+    #: to (``None`` = unknown).  Every cluster mutation of the record
+    #: clears it through :meth:`_bump_local` / :meth:`_bump_remote`, so
+    #: while it is set each node still holds that reading's demand.
+    sized_for_mb: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Seal maintenance (called by Cluster only)
@@ -84,10 +91,12 @@ class JobAllocation:
         self._nodes_arr = np.asarray(self.nodes, dtype=np.int64)
 
     def _bump_local(self, delta: int) -> None:
+        self.sized_for_mb = None
         if self._total_local is not None:
             self._total_local += delta
 
     def _bump_remote(self, node: int, lender: int, delta: int) -> None:
+        self.sized_for_mb = None
         if self._total_remote is not None:
             self._total_remote += delta
             self._remote_on[node] = self._remote_on.get(node, 0) + delta
@@ -213,8 +222,18 @@ class JobAllocation:
         * ``local_mb`` keys are compute nodes of the job with
           non-negative amounts;
         * ``remote_mb`` keys are compute nodes, lender amounts are
-          strictly positive, and a node never lends to itself.
+          strictly positive, and a node never lends to itself;
+        * a ``sized_for_mb`` mark is a non-negative reading on a sealed
+          record (only sealed records route every change through
+          :meth:`_bump_local` / :meth:`_bump_remote`, which clear it).
         """
+        if self.sized_for_mb is not None and (
+            self.sized_for_mb < 0 or self._total_local is None
+        ):
+            raise ValueError(
+                f"resize mark {self.sized_for_mb}MB on an unsealed record "
+                "or below zero"
+            )
         node_set = set(self.nodes)
         for node, mb in self.local_mb.items():
             if node not in node_set:
@@ -269,7 +288,11 @@ class JobAllocation:
     @classmethod
     def from_snapshot(cls, state: Dict[str, object]) -> "JobAllocation":
         """Rebuild from :meth:`snapshot_state` (copies again, so the
-        captured state stays restorable any number of times)."""
+        captured state stays restorable any number of times).
+
+        ``sized_for_mb`` starts unset: a restored job's next update runs
+        the full Decider once, so the snapshot need not carry the mark.
+        """
         alloc = cls(
             nodes=list(state["nodes"]),
             local_mb=dict(state["local_mb"]),

@@ -20,7 +20,8 @@ property-tested):
 Incremental aggregates (this module's hot-path contract): every mutator
 (:meth:`Cluster.apply` / :meth:`~Cluster.release` /
 :meth:`~Cluster.grow_local` / :meth:`~Cluster.shrink_local` /
-:meth:`~Cluster.add_remote` / :meth:`~Cluster.remove_remote`) updates
+:meth:`~Cluster.resize_local` / :meth:`~Cluster.add_remote` /
+:meth:`~Cluster.remove_remote`) updates
 running scalar aggregates (``busy_count``, ``lent_total``,
 ``local_used_total``, ``memory_node_count``, ``startable_count``) and the
 derived ``free_local`` / ``memnode`` columns in place, so per-event
@@ -723,6 +724,57 @@ class Cluster:
         self._touch_local(node, -mb)
         alloc.local_mb[node] = have - mb
         alloc._bump_local(-mb)
+        self._notify_job_demand(jid, alloc)
+
+    def resize_local(self, jid: int, nodes: Sequence[int], deltas: Sequence[int],
+        alloc: Optional[JobAllocation] = None) -> None:
+        """Grow (``delta > 0``) or shrink (``delta < 0``) job ``jid``'s
+        local DRAM on each of ``nodes`` in one columnar write.
+
+        Same ledgers, free-change log order and coalesced demand set as
+        :meth:`grow_local` / :meth:`shrink_local` per node in the given
+        order.  ``nodes`` must be distinct compute nodes of the job, every
+        delta non-zero; everything is validated before anything is
+        written.
+        """
+        if alloc is None:
+            alloc = self.allocations.get(jid)
+            if alloc is None:
+                raise AllocationError(f"job {jid} is not allocated")
+        nodes = np.asarray(nodes, dtype=np.int64)
+        deltas = np.asarray(deltas, dtype=np.int64)
+        node_list = nodes.tolist()
+        delta_list = deltas.tolist()
+        n = len(node_list)
+        if len(delta_list) != n or len(set(node_list)) != n:
+            raise AllocationError(
+                f"resize_local needs distinct nodes, one delta each: "
+                f"{node_list} {delta_list}"
+            )
+        if not n:
+            return
+        local = alloc.local_mb
+        for node, delta in zip(node_list, delta_list):
+            if not alloc.has_node(node):
+                raise AllocationError(
+                    f"node {node} is not a compute node of job {jid}"
+                )
+            if delta == 0 or -delta > local.get(node, 0):
+                raise AllocationError(
+                    f"resize_local {delta}MB invalid; job {jid} holds "
+                    f"{local.get(node, 0)}MB on {node}"
+                )
+        over = np.flatnonzero(deltas > self._free_local[nodes])
+        if len(over):
+            i = int(over[0])
+            raise AllocationError(
+                f"node {node_list[i]}: {int(self._free_local[node_list[i]])}MB "
+                f"free, need {delta_list[i]}MB"
+            )
+        self._touch_local_many(nodes, deltas)
+        for node, delta in zip(node_list, delta_list):
+            local[node] = local.get(node, 0) + delta
+        alloc._bump_local(sum(delta_list))
         self._notify_job_demand(jid, alloc)
 
     def add_remote(self, jid: int, node: int, lender: int, mb: int,

@@ -31,6 +31,8 @@ class UsageTrace:
         m = np.asarray(mem_mb, dtype=np.int64)
         if t.ndim != 1 or m.ndim != 1 or len(t) != len(m) or len(t) == 0:
             raise TraceError("times and mem_mb must be equal-length 1-D, non-empty")
+        if not np.isfinite(t).all():
+            raise TraceError("trace times must be finite")
         if t[0] != 0.0:
             raise TraceError(f"trace must start at progress 0, got {t[0]}")
         if (np.diff(t) <= 0).any():
@@ -57,20 +59,27 @@ class UsageTrace:
 
     def usage_at(self, progress: float) -> int:
         """Memory in use at job progress ``progress`` (clamped to ends)."""
-        idx = int(np.searchsorted(self.times, progress, side="right")) - 1
-        if idx < 0:
-            idx = 0
-        return int(self.mem_mb[idx])
+        idx = int(self.times.searchsorted(progress, side="right")) - 1
+        return int(self.mem_mb[idx if idx > 0 else 0])
 
     def max_in(self, p0: float, p1: float) -> int:
         """Maximum usage over progress window ``[p0, p1]``.
 
         This is the demand the Decider enforces for the window (§2.3).
+        Queried per running job on every update tick, so it calls the
+        array's own ``searchsorted`` and answers a window that lies inside
+        one segment (the common case: traces are short) without a second
+        search or a slice.
         """
         if p1 < p0:
             raise TraceError(f"empty window [{p0}, {p1}]")
-        i0 = max(int(np.searchsorted(self.times, p0, side="right")) - 1, 0)
-        i1 = max(int(np.searchsorted(self.times, p1, side="right")) - 1, i0)
+        times = self.times
+        i0 = int(times.searchsorted(p0, side="right")) - 1
+        if i0 < 0:
+            i0 = 0
+        if i0 + 1 == len(times) or p1 < times[i0 + 1]:
+            return int(self.mem_mb[i0])
+        i1 = int(times.searchsorted(p1, side="right")) - 1
         return int(self.mem_mb[i0 : i1 + 1].max())
 
     def peak(self) -> int:

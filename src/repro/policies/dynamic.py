@@ -21,7 +21,7 @@ resized.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -136,6 +136,11 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         maximum usage in that span (paper §2.3).  Each phase runs under
         ``self.obs.phase(...)`` so an observed run gets per-phase wall
         times; with telemetry disabled the wrappers are shared no-ops.
+
+        A reading equal to the one the allocation was last sized to
+        (``alloc.sized_for_mb``) finds every node at its demand already,
+        so Decider and Actuator are skipped.  The Monitor always runs:
+        its noise RNG and the observed peak advance either way.
         """
         out = UpdateOutcome()
         if job.jid in self._pinned:
@@ -145,10 +150,12 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
             return out
         with self.obs.phase("monitor"):
             reference = self._monitor(job, progress, window)
+        if reference == alloc.sized_for_mb:
+            return out
         with self.obs.phase("decider"):
-            deltas = self._decide(job, alloc, reference)
+            nodes, deltas = self._decide(job, alloc, reference)
         prov = self.obs.provenance
-        if deltas and prov.enabled:
+        if len(deltas) and prov.enabled:
             # Decider verdict, parented on the job's last lifecycle event;
             # the resulting pool/cluster events hang off it causally.
             prov.scope = prov.emit(
@@ -156,13 +163,14 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
                 jid=job.jid,
                 reference_mb=int(reference),
                 n_deltas=len(deltas),
-                grow_mb=int(sum(d for _, d in deltas if d > 0)),
-                shrink_mb=int(-sum(d for _, d in deltas if d < 0)),
+                grow_mb=int(deltas[deltas > 0].sum()),
+                shrink_mb=int(-deltas[deltas < 0].sum()),
             )
         with self.obs.phase("actuator"):
-            self._actuate(job.jid, alloc, deltas, out)
+            self._actuate(job.jid, alloc, nodes, deltas, out)
         if not out.oom:
             out.resized = out.freed_mb > 0 or out.grown_mb > 0
+        alloc.sized_for_mb = None if out.oom else reference
         return out
 
     def _monitor(self, job: Job, progress: float, window: float) -> int:
@@ -196,8 +204,9 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         return scales
 
     def _decide(self, job: Job, alloc: JobAllocation,
-                reference: int) -> List[Tuple[int, int]]:
-        """Decider: per-node (node, delta MB) resize decisions.
+                reference: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Decider: the nodes to resize and their deltas (MB, non-zero),
+        in ``alloc.nodes`` order.
 
         Pure read of the job's own allocation — actuating one node never
         changes another node's ``total_on``, so deciding everything
@@ -217,22 +226,38 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
             # (paper Fig. 1a); ranks may have imbalanced footprints.
             demands = np.rint(reference * scales).astype(np.int64)
         c = self.cluster
-        totals = c.local_used_mb[nodes] + c.remote_held_mb[nodes]
-        delta_arr = demands - totals
-        (nz,) = np.nonzero(delta_arr)
-        return [(int(nodes[i]), int(delta_arr[i])) for i in nz]
+        delta_arr = demands - (c.local_used_mb[nodes] + c.remote_held_mb[nodes])
+        changed = delta_arr != 0
+        return nodes[changed], delta_arr[changed]
 
-    def _actuate(self, jid: int, alloc: JobAllocation,
-                 deltas: List[Tuple[int, int]], out: UpdateOutcome) -> None:
+    def _actuate(self, jid: int, alloc: JobAllocation, nodes: np.ndarray,
+                 deltas: np.ndarray, out: UpdateOutcome) -> None:
         """Actuator: apply the decided resizes, in node order.
+
+        A local-only resize — every shrink on a node that holds no remote
+        memory, every grow within its node's free DRAM — touches no node
+        but its own, so it is applied in one columnar write.  Any other
+        resize goes node by node: a borrow plan depends on the free DRAM
+        that earlier nodes of the same resize left.
 
         The whole window runs under ``defer_demand`` so the per-mutation
         demand notifications collapse into one flush — the contention
         model reprices after the update returns, so nothing reads lender
         demand mid-window.
         """
-        with self.cluster.defer_demand():
-            for node, delta in deltas:
+        if not len(deltas):
+            return
+        c = self.cluster
+        grow = deltas > 0
+        with c.defer_demand():
+            if np.where(grow, deltas <= c.free_local()[nodes],
+                        c.remote_held_mb[nodes] == 0).all():
+                c.resize_local(jid, nodes, deltas, alloc=alloc)
+                out.grown_mb += int(deltas[grow].sum())
+                out.freed_mb -= int(deltas[~grow].sum())
+                out.touched_nodes.extend(nodes.tolist())
+                return
+            for node, delta in zip(nodes.tolist(), deltas.tolist()):
                 if delta < 0:
                     self._shrink(jid, alloc, node, -delta, out)
                 elif not self._grow(jid, alloc, node, delta, out):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import TraceError
 from repro.jobs.usage import UsageTrace
@@ -75,6 +77,13 @@ def test_validation():
         UsageTrace([0.0, 0.0], [1, 2])  # strictly increasing
     with pytest.raises(TraceError):
         UsageTrace([0.0], [-1])  # non-negative
+    # NaN slips past a plain `diff <= 0` check (NaN <= 0 is false); a
+    # NaN breakpoint made max_in(0, 10) miss the 2 and peak() report a
+    # level no window reaches.
+    for times in ([0.0, float("nan")], [0.0, 5.0, float("nan")],
+                  [0.0, float("inf")], [float("nan")], [0.0, -float("inf")]):
+        with pytest.raises(TraceError):
+            UsageTrace(times, list(range(1, len(times) + 1)))
 
 
 def test_rescaled_stretches_time(trace):
@@ -124,3 +133,52 @@ def test_compressed_never_underestimates_window_demand():
         true_demand = t.max_in(w0, w0 + 50.0)
         est_demand = c.max_in(w0, w0 + 50.0)
         assert est_demand >= true_demand - 2 * eps
+
+
+# ----------------------------------------------------------------------
+# Window queries vs the plain searchsorted-and-slice reference
+# ----------------------------------------------------------------------
+def _ref_usage_at(trace, progress):
+    idx = int(np.searchsorted(trace.times, progress, side="right")) - 1
+    return int(trace.mem_mb[max(idx, 0)])
+
+
+def _ref_max_in(trace, p0, p1):
+    i0 = max(int(np.searchsorted(trace.times, p0, side="right")) - 1, 0)
+    i1 = max(int(np.searchsorted(trace.times, p1, side="right")) - 1, i0)
+    return int(trace.mem_mb[i0 : i1 + 1].max())
+
+
+_gaps = st.lists(st.floats(0.5, 500.0), min_size=0, max_size=6)
+
+
+@st.composite
+def _trace_and_window(draw):
+    gaps = draw(_gaps)
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    mem = draw(st.lists(st.integers(0, 100_000), min_size=len(times),
+                        max_size=len(times)))
+    # Window ends: random points, breakpoints, negatives, past the end.
+    end = float(times[-1])
+    point = st.one_of(
+        st.floats(-100.0, end + 200.0),
+        st.sampled_from([float(t) for t in times]),
+        st.just(-1.0),
+        st.just(end + 1e6),
+    )
+    a, b = draw(point), draw(point)
+    if draw(st.booleans()):
+        b = a  # point window
+    return UsageTrace(times, mem), min(a, b), max(a, b)
+
+
+@given(_trace_and_window())
+@example((UsageTrace([0.0, 100.0, 200.0], [1, 9, 3]), 100.0, 200.0))
+@example((UsageTrace([0.0, 100.0], [5, 2]), -10.0, -5.0))
+@example((UsageTrace([0.0], [7]), 3.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_window_queries_match_reference(case):
+    trace, p0, p1 = case
+    assert trace.max_in(p0, p1) == _ref_max_in(trace, p0, p1)
+    assert trace.usage_at(p0) == _ref_usage_at(trace, p0)
+    assert trace.usage_at(p1) == _ref_usage_at(trace, p1)

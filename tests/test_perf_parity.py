@@ -54,7 +54,7 @@ def _job(jid: int, n_nodes: int = 1) -> Job:
 op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["apply", "apply_remote", "apply_wide", "release",
-                         "grow_l", "shrink_l", "add_r", "rem_r"]),
+                         "grow_l", "shrink_l", "resize_l", "add_r", "rem_r"]),
         st.integers(0, 5),       # job id
         st.integers(0, N_NODES - 1),  # node selector
         st.integers(1, 40000),   # MB amount
@@ -95,6 +95,14 @@ def _drive(cluster: Cluster, ops) -> None:
                 cluster.grow_local(jid, node, mb)
             elif op == "shrink_l":
                 cluster.shrink_local(jid, node, mb)
+            elif op == "resize_l":
+                # One-pass local resize of the job's first two nodes:
+                # grow one, shrink the other (which one by mb's parity).
+                alloc = cluster.allocations.get(jid)
+                nodes = alloc.nodes[:2] if alloc else [node]
+                step, sign = mb % 2048 + 1, 1 if mb % 2 else -1
+                deltas = [sign * step, -sign * (step // 2 + 1)]
+                cluster.resize_local(jid, nodes, deltas[:len(nodes)])
             elif op == "add_r":
                 cluster.add_remote(jid, node, lender, mb)
             elif op == "rem_r":
@@ -256,6 +264,107 @@ def test_borrow_from_own_node_released_once():
     assert int(cluster.lent_mb[2]) == 0
     assert int(cluster.remote_held_mb[1]) == 0
     assert cluster.recompute_aggregates()["busy_count"] == 0
+    cluster.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# One-pass local resize == per-node grow_local / shrink_local
+# ----------------------------------------------------------------------
+_RESIZE_JID = 9
+
+
+def _resize_cluster(ops):
+    """A cluster with a wide job (it borrows, so it has lenders to
+    dirty) under a random history of other jobs, plus a listener log."""
+    cluster = _cluster()
+    calls = []
+    cluster.add_demand_listener(lambda c, lenders: calls.append(sorted(lenders)))
+    cluster.apply(_RESIZE_JID, JobAllocation(
+        nodes=[0, 2, 5], local_mb={0: 2048, 2: 1024, 5: 512},
+        remote_mb={2: {7: 4096}},
+    ))
+    _drive(cluster, ops)
+    del calls[:]
+    return cluster, calls
+
+
+def _state(cluster):
+    """Everything a resize may write, in comparable form."""
+    alloc = cluster.allocations.get(_RESIZE_JID)
+    return {
+        "columns": cluster.columns.content_hash(),
+        "aggregates": {name: getattr(cluster, name)
+                       for name in cluster.recompute_aggregates()},
+        "generation": cluster.generation,
+        "free_log": (cluster._free_log_base, list(cluster._free_log)),
+        "local_mb": list(alloc.local_mb.items()),
+        "remote_mb": [(n, list(m.items())) for n, m in alloc.remote_mb.items()],
+        "sealed": (alloc._total_local, alloc._total_remote,
+                   dict(alloc._remote_on), dict(alloc._lender_mb)),
+    }
+
+
+@st.composite
+def _local_resize(draw, cluster):
+    """Valid deltas on a non-empty subset of the wide job's nodes."""
+    alloc = cluster.allocations[_RESIZE_JID]
+    nodes = draw(st.lists(st.sampled_from(alloc.nodes), min_size=1,
+                          unique=True))
+    deltas = []
+    for node in nodes:
+        free = int(cluster.free_local()[node])
+        held = alloc.local_mb.get(node, 0)
+        choices = []
+        if free > 0:
+            choices.append(st.integers(1, free))
+        if held > 0:
+            choices.append(st.integers(-held, -1))
+        deltas.append(draw(st.one_of(choices)))
+    return nodes, deltas
+
+
+@given(ops=op_strategy, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_resize_local_matches_per_node_mutators(ops, data):
+    one, one_calls = _resize_cluster(ops)
+    two, two_calls = _resize_cluster(ops)
+    assert _state(one) == _state(two)
+    nodes, deltas = data.draw(_local_resize(one))
+    with one.defer_demand():
+        one.resize_local(_RESIZE_JID, nodes, deltas)
+    with two.defer_demand():
+        for node, delta in zip(nodes, deltas):
+            if delta > 0:
+                two.grow_local(_RESIZE_JID, node, delta)
+            else:
+                two.shrink_local(_RESIZE_JID, node, -delta)
+    assert _state(one) == _state(two)
+    assert one_calls == two_calls and len(one_calls) == 1
+    for cluster in (one, two):
+        cluster.allocations[_RESIZE_JID].check_seal()
+        cluster.check_invariants()
+
+
+def test_resize_local_rejects_without_writing():
+    cluster, calls = _resize_cluster([])
+    free2 = int(cluster.free_local()[2])
+    before = _state(cluster)
+    # Each bad call leads with a valid delta, so a write-as-you-go
+    # implementation would have changed state before raising.
+    for nodes, deltas in [
+        ([0, 2], [512, free2 + 1]),        # grow beyond free DRAM
+        ([0, 5], [512, -513]),             # shrink beyond local held
+        ([0, 3], [512, 1]),                # node outside the job
+        ([0, 0], [512, 1]),                # repeated node
+        ([0, 2], [512, 0]),                # zero delta
+        ([0, 2], [512]),                   # one delta per node
+    ]:
+        with pytest.raises(AllocationError):
+            cluster.resize_local(_RESIZE_JID, nodes, deltas)
+        assert _state(cluster) == before
+    with pytest.raises(AllocationError):
+        cluster.resize_local(42, [0], [1])  # job not allocated
+    assert calls == []
     cluster.check_invariants()
 
 

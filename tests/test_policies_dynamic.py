@@ -1,10 +1,13 @@
 """Dynamic disaggregated policy: Decider/Actuator resizing and OOM."""
 
+import numpy as np
 import pytest
 
+from repro.cluster.allocation import JobAllocation
 from repro.cluster.cluster import Cluster
 from repro.core.config import SystemConfig
 from repro.jobs.usage import UsageTrace
+from repro.policies.base import UpdateOutcome
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
 
 from conftest import make_job
@@ -142,3 +145,138 @@ def test_multi_node_update_consistent(policy, cluster):
     for n in alloc.nodes:
         assert alloc.total_on(n) == 10_000
     cluster.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# Resize mark: an unchanged Monitor reading skips Decider and Actuator
+# ----------------------------------------------------------------------
+def _marked_job(policy, cluster, mb, n_nodes=2):
+    """A flat-usage job whose allocation has been sized to ``mb``."""
+    job = make_job(jid=1, n_nodes=n_nodes, request_mb=mb)
+    start(policy, cluster, job)
+    policy.update(job, 0.0, 100.0)
+    alloc = cluster.allocations[job.jid]
+    assert alloc.sized_for_mb == mb
+    return job, alloc
+
+
+def _ledgers(cluster):
+    return (cluster.local_used_mb.tolist(), cluster.lent_mb.tolist(),
+            cluster.remote_held_mb.tolist(), cluster.generation)
+
+
+def _spy_decide(policy, monkeypatch):
+    calls = []
+    real = policy._decide
+
+    def spy(*args):
+        calls.append(args[0].jid)
+        return real(*args)
+
+    monkeypatch.setattr(policy, "_decide", spy)
+    return calls
+
+
+def test_unchanged_reading_skips_decider(policy, cluster, monkeypatch):
+    job = varying_job(n_nodes=2)
+    start(policy, cluster, job)
+    policy.update(job, 0.0, 100.0)  # shrink to 10k and mark
+    alloc = cluster.allocations[job.jid]
+    assert alloc.sized_for_mb == 10_000
+    before = _ledgers(cluster)
+    calls = _spy_decide(policy, monkeypatch)
+    out = policy.update(job, 100.0, 100.0)  # still reads 10k
+    assert calls == []
+    assert out == UpdateOutcome()
+    assert _ledgers(cluster) == before
+    assert alloc.sized_for_mb == 10_000
+    # A changed reading runs the Decider again.
+    out = policy.update(job, 450.0, 100.0)
+    assert calls == [job.jid] and out.grown_mb == 2 * 30_000
+    assert alloc.sized_for_mb == 40_000
+
+
+def test_skipped_update_still_runs_the_monitor(cluster, monkeypatch):
+    # Noise too small to move a 10 GB reading: readings repeat, yet every
+    # update must still draw from the Monitor's RNG.
+    policy = DynamicDisaggregatedPolicy(cluster, monitor_noise=1e-9,
+                                        monitor_seed=5)
+    job, alloc = _marked_job(policy, cluster, 10_000)
+    calls = _spy_decide(policy, monkeypatch)
+    policy.update(job, 100.0, 100.0)
+    assert calls == []
+    reference = np.random.default_rng(5)
+    for _ in range(2):
+        reference.normal(0.0, 1e-9)
+    assert policy._monitor_rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "mutation", ["grow_local", "shrink_local", "add_remote", "remove_remote"]
+)
+def test_direct_cluster_mutation_clears_mark(policy, cluster, mutation):
+    # 150 GB per node exceeds every node's DRAM, so the job borrows.
+    mb = 150_000 if mutation == "remove_remote" else 10_000
+    job, alloc = _marked_job(policy, cluster, mb)
+    node = alloc.nodes[0]
+    if mutation == "remove_remote":
+        lender = next(iter(alloc.remote_mb[node]))
+        cluster.remove_remote(job.jid, node, lender, 512)
+    elif mutation == "add_remote":
+        lender = next(n for n in range(cluster.n_nodes) if not alloc.has_node(n))
+        cluster.add_remote(job.jid, node, lender, 512)
+    else:
+        getattr(cluster, mutation)(job.jid, node, 512)
+    assert alloc.sized_for_mb is None
+    out = policy.update(job, 100.0, 100.0)  # same reading as before
+    assert out.resized
+    assert [alloc.total_on(n) for n in alloc.nodes] == [mb] * len(alloc.nodes)
+    assert alloc.sized_for_mb == mb
+    cluster.check_invariants()
+
+
+def test_resize_local_clears_mark(policy, cluster):
+    job, alloc = _marked_job(policy, cluster, 10_000)
+    cluster.resize_local(job.jid, alloc.nodes, [512, -512])
+    assert alloc.sized_for_mb is None
+    policy.update(job, 100.0, 100.0)
+    assert [alloc.total_on(n) for n in alloc.nodes] == [10_000, 10_000]
+
+
+def test_oom_update_leaves_no_mark(cluster):
+    policy = DynamicDisaggregatedPolicy(cluster)
+    total = cluster.total_capacity_mb()
+    a = varying_job(jid=1, lo=1000, hi=total - 70_000, request=total - 70_000)
+    start(policy, cluster, a)
+    b = varying_job(jid=2, lo=1000, hi=75_000, request=5_000)
+    start(policy, cluster, b)
+    policy.update(b, 0.0, 100.0)
+    alloc = cluster.allocations[b.jid]
+    assert alloc.sized_for_mb == 1000
+    out = policy.update(b, 450.0, 100.0)
+    assert out.oom
+    assert alloc.sized_for_mb is None
+
+
+def test_rebuilt_and_restarted_allocations_start_unmarked(
+    policy, cluster, monkeypatch
+):
+    job, alloc = _marked_job(policy, cluster, 10_000)
+    rebuilt = JobAllocation.from_snapshot(alloc.snapshot_state())
+    assert rebuilt.sized_for_mb is None
+    # A restarted job gets a fresh record, and its first update decides.
+    cluster.release(job.jid)
+    job.restarts += 1
+    again = start(policy, cluster, job)
+    assert again.sized_for_mb is None
+    calls = _spy_decide(policy, monkeypatch)
+    policy.update(job, 0.0, 100.0)
+    assert calls == [job.jid]
+    assert again.sized_for_mb == 10_000
+
+
+def test_unsealed_mark_fails_conservation():
+    alloc = JobAllocation(nodes=[0], local_mb={0: 1024})
+    alloc.sized_for_mb = 1024
+    with pytest.raises(ValueError):
+        alloc.check_conservation()

@@ -71,6 +71,19 @@ def test_workload_schema_validation(shared_workload):
         workload_from_dict(bad_schema)
 
 
+def test_load_workload_rejects_non_finite_usage_time(tmp_path, shared_workload):
+    # Python's json reads and writes NaN, so a hand-edited or foreign
+    # file can carry one; it must fail to load, not simulate wrongly.
+    data = workload_to_dict(shared_workload)
+    data["jobs"][0]["usage_times"] = [0.0, float("nan")]
+    data["jobs"][0]["usage_mem_mb"] = [1024, 2048]
+    path = tmp_path / "wl.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    with pytest.raises(TraceError):
+        load_workload(path)
+
+
 def test_result_serialisation(tmp_path, shared_workload):
     cfg = SystemConfig.from_memory_level(100, n_nodes=96)
     res = simulate(shared_workload.fresh_jobs(), cfg, policy="baseline",
