@@ -67,10 +67,9 @@ bench-sim-16k:
 bench-lint:
 	$(PYTHON) benchmarks/bench_lint.py
 
-# What-if forks vs fresh simulations (query latency, prefix-memoized
-# policy grid, 16k-node COW efficiency); writes
-# benchmarks/output/BENCH_whatif.json and exits non-zero when the
-# acceptance thresholds (10x / 1.5x / <10%) are missed.
+# What-if forks vs fresh simulations (query latency, 16k-node COW
+# efficiency); writes benchmarks/output/BENCH_whatif.json and exits
+# non-zero when the acceptance thresholds (10x / <10%) are missed.
 bench-whatif:
 	$(PYTHON) benchmarks/bench_whatif.py
 

@@ -1,17 +1,13 @@
 #!/usr/bin/env python
 """Wall-clock benchmark: what-if forks vs fresh simulations.
 
-Three measurements, written to ``benchmarks/output/BENCH_whatif.json``
+Two measurements, written to ``benchmarks/output/BENCH_whatif.json``
 (and appended to ``BENCH_history.jsonl`` for ``make bench-check``):
 
 1. **Query latency** — median what-if query time (fork + suffix replay)
    over late fork points against the median fresh end-to-end simulation
    answering the same counterfactual.  Acceptance: >= 10x.
-2. **Policy-grid speedup** — a fig5-style policy-axis group (same
-   workload, three policies) via the prefix-memoized group runner
-   (generate + build once, cold-fork per policy) against naive per-cell
-   execution (regenerate + rebuild per cell).  Acceptance: >= 1.5x.
-3. **COW efficiency** — bytes copied by a 100-node perturbation forked
+2. **COW efficiency** — bytes copied by a 100-node perturbation forked
    off a 16384-node scenario, as a fraction of the full columnar copy.
    Acceptance: < 10%.
 
@@ -33,9 +29,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bench_utils import append_history  # noqa: E402
 from repro.core.config import SystemConfig  # noqa: E402
-from repro.experiments import runner  # noqa: E402
-from repro.experiments.parallel import _run_policy_group, raw_result  # noqa: E402
-from repro.experiments.scenarios import Scenario  # noqa: E402
 from repro.jobs.job import Job  # noqa: E402
 from repro.jobs.usage import UsageTrace  # noqa: E402
 from repro.scheduler.simulator import simulate  # noqa: E402
@@ -107,49 +100,7 @@ def bench_query_latency(n_nodes, n_jobs, n_sessions, queries_per_session,
 
 
 # ----------------------------------------------------------------------
-# 2. Policy-axis grid: prefix-memoized group vs naive per-cell
-# ----------------------------------------------------------------------
-def bench_policy_grid(n_nodes, n_jobs, seed=0) -> dict:
-    group = [
-        Scenario(policy=p, n_nodes=n_nodes, n_jobs=n_jobs,
-                 memory_level=50, seed=seed)
-        for p in ("baseline", "static", "dynamic")
-    ]
-    # Naive baseline: every cell pays the full prefix — trace generation
-    # plus simulation construction — exactly what each pool worker did
-    # before prefix memoization (workers start cold and chunks land on
-    # different workers).
-    t0 = time.perf_counter()
-    naive_rows = []
-    for sc in group:
-        runner.clear_caches()
-        naive_rows.append(raw_result(sc))
-    naive_s = time.perf_counter() - t0
-
-    runner.clear_caches()
-    t0 = time.perf_counter()
-    grouped_rows = _run_policy_group(group)
-    grouped_s = time.perf_counter() - t0
-
-    identical = all(
-        {k: v for k, v in g.items() if k != "elapsed_s"}
-        == {k: v for k, v in n.items() if k != "elapsed_s"}
-        for g, n in zip(grouped_rows, naive_rows)
-    )
-    runner.clear_caches()
-    return {
-        "n_nodes": n_nodes,
-        "n_jobs": n_jobs,
-        "policies": [sc.policy for sc in group],
-        "naive_s": round(naive_s, 3),
-        "grouped_s": round(grouped_s, 3),
-        "speedup": round(naive_s / grouped_s, 2),
-        "identical_records": identical,
-    }
-
-
-# ----------------------------------------------------------------------
-# 3. COW efficiency at scale
+# 2. COW efficiency at scale
 # ----------------------------------------------------------------------
 def bench_cow_efficiency(n_nodes, n_jobs, pert_nodes=100, seed=0) -> dict:
     wl = synthetic_workload(n_jobs=n_jobs, n_system_nodes=n_nodes, seed=seed)
@@ -184,12 +135,10 @@ def main(argv=None) -> int:
     if args.smoke:
         q = dict(n_nodes=256, n_jobs=200, n_sessions=3,
                  queries_per_session=3, fresh_repeats=2)
-        g = dict(n_nodes=256, n_jobs=200)
         c = dict(n_nodes=2048, n_jobs=100)
     else:
         q = dict(n_nodes=1024, n_jobs=1000, n_sessions=10,
                  queries_per_session=10, fresh_repeats=5)
-        g = dict(n_nodes=1024, n_jobs=1000)
         c = dict(n_nodes=16384, n_jobs=300)
 
     print(f"query latency: {q['n_nodes']}x{q['n_jobs']} dynamic, "
@@ -198,12 +147,6 @@ def main(argv=None) -> int:
     print(f"  whatif {latency['whatif_median_s']:.3f} s vs fresh "
           f"{latency['fresh_median_s']:.3f} s -> "
           f"{latency['speedup']}x")
-
-    print(f"policy grid: {g['n_nodes']}x{g['n_jobs']}, 3 policies ...")
-    grid = bench_policy_grid(**g)
-    print(f"  naive {grid['naive_s']:.2f} s vs grouped "
-          f"{grid['grouped_s']:.2f} s -> {grid['speedup']}x "
-          f"(identical: {grid['identical_records']})")
 
     print(f"cow efficiency: {c['n_nodes']} nodes, 100-node fork ...")
     cow = bench_cow_efficiency(**c)
@@ -214,7 +157,6 @@ def main(argv=None) -> int:
     record = {
         "smoke": args.smoke,
         "query_latency": latency,
-        "policy_grid": grid,
         "cow_efficiency": cow,
     }
     out = Path(args.out)
@@ -227,14 +169,10 @@ def main(argv=None) -> int:
     )
     print(f"wrote {out}")
 
-    ok = (latency["speedup"] >= 10.0
-          and grid["speedup"] >= 1.5
-          and grid["identical_records"]
-          and cow["copy_fraction"] < 0.10)
+    ok = latency["speedup"] >= 10.0 and cow["copy_fraction"] < 0.10
     if args.smoke:
         # Smoke sizes only sanity-check that forks beat fresh runs.
-        ok = (latency["speedup"] > 1.0 and grid["identical_records"]
-              and cow["copy_fraction"] < 0.10)
+        ok = latency["speedup"] > 1.0 and cow["copy_fraction"] < 0.10
     if not ok:
         print("acceptance thresholds NOT met")
     return 0 if ok else 1

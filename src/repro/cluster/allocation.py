@@ -13,6 +13,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.state import ForkState
+
 
 @dataclass
 class JobAllocation:
@@ -70,6 +72,21 @@ class JobAllocation:
     #: while it is set each node still holds that reading's demand.
     sized_for_mb: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
+    )
+
+    #: A rollback restores the record in place, sealed caches and resize
+    #: mark included: the cached ``_lender_mb`` key order is maintenance
+    #: order, which ``Cluster.release`` makes visible downstream, so it is
+    #: copied rather than re-sealed.  ``nodes`` never changes after
+    #: construction; the node set and array are replaced, never written.
+    fork_state = ForkState(
+        values=(
+            "_total_local", "_total_remote", "_node_set", "_nodes_arr",
+            "sized_for_mb",
+        ),
+        copies=("local_mb", "_remote_on", "_lender_mb"),
+        nested=("remote_mb",),
+        fixed=("nodes",),
     )
 
     # ------------------------------------------------------------------
@@ -257,56 +274,3 @@ class JobAllocation:
             local_mb=dict(self.local_mb),
             remote_mb={n: dict(m) for n, m in self.remote_mb.items()},
         )
-
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Deep-copy the record *including* its sealed caches.
-
-        The sealed ``_lender_mb`` dict's key order is maintenance order —
-        ``Cluster._release`` iterates it, so float-free but
-        order-visible downstream effects (free-log entry order,
-        provenance rows) depend on it.  Re-sealing from the maps would
-        give first-appearance order instead; copying the dicts
-        preserves insertion order exactly.
-        """
-        return {
-            "nodes": list(self.nodes),
-            "local_mb": dict(self.local_mb),
-            "remote_mb": {n: dict(m) for n, m in self.remote_mb.items()},
-            "total_local": self._total_local,
-            "total_remote": self._total_remote,
-            "remote_on": (
-                dict(self._remote_on) if self._remote_on is not None else None
-            ),
-            "lender_mb": (
-                dict(self._lender_mb) if self._lender_mb is not None else None
-            ),
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "JobAllocation":
-        """Rebuild from :meth:`snapshot_state` (copies again, so the
-        captured state stays restorable any number of times).
-
-        ``sized_for_mb`` starts unset: a restored job's next update runs
-        the full Decider once, so the snapshot need not carry the mark.
-        """
-        alloc = cls(
-            nodes=list(state["nodes"]),
-            local_mb=dict(state["local_mb"]),
-            remote_mb={n: dict(m) for n, m in state["remote_mb"].items()},
-        )
-        alloc._total_local = state["total_local"]
-        alloc._total_remote = state["total_remote"]
-        alloc._remote_on = (
-            dict(state["remote_on"]) if state["remote_on"] is not None else None
-        )
-        alloc._lender_mb = (
-            dict(state["lender_mb"]) if state["lender_mb"] is not None else None
-        )
-        if state["total_local"] is not None:
-            alloc._node_set = frozenset(alloc.nodes)
-            alloc._nodes_arr = np.asarray(alloc.nodes, dtype=np.int64)
-        return alloc

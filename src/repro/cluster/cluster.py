@@ -47,6 +47,7 @@ import numpy as np
 
 from ..core.config import SystemConfig
 from ..core.errors import AllocationError
+from ..core.state import ForkState
 from ..obs.profiling import perf_section
 from .allocation import JobAllocation
 from .columns import ColumnPageStore, NodeColumns
@@ -60,6 +61,33 @@ FREE_LOG_LIMIT = 4096
 
 class Cluster:
     """Mutable cluster state shared by scheduler and allocation policies."""
+
+    #: The python-side ledgers.  The columnar arrays are bound once and
+    #: roll back page by page through the copy-on-write store instead
+    #: (:class:`~repro.cluster.columns.ColumnPageStore`), so a restore
+    #: writes every ledger here wholesale, with no mutator and no demand
+    #: notification: the contention model's demand cache is captured at
+    #: the same instant and restored with it.
+    fork_state = ForkState(
+        values=(
+            "busy_count", "busy_large_count", "local_used_total",
+            "lent_total", "memory_node_count", "startable_count",
+            "_total_capacity", "generation", "_free_log_base",
+            "free_log_overflows", "_deferred_demand",
+        ),
+        copies=("_free_log",),
+        nested=("lender_jobs",),
+        object_maps=("allocations",),
+        fixed=(
+            "config", "columns", "is_large", "capacity_mb", "local_used_mb",
+            "lent_mb", "remote_held_mb", "busy", "job_on_node", "_n_large",
+            "_free_local", "_free_view", "_memnode", "_memnode_view",
+            "_demand_listeners", "_prov_tap",
+        ),
+        # lazy interconnect caches (pure functions of the node count) and
+        # the copy-on-write store that performs the rollback
+        survive=("_torus", "_distance_rows", "_cow"),
+    )
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -154,73 +182,6 @@ class Cluster:
     def disarm_cow(self) -> None:
         """Disarm COW tracking (pending dirty pages are forgotten)."""
         self._cow = None
-
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    #: python-side ledger scalars captured/restored positionally
-    _SNAPSHOT_SCALARS = (
-        "busy_count",
-        "busy_large_count",
-        "local_used_total",
-        "lent_total",
-        "memory_node_count",
-        "startable_count",
-        "_total_capacity",
-        "generation",
-        "_free_log_base",
-        "free_log_overflows",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Capture the python-side ledger state (allocations, lender
-        maps, aggregates, generation log).
-
-        The columnar arrays are *not* captured here — the what-if
-        snapshot preserves them page-by-page through the armed
-        :class:`~repro.cluster.columns.ColumnPageStore`.
-        """
-        return {
-            "allocations": {
-                jid: alloc.snapshot_state()
-                for jid, alloc in self.allocations.items()
-            },
-            "lender_jobs": [dict(d) for d in self.lender_jobs],
-            "scalars": tuple(
-                getattr(self, name) for name in self._SNAPSHOT_SCALARS
-            ),
-            "free_log": list(self._free_log),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore :meth:`snapshot_state` in place (reusable snapshot).
-
-        Only valid together with a columnar rollback to the same
-        instant (:meth:`ColumnPageStore.rollback`) — the python ledgers
-        restored here and the numpy ledgers must describe the same
-        state, which ``check_invariants`` cross-checks.
-        """
-        # Lenders of the outgoing (fork-dirtied) *and* incoming states
-        # may change demand; everything else is untouched either way.
-        dirty = set()
-        for alloc in self.allocations.values():
-            dirty.update(alloc.lender_ids())
-        self.allocations = {
-            jid: JobAllocation.from_snapshot(s)
-            for jid, s in state["allocations"].items()
-        }
-        for alloc in self.allocations.values():
-            dirty.update(alloc.lender_ids())
-        for node, borrowed in enumerate(state["lender_jobs"]):
-            self.lender_jobs[node] = dict(borrowed)
-        for name, value in zip(self._SNAPSHOT_SCALARS, state["scalars"]):
-            setattr(self, name, value)
-        self._free_log = list(state["free_log"])
-        # Invalidate listener-maintained demand ledgers (the contention
-        # model's cache) for the affected lenders.  A provenance-tapped
-        # restore emits a demand_dirty row here; the what-if snapshot
-        # restores the provenance log afterwards, so forks stay clean.
-        self._notify_demand(sorted(dirty))
 
     # ------------------------------------------------------------------
     # Interconnect (lazy; used by topology-aware lending and the optional
@@ -531,28 +492,6 @@ class Cluster:
             self.memory_node_count += 1 if is_mem else -1
             if not self.busy[node]:
                 self.startable_count += -1 if is_mem else 1
-
-    def _set_busy(self, node: int, jid: int) -> None:
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.busy[node] = True
-        self.job_on_node[node] = jid
-        self.busy_count += 1
-        if self.is_large[node]:
-            self.busy_large_count += 1
-        if not self._memnode[node]:
-            self.startable_count -= 1
-
-    def _set_idle(self, node: int) -> None:
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.busy[node] = False
-        self.job_on_node[node] = -1
-        self.busy_count -= 1
-        if self.is_large[node]:
-            self.busy_large_count -= 1
-        if not self._memnode[node]:
-            self.startable_count += 1
 
     # ------------------------------------------------------------------
     # Whole-allocation apply / release

@@ -42,6 +42,8 @@ from typing import Dict
 
 import numpy as np
 
+from ..core.state import ForkState
+
 __all__ = ["NodeColumns", "ColumnPageStore", "COW_COLUMNS"]
 
 #: Columns tracked by the copy-on-write page store, in a fixed order:
@@ -81,6 +83,10 @@ class NodeColumns:
         "free_local",
         "memnode",
     )
+
+    #: The arrays are bound once; their contents roll back page by page
+    #: through :class:`ColumnPageStore`, not through a capture.
+    fork_state = ForkState(fixed=__slots__)
 
     def __init__(self, capacity_mb: np.ndarray, is_large: np.ndarray):
         n = len(capacity_mb)

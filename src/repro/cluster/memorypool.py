@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.state import ForkState
 from ..obs.provenance import NULL_PROVENANCE
 from .cluster import Cluster
 
@@ -48,6 +49,16 @@ class SortedFreeIndex:
     ids are folded into the sort key (``key = ±free·n + node``), which
     makes keys unique, the order total, and repairs exact.
     """
+
+    #: ``_nodes`` and ``_keys`` are replaced on every re-sort or repair,
+    #: never written, so a capture shares them; ``_node_key`` is written
+    #: in place.  The rebuild/repair counters are telemetry gauges, so a
+    #: forked replay resumes from the captured counts.
+    fork_state = ForkState(
+        values=("_gen", "_nodes", "_keys", "rebuilds", "repairs"),
+        copies=("_node_key",),
+        fixed=("cluster", "descending"),
+    )
 
     def __init__(self, cluster: Cluster, descending: bool = True):
         self.cluster = cluster
@@ -232,45 +243,15 @@ class SortedFreeIndex:
             f"sorted-free index out of sync: {got[:16]}... != {want[:16]}..."
         )
 
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Deep-copied sync state, including the rebuild/repair counters.
-
-        The counters are sampled as telemetry gauges, so a forked replay
-        must resume from the captured counts — simply dropping the index
-        and rebuilding would diverge the metrics stream from a fresh run.
-        """
-        return {
-            "gen": self._gen,
-            "nodes": None if self._nodes is None else self._nodes.copy(),
-            "keys": None if self._keys is None else self._keys.copy(),
-            "node_key": (
-                None if self._node_key is None else self._node_key.copy()
-            ),
-            "rebuilds": self.rebuilds,
-            "repairs": self.repairs,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore :meth:`snapshot_state` output (copies; reusable)."""
-        nodes = state["nodes"]
-        if nodes is not None:
-            nodes = nodes.copy()
-            nodes.flags.writeable = False
-        self._nodes = nodes
-        self._keys = None if state["keys"] is None else state["keys"].copy()
-        self._node_key = (
-            None if state["node_key"] is None else state["node_key"].copy()
-        )
-        self._gen = state["gen"]
-        self.rebuilds = state["rebuilds"]
-        self.repairs = state["repairs"]
-
 
 class MemoryPool:
     """Chooses lender nodes for remote-memory borrowing."""
+
+    fork_state = ForkState(
+        values=("_rr_cursor",),
+        objects=("free_index", "bestfit_index"),
+        fixed=("cluster", "strategy", "provenance"),
+    )
 
     def __init__(self, cluster: Cluster, strategy: str = MOST_FREE):
         if strategy not in STRATEGIES:
@@ -286,21 +267,6 @@ class MemoryPool:
         #: static policy's node selection)
         self.free_index = SortedFreeIndex(cluster, descending=True)
         self.bestfit_index = SortedFreeIndex(cluster, descending=False)
-
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        return {
-            "rr_cursor": self._rr_cursor,
-            "free_index": self.free_index.snapshot_state(),
-            "bestfit_index": self.bestfit_index.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._rr_cursor = state["rr_cursor"]
-        self.free_index.restore_state(state["free_index"])
-        self.bestfit_index.restore_state(state["bestfit_index"])
 
     def _order(self, free: np.ndarray, near: Optional[int]) -> np.ndarray:
         """Lender visiting order for one request (full per-request sort).

@@ -12,12 +12,19 @@ from typing import Any, Callable, Dict, Optional
 
 from .errors import SimulationError
 from .events import Event, EventKind, EventQueue
+from .state import ForkState
 
 Handler = Callable[["Engine", Event], None]
 
 
 class Engine:
     """Event loop with a monotone clock and per-kind handlers."""
+
+    fork_state = ForkState(
+        values=("now", "events_processed", "_stopped"),
+        objects=("queue",),
+        fixed=("_handlers",),
+    )
 
     def __init__(self) -> None:
         self.queue = EventQueue()

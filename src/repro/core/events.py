@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Iterator, Optional
 
+from .state import ForkState
+
 
 class EventKind(IntEnum):
     """Kinds of simulation events, ordered by within-timestamp priority.
@@ -64,6 +66,13 @@ class EventQueue:
     the pop order.
     """
 
+    #: heap entries hold frozen :class:`Event` objects, so a shallow
+    #: copy of the heap is a complete capture
+    fork_state = ForkState(
+        values=("_seq", "_live"),
+        copies=("_heap", "_dead", "_live_kinds"),
+    )
+
     _heap: list[tuple[float, int, int, Event]] = field(default_factory=list)
     _seq: int = 0
     _dead: set[int] = field(default_factory=set)
@@ -106,53 +115,12 @@ class EventQueue:
     def compact(self) -> None:
         """Eagerly drop all cancelled entries (snapshot hygiene).
 
-        Snapshots serialise the heap; compacting first keeps tombstones
-        out of the captured state so forks never inherit dead entries.
+        A what-if capture copies the heap; compacting first keeps
+        tombstones out of the captured state so forks never inherit
+        dead entries.
         """
         if self._dead:
             self._compact()
-
-    # ------------------------------------------------------------------
-    # Snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_entries(self) -> list[tuple[float, int, int, Any]]:
-        """Live heap entries as ``(time, kind, seq, payload)`` rows.
-
-        Compacts first, so the rows are exactly the live events.  The
-        row order is heap order (not sorted); ``restore_entries``
-        re-heapifies, and keys are unique, so pop order round-trips.
-        Payloads are shared by reference — callers own keeping the
-        referenced objects consistent.
-        """
-        self.compact()
-        return [(t, k, seq, ev.payload) for (t, k, seq, ev) in self._heap]
-
-    def restore_entries(
-        self, entries: list[tuple[float, int, int, Any]], seq: int
-    ) -> dict[int, Event]:
-        """Rebuild the queue in place from :meth:`snapshot_entries` rows.
-
-        ``seq`` restores the monotone sequence counter captured with the
-        rows.  Returns the rebuilt events by sequence number so callers
-        can rewire handles (e.g. the controller's cancelable finish
-        events).
-        """
-        by_seq: dict[int, Event] = {}
-        heap = []
-        for t, k, s, payload in entries:
-            ev = Event(time=t, kind=EventKind(k), seq=s, payload=payload)
-            heap.append((t, k, s, ev))
-            by_seq[s] = ev
-        heapq.heapify(heap)
-        self._heap = heap
-        self._dead = set()
-        self._live = len(heap)
-        counts = [0] * len(EventKind)
-        for _, k, _, _ in heap:
-            counts[k] += 1
-        self._live_kinds = counts
-        self._seq = seq
-        return by_seq
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty."""

@@ -27,12 +27,6 @@ every record bit-for-bit identical to serial execution:
   :mod:`repro.traces.cache`) workers additionally share generated
   traces on disk, so each trace is generated once per *campaign* rather
   than once per worker.
-* **Prefix memoization** — scenarios inside a chunk that differ only in
-  policy run as a single simulation build plus per-policy
-  copy-on-write forks from a ``t=0`` snapshot
-  (:func:`_run_policy_group`): the shared prefix — workload loading and
-  cluster/controller construction — executes once per policy group, and
-  cold policy swaps are byte-identical to fresh construction.
 
 ``run_grid`` is the engine behind ``campaign.run_campaign(workers=N)``,
 ``sweep.sweep(workers=N)`` and the Fig. 5/8 producers' ``workers=``
@@ -56,14 +50,7 @@ from dataclasses import asdict
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .runner import (
-    CAMPAIGN_PROV_ENTRIES,
-    base_workload,
-    clear_caches,
-    normalized,
-    reference_scenario,
-    run,
-)
+from .runner import clear_caches, normalized, reference_scenario, run
 from .scenarios import Scenario
 
 log = logging.getLogger(__name__)
@@ -75,13 +62,6 @@ ResultFn = Callable[[Scenario, Dict], None]
 def scenario_key(scenario: Scenario) -> str:
     """Stable identity of a scenario within a grid/campaign file."""
     return json.dumps(asdict(scenario), sort_keys=True)
-
-
-def _policy_group_key(scenario: Scenario) -> str:
-    """Scenario identity *minus* the policy axis (prefix-sharing key)."""
-    d = asdict(scenario)
-    d.pop("policy")
-    return json.dumps(d, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -103,16 +83,7 @@ def raw_result(scenario: Scenario, collect_telemetry: bool = False) -> Dict:
     t0 = perf_counter()
     res = run(scenario, collect_telemetry=collect_telemetry)
     elapsed = perf_counter() - t0
-    out = _result_row(scenario, res, elapsed)
-    if collect_telemetry:
-        out["telemetry"] = res.meta["telemetry_dump"]
-        out["provenance"] = res.meta["provenance_dump"]
-    return out
-
-
-def _result_row(scenario: Scenario, res, elapsed: float) -> Dict:
-    """Flatten one simulation result to the picklable raw-result dict."""
-    return {
+    out = {
         "key": scenario_key(scenario),
         "throughput": res.throughput(),
         "all_jobs_ran": res.all_jobs_ran(),
@@ -124,79 +95,22 @@ def _result_row(scenario: Scenario, res, elapsed: float) -> Dict:
         "elapsed_s": round(elapsed, 6),
         "n_events": res.events_processed,
     }
-
-
-def _run_policy_group(
-    group: List[Scenario], collect_telemetry: bool = False
-) -> List[Dict]:
-    """Simulate a policy-axis group through one shared t=0 snapshot.
-
-    All scenarios of ``group`` share everything but the policy, so the
-    expensive shared prefix — trace generation (or deserialisation) plus
-    cluster/controller wiring and workload loading — happens once: the
-    simulation is captured *before any event runs*, and each cell is a
-    cold policy fork replayed from that snapshot.  A cold swap is
-    byte-identical to fresh construction (see
-    :meth:`repro.whatif.perturb.SwapPolicy.apply`), so the rows match
-    per-scenario :func:`raw_result` calls bit for bit.
-    """
-    from ..obs.telemetry import Telemetry
-    from ..whatif import SimSnapshot, SwapPolicy
-
-    sc0 = group[0]
-    wl = base_workload(sc0)
-    if sc0.overestimation > 0:
-        jobs = wl.with_overestimation(sc0.overestimation).jobs
-    else:
-        jobs = wl.fresh_jobs()
-    telemetry = (
-        Telemetry(trace_spans=False, max_prov_entries=CAMPAIGN_PROV_ENTRIES)
-        if collect_telemetry
-        else None
-    )
-    from ..scheduler.simulator import build_simulation
-
-    handle = build_simulation(
-        jobs, sc0.system_config(), policy=sc0.policy,
-        profiles=wl.profiles, telemetry=telemetry,
-    )
-    snapshot = SimSnapshot.capture(handle)
-    rows: List[Dict] = []
-    for sc in group:
-        t0 = perf_counter()
-        snapshot.restore()
-        SwapPolicy(sc.policy).apply(handle)
-        res = handle.finish()
-        row = _result_row(sc, res, perf_counter() - t0)
-        if collect_telemetry:
-            # Dump before the next cell's rollback rewinds the registry.
-            row["telemetry"] = telemetry.registry.to_dict()
-            row["provenance"] = telemetry.provenance.to_rows()
-        rows.append(row)
-    return rows
+    if collect_telemetry:
+        out["telemetry"] = res.meta["telemetry_dump"]
+        out["provenance"] = res.meta["provenance_dump"]
+    return out
 
 
 def _run_chunk(
     scenarios: List[Scenario], collect_telemetry: bool = False
 ) -> List[Dict]:
-    """Pool-worker entry point: simulate one chunk of scenarios.
+    """Pool-worker entry point: simulate one chunk of scenarios, in
+    order, through the cached runner.
 
-    Scenarios differing only in policy are executed as one
-    prefix-memoized group (:func:`_run_policy_group`); the rest run
-    through the plain cached runner.  Row order matches input order.
+    Chunks never mix base workloads, so every scenario after the first
+    reuses the worker's cached trace.
     """
-    groups: Dict[str, List[Scenario]] = {}
-    for sc in scenarios:
-        groups.setdefault(_policy_group_key(sc), []).append(sc)
-    by_key: Dict[str, Dict] = {}
-    for group in groups.values():
-        if len(group) > 1 and len({sc.policy for sc in group}) == len(group):
-            rows = _run_policy_group(group, collect_telemetry)
-        else:
-            rows = [raw_result(sc, collect_telemetry) for sc in group]
-        for sc, row in zip(group, rows):
-            by_key[scenario_key(sc)] = row
-    return [by_key[scenario_key(sc)] for sc in scenarios]
+    return [raw_result(sc, collect_telemetry) for sc in scenarios]
 
 
 # ----------------------------------------------------------------------

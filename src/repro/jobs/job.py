@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.errors import TraceError
+from ..core.state import ForkState
 from .states import JobState, check_transition
 from .usage import UsageTrace
 
@@ -78,6 +79,20 @@ class Job:
     checkpointed_work: float = 0.0
     #: wall time at which ``work_done`` was last brought up to date
     last_progress_time: float = 0.0
+
+    #: a fork rolls back the runtime bookkeeping; the description is fixed
+    fork_state = ForkState(
+        values=(
+            "state", "queue_time", "start_time", "finish_time",
+            "first_start_time", "work_done", "slowdown", "restarts",
+            "checkpointed_work", "last_progress_time",
+        ),
+        fixed=(
+            "jid", "submit_time", "n_nodes", "base_runtime",
+            "walltime_limit", "mem_request_mb", "usage", "profile",
+            "node_scale", "user",
+        ),
+    )
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:

@@ -19,12 +19,15 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from ..core.errors import TraceError
+from ..core.state import ForkState
 
 
 class UsageTrace:
     """Piecewise-constant per-node memory usage versus job progress."""
 
     __slots__ = ("times", "mem_mb")
+
+    fork_state = ForkState(fixed=__slots__)
 
     def __init__(self, times: Sequence[float], mem_mb: Sequence[float]):
         t = np.asarray(times, dtype=np.float64)

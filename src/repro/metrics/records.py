@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.state import ForkState
 from ..jobs.states import JobState
 
 
@@ -72,6 +73,17 @@ class SimulationResult:
     total_capacity_mb: int = 0
     events_processed: int = 0
     meta: Dict[str, object] = field(default_factory=dict)
+
+    #: ``policy`` is a value: a what-if policy swap renames the result
+    fork_state = ForkState(
+        values=(
+            "policy", "oom_kills", "timeouts", "makespan", "first_submit",
+            "node_busy_seconds", "mem_allocated_mb_seconds",
+            "mem_remote_mb_seconds", "events_processed",
+        ),
+        copies=("records", "unrunnable", "meta"),
+        fixed=("total_nodes", "total_capacity_mb"),
+    )
 
     # ------------------------------------------------------------------
     def completed(self) -> List[JobRecord]:

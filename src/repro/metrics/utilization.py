@@ -7,10 +7,14 @@ from typing import List
 
 import numpy as np
 
+from ..core.state import ForkState
+
 
 @dataclass
 class UtilizationTimeline:
     """Periodic samples of cluster occupancy."""
+
+    fork_state = ForkState(copies=("times", "cpu", "mem_allocated"))
 
     times: List[float] = field(default_factory=list)
     cpu: List[float] = field(default_factory=list)

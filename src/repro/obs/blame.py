@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..core.state import ForkState
+
 __all__ = [
     "BlameAccumulator",
     "WAIT_CADENCE",
@@ -57,6 +59,10 @@ WAIT_COMPONENTS = (
 
 class BlameAccumulator:
     """Per-job wait-time decomposition (driven by the controller)."""
+
+    fork_state = ForkState(
+        copies=("total_wait", "_stamp", "_reason"), nested=("wait",),
+    )
 
     def __init__(self) -> None:
         #: jid -> {component: seconds} (closed episodes + the open one)
@@ -103,23 +109,6 @@ class BlameAccumulator:
         self.attribute(jid, t)
         self._stamp.pop(jid, None)
         self._reason.pop(jid, None)
-
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        return {
-            "wait": {jid: dict(b) for jid, b in self.wait.items()},
-            "total_wait": dict(self.total_wait),
-            "stamp": dict(self._stamp),
-            "reason": dict(self._reason),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.wait = {jid: dict(b) for jid, b in state["wait"].items()}
-        self.total_wait = dict(state["total_wait"])
-        self._stamp = dict(state["stamp"])
-        self._reason = dict(state["reason"])
 
     # ------------------------------------------------------------------
     def reason_of(self, jid: int) -> Optional[str]:

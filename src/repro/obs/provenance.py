@@ -32,6 +32,8 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ..core.state import ForkState
+
 __all__ = [
     "NULL_PROVENANCE",
     "NullProvenance",
@@ -55,6 +57,9 @@ class ProvenanceEvent:
     """One node of the causal graph."""
 
     __slots__ = ("eid", "t", "kind", "jid", "parents", "data")
+
+    #: immutable once emitted, so a captured log shares its events
+    fork_state = ForkState(fixed=__slots__)
 
     def __init__(
         self,
@@ -99,6 +104,12 @@ class ProvenanceLog:
     """
 
     enabled = True
+
+    fork_state = ForkState(
+        values=("dropped", "next_eid", "now", "scope"),
+        copies=("events", "last_of"),
+        fixed=("max_entries",),
+    )
 
     def __init__(self, max_entries: Optional[int] = DEFAULT_MAX_PROV_ENTRIES):
         if max_entries is not None and max_entries <= 0:
@@ -153,33 +164,6 @@ class ProvenanceLog:
         if jid is not None:
             self.last_of[jid] = eid
         return eid
-
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Capture the log for in-place restore.
-
-        Events are immutable after :meth:`emit`, so the capture shares
-        them; only the container and chaining maps are copied.
-        """
-        return {
-            "events": tuple(self.events),
-            "dropped": self.dropped,
-            "next_eid": self.next_eid,
-            "now": self.now,
-            "scope": self.scope,
-            "last_of": dict(self.last_of),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore :meth:`snapshot_state` in place (reusable snapshot)."""
-        self.events = deque(state["events"], maxlen=self.max_entries)
-        self.dropped = state["dropped"]
-        self.next_eid = state["next_eid"]
-        self.now = state["now"]
-        self.scope = state["scope"]
-        self.last_of = dict(state["last_of"])
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -240,6 +224,9 @@ class NullProvenance(ProvenanceLog):
     """Disabled provenance: guards skip it; calls are cheap no-ops."""
 
     enabled = False
+
+    #: the shared singleton never records, so it declares no state
+    fork_state = ForkState(fixed=ProvenanceLog.fork_state.names)
 
     def __init__(self) -> None:
         super().__init__(max_entries=None)

@@ -24,6 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.state import ForkState
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
@@ -31,6 +33,8 @@ class Counter:
     """Monotonic integer counter."""
 
     __slots__ = ("name", "value")
+
+    fork_state = ForkState(values=("value",), fixed=("name",))
 
     def __init__(self, name: str, value: int = 0):
         self.name = name
@@ -50,6 +54,8 @@ class Gauge:
     """
 
     __slots__ = ("name", "value", "last_t")
+
+    fork_state = ForkState(values=("value", "last_t"), fixed=("name",))
 
     def __init__(self, name: str, value: float = 0.0, last_t: float = float("-inf")):
         self.name = name
@@ -71,6 +77,10 @@ class Histogram:
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "count")
+
+    fork_state = ForkState(
+        values=("total", "count"), copies=("counts",), fixed=("name", "bounds"),
+    )
 
     def __init__(self, name: str, bounds: Sequence[float]):
         edges = tuple(float(b) for b in bounds)
@@ -106,6 +116,11 @@ class MetricsRegistry:
     always in sorted-name order, values derive from simulated state
     only, and :meth:`merge` is order-independent.
     """
+
+    fork_state = ForkState(
+        copies=("series",),
+        object_maps=("counters", "gauges", "histograms"),
+    )
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
@@ -199,40 +214,6 @@ class MetricsRegistry:
             reg.histograms[name] = hist
         reg.series = [(float(t), str(n), float(v)) for t, n, v in data.get("series", [])]
         return reg
-
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict:
-        """In-process capture for what-if forks.
-
-        Cheaper than :meth:`to_dict`: the series (the bulky part) is
-        append-only during a run, so only its length is recorded and
-        :meth:`restore_state` truncates back to it.
-        """
-        return {
-            "counters": {n: c.value for n, c in self.counters.items()},
-            "gauges": {n: (g.value, g.last_t) for n, g in self.gauges.items()},
-            "histograms": {
-                n: (h.bounds, tuple(h.counts), h.total, h.count)
-                for n, h in self.histograms.items()
-            },
-            "series_len": len(self.series),
-        }
-
-    def restore_state(self, state: Dict) -> None:
-        """Restore :meth:`snapshot_state` in place (reusable snapshot)."""
-        self.counters = {n: Counter(n, v) for n, v in state["counters"].items()}
-        self.gauges = {n: Gauge(n, v, t) for n, (v, t) in state["gauges"].items()}
-        hists: Dict[str, Histogram] = {}
-        for n, (bounds, counts, total, count) in state["histograms"].items():
-            h = Histogram(n, bounds)
-            h.counts = list(counts)
-            h.total = total
-            h.count = count
-            hists[n] = h
-        self.histograms = hists
-        del self.series[state["series_len"]:]
 
     # ------------------------------------------------------------------
     # Merging (parallel workers -> parent)

@@ -20,6 +20,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Union
 
+from ..core.state import ForkState
 from .blame import BlameAccumulator
 from .export import metrics_csv, metrics_jsonl, prometheus_text
 from .provenance import (
@@ -83,9 +84,21 @@ _NULL_CONTEXT = _NullContext()
 
 
 class Telemetry:
-    """Observability for one simulation run."""
+    """Observability for one simulation run.
+
+    A what-if fork rolls back the deterministic state (registry,
+    provenance, blame, metadata).  The span tracer is wall-clock
+    diagnostics: a fork keeps accumulating into it.
+    """
 
     enabled = True
+
+    fork_state = ForkState(
+        copies=("meta",),
+        nested=("_phase_acc",),
+        objects=("registry", "provenance", "blame"),
+        fixed=("sample_interval", "tracer"),
+    )
 
     def __init__(
         self,
@@ -184,34 +197,6 @@ class Telemetry:
         self._phase_acc.clear()
 
     # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Capture the deterministic telemetry state.
-
-        Wall-clock diagnostics (tracer spans, phase accumulators) are
-        excluded — they are already excluded from determinism
-        comparisons, and a fork keeps accumulating into them.
-        """
-        state: Dict[str, object] = {
-            "registry": self.registry.snapshot_state(),
-            "meta": dict(self.meta),
-        }
-        if self.provenance.enabled:
-            state["provenance"] = self.provenance.snapshot_state()
-        if self.blame is not None:
-            state["blame"] = self.blame.snapshot_state()
-        return state
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.registry.restore_state(state["registry"])
-        self.meta = dict(state["meta"])
-        if "provenance" in state:
-            self.provenance.restore_state(state["provenance"])
-        if "blame" in state:
-            self.blame.restore_state(state["blame"])
-
-    # ------------------------------------------------------------------
     # Run lifecycle
     # ------------------------------------------------------------------
     def finish(self, result) -> None:
@@ -265,6 +250,9 @@ class NullTelemetry(Telemetry):
     """Disabled telemetry: every hook is a cheap no-op."""
 
     enabled = False
+
+    #: the shared singleton never changes, so it declares no state
+    fork_state = ForkState(fixed=Telemetry.fork_state.names)
 
     def __init__(self) -> None:
         super().__init__(trace_spans=False, provenance=False)

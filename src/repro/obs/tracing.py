@@ -22,6 +22,8 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.state import ForkState
+
 __all__ = ["Span", "SpanTracer", "aggregate_spans"]
 
 
@@ -33,6 +35,8 @@ class Span:
     """
 
     __slots__ = ("name", "sim_t", "wall_s", "count", "jid", "detail")
+
+    fork_state = ForkState(fixed=__slots__)
 
     def __init__(self, name: str, sim_t: float, wall_s: float,
                  count: int = 1, jid: Optional[int] = None, detail: str = ""):
@@ -60,7 +64,13 @@ class Span:
 
 
 class SpanTracer:
-    """Append-only span recorder."""
+    """Append-only span recorder.
+
+    Spans are wall-clock diagnostics outside the determinism contract,
+    so they survive what-if rollbacks: a fork keeps appending.
+    """
+
+    fork_state = ForkState(survive=("spans",))
 
     def __init__(self) -> None:
         self.spans: List[Span] = []

@@ -22,6 +22,7 @@ from typing import List, Optional
 from ..cluster.allocation import JobAllocation
 from ..cluster.cluster import Cluster
 from ..cluster.memorypool import MemoryPool
+from ..core.state import ForkState
 from ..jobs.job import Job
 from ..obs.telemetry import NULL_TELEMETRY
 
@@ -50,6 +51,9 @@ class AllocationPolicy(ABC):
     #: controller replaces this (per instance) when a run is observed.
     obs = NULL_TELEMETRY
 
+    #: the controller sets ``obs`` (per instance) while wiring the run
+    fork_state = ForkState(objects=("pool",), fixed=("cluster", "obs"))
+
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.pool = MemoryPool(cluster)
@@ -70,18 +74,3 @@ class AllocationPolicy(ABC):
 
     def on_finish(self, job: Job) -> None:
         """Hook for per-job policy state cleanup."""
-
-    # ------------------------------------------------------------------
-    # What-if snapshot support (see repro.whatif.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Mutable per-run policy state, deep enough to restore from.
-
-        The base policies keep no per-run state beyond the pool (which
-        the snapshot machinery captures separately); stateful policies
-        override this together with :meth:`restore_state`.
-        """
-        return {}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`snapshot_state`, in place."""

@@ -40,6 +40,17 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
     uses_disaggregation = True
     is_dynamic = True
 
+    #: the rank-scale cache holds arrays that are never written, so a
+    #: dict copy captures it
+    fork_state = StaticDisaggregatedPolicy.fork_state.extend(
+        copies=("_pinned", "_observed_peak", "_rank_scale_cache"),
+        objects=("_monitor_rng",),
+        fixed=(
+            "headroom_mb", "max_oom_failures", "checkpoint_restart",
+            "monitor_noise", "oom_priority_boost", "checkpoint_interval",
+        ),
+    )
+
     def __init__(
         self,
         cluster: Cluster,
@@ -103,29 +114,6 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         self._pinned.discard(job.jid)
         self._observed_peak.pop(job.jid, None)
         self._rank_scale_cache.pop(job.jid, None)
-
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["pinned"] = set(self._pinned)
-        state["observed_peak"] = dict(self._observed_peak)
-        state["rank_scale_cache"] = {
-            jid: (None if v is None else v.copy())
-            for jid, v in self._rank_scale_cache.items()
-        }
-        # Generator state dicts are built fresh on access; hold as-is.
-        state["monitor_rng"] = self._monitor_rng.bit_generator.state
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._pinned = set(state["pinned"])
-        self._observed_peak = dict(state["observed_peak"])
-        self._rank_scale_cache = {
-            jid: (None if v is None else v.copy())
-            for jid, v in state["rank_scale_cache"].items()
-        }
-        self._monitor_rng.bit_generator.state = state["monitor_rng"]
 
     # ------------------------------------------------------------------
     def update(self, job: Job, progress: float, window: float) -> UpdateOutcome:

@@ -20,6 +20,7 @@ from ..cluster.cluster import Cluster
 from ..core.config import SystemConfig
 from ..core.engine import Engine
 from ..core.events import Event, EventKind
+from ..core.state import ForkState
 from ..jobs.job import Job
 from ..jobs.states import JobState
 from ..metrics.records import JobRecord, SimulationResult
@@ -60,7 +61,23 @@ def next_tick(now: float, interval: float) -> float:
 
 
 class Controller:
-    """Central resource manager wired into an :class:`Engine`."""
+    """Central resource manager wired into an :class:`Engine`.
+
+    The controller owns the run's object graph for a what-if fork: its
+    declared objects are captured and rolled back through it.  ``policy``
+    is an object, not fixed, because a fork may swap it.  Finish and
+    wall-limit events are frozen, so their maps are plain copies.
+    """
+
+    fork_state = ForkState(
+        values=("_last_account", "_sched_scheduled", "_mem_scheduled",
+                "_dirty"),
+        copies=("running", "finish_events", "wall_events"),
+        objects=("engine", "cluster", "policy", "model", "telemetry",
+                 "pending", "result", "timeline"),
+        object_maps=("jobs",),
+        fixed=("config", "prov", "blame", "sample_interval"),
+    )
 
     def __init__(
         self,

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
+from ..core.state import ForkState
 from ..jobs.job import Job
 
 
 class PendingQueue:
     """Priority-ordered (FCFS) queue of pending jobs."""
+
+    fork_state = ForkState(values=("_dirty",), copies=("_jobs",))
 
     def __init__(self) -> None:
         self._jobs: List[Job] = []

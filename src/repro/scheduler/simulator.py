@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 from ..cluster.cluster import Cluster
 from ..core.config import SystemConfig
 from ..core.engine import Engine
+from ..core.state import ForkState
 from ..core.errors import SimulationError
 from ..jobs.job import Job
 from ..metrics.records import SimulationResult
@@ -41,16 +42,27 @@ class SimulationHandle:
     Produced by :func:`build_simulation`.  The handle owns no state of
     its own — it is a named bundle of the engine/controller object graph
     plus the run-completion logic that :func:`simulate` used to inline.
+    Its fork state is the controller's (:mod:`repro.core.state`).
     """
 
     engine: Engine
     cluster: Cluster
-    policy: AllocationPolicy
     model: ContentionModel
     config: SystemConfig
     controller: Controller
     telemetry: Optional[Telemetry]
     max_events: int
+
+    fork_state = ForkState(
+        objects=("controller",),
+        fixed=("engine", "cluster", "model", "config", "telemetry",
+               "max_events"),
+    )
+
+    @property
+    def policy(self) -> AllocationPolicy:
+        """The policy running the simulation (a what-if fork may swap it)."""
+        return self.controller.policy
 
     @property
     def observed(self) -> bool:
@@ -150,7 +162,6 @@ def build_simulation(
     return SimulationHandle(
         engine=engine,
         cluster=cluster,
-        policy=pol,
         model=model,
         config=config,
         controller=controller,

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..cluster.allocation import JobAllocation
 from ..cluster.cluster import Cluster
+from ..core.state import ForkState
 from ..jobs.job import Job
 from .profiles import AppProfile
 
@@ -45,7 +46,18 @@ class ContentionModel:
     scales the remote term by how far the job's borrowed pages sit on the
     torus relative to the machine's mean hop distance — the extension
     that pairs with the pool's ``nearest`` lender strategy.
+
+    A fork captures the demand cache together with the cluster, so a
+    restore needs no invalidation; the hit/miss counters are
+    diagnostics that keep counting across forks.
     """
+
+    fork_state = ForkState(
+        copies=("_demand_cache",),
+        fixed=("profiles", "node_bw_gbps", "distance_penalty",
+               "_demand_cluster"),
+        survive=("demand_hits", "demand_misses"),
+    )
 
     def __init__(
         self,
@@ -151,7 +163,8 @@ class ContentionModel:
     def _lender_demand_brute(
         self, cluster: Cluster, jobs: Dict[int, Job], lender: int
     ) -> float:
-        """Uncached reference recomputation (parity tests compare against it)."""
+        """Uncached recomputation: the cache-miss path of
+        :meth:`lender_demand`, and the parity tests' reference."""
         demand = 0.0
         for jid, mb in cluster.borrowers_of(lender).items():
             job = jobs.get(jid)

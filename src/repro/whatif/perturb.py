@@ -95,7 +95,7 @@ class SwapPolicy(Perturbation):
     Builds a fresh policy over the *same* cluster, so the new policy
     sees the live ledgers.  At a ``t=0`` fork (nothing processed yet)
     the swapped simulation is byte-identical to one freshly built with
-    the new policy — the basis of prefix-memoized campaign grids.
+    the new policy.
     """
 
     name: str
@@ -109,7 +109,6 @@ class SwapPolicy(Perturbation):
         controller = handle.controller
         pol = make_policy(self.name, handle.cluster, **self.kwargs)
         controller.policy = pol
-        handle.policy = pol
         pol.obs = controller.telemetry
         pool = getattr(pol, "pool", None)
         if pool is not None and controller.prov.enabled:
@@ -119,8 +118,7 @@ class SwapPolicy(Perturbation):
         # must behave exactly like fresh construction with the new
         # policy: no scheduling kick (the submit handlers request the
         # first pass, as they would in a fresh run).  This is what makes
-        # t=0 policy forks byte-identical to per-policy runs, the basis
-        # of prefix-memoized campaign grids.
+        # t=0 policy forks byte-identical to per-policy runs.
         cold = (
             handle.engine.events_processed == 0
             and not controller.running

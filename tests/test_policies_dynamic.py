@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.allocation import JobAllocation
 from repro.cluster.cluster import Cluster
 from repro.core.config import SystemConfig
+from repro.core.state import capture, restore
 from repro.jobs.usage import UsageTrace
 from repro.policies.base import UpdateOutcome
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
@@ -258,12 +259,23 @@ def test_oom_update_leaves_no_mark(cluster):
     assert alloc.sized_for_mb is None
 
 
-def test_rebuilt_and_restarted_allocations_start_unmarked(
+def test_restored_allocation_keeps_its_mark_and_restarted_starts_unmarked(
     policy, cluster, monkeypatch
 ):
     job, alloc = _marked_job(policy, cluster, 10_000)
-    rebuilt = JobAllocation.from_snapshot(alloc.snapshot_state())
-    assert rebuilt.sized_for_mb is None
+    # A fork rollback restores the record in place, mark and maps alike,
+    # so the mark still describes what every node holds.
+    cow = cluster.arm_cow()
+    state = capture(cluster)
+    cluster.resize_local(job.jid, alloc.nodes, [512, -512])
+    assert alloc.sized_for_mb is None
+    cow.rollback()
+    restore(cluster, state)
+    assert cluster.allocations[job.jid] is alloc
+    assert alloc.sized_for_mb == 10_000
+    assert [alloc.total_on(n) for n in alloc.nodes] == [10_000, 10_000]
+    cluster.check_invariants()
+    cluster.disarm_cow()
     # A restarted job gets a fresh record, and its first update decides.
     cluster.release(job.jid)
     job.restarts += 1

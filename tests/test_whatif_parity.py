@@ -6,8 +6,8 @@ to the fork point, inject a perturbation, replay the suffix — produces
 would have produced: same records, same metrics, same telemetry stream,
 same provenance.  These tests hold it to that promise, alongside unit
 coverage of the fork cache, the snapshot-hygiene seams (tombstone
-compaction, COW re-arming), the sampler-livelock regression,
-and the prefix-memoized campaign path built on t=0 forks.
+compaction, COW re-arming, the content key), the sampler-livelock
+regression, and campaign chunk rows against per-cell runs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.config import SystemConfig
 from repro.core.errors import SimulationError
 from repro.core.events import EventKind, EventQueue
+from repro.core.state import capture, restore
 from repro.jobs.job import Job
 from repro.jobs.usage import UsageTrace
 from repro.obs.export import metrics_jsonl
@@ -160,6 +161,18 @@ def test_swap_to_same_policy_is_identity():
     assert all(d == 0.0 for d in report.deltas.values())
 
 
+def test_swap_policy_query_leaves_handle_on_the_restored_policy():
+    """After a policy-swap query rewinds, the handle reports the policy
+    the controller runs again, not the swapped-in one."""
+    wl = _workload()
+    session = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=9000.0,
+                     profiles=wl.profiles)
+    session.query(SwapPolicy("static"), use_cache=False)
+    handle = session.handle
+    assert handle.policy is handle.controller.policy
+    assert handle.policy.name == "dynamic"
+
+
 def test_add_memnodes_requires_idle_nodes():
     wl = _workload()
     session = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=9000.0,
@@ -233,14 +246,16 @@ def test_queue_compaction_drops_tombstones_before_snapshot():
     for ev in events[::2]:
         q.cancel(ev)
     assert len(q) == 5
-    entries = q.snapshot_entries()  # compacts first
-    assert len(entries) == 5
+    q.compact()  # what SimSnapshot.capture does before capturing
     assert not q._dead and len(q._heap) == 5
-    assert sorted(e[3] for e in entries) == [1, 3, 5, 7, 9]
+    state = capture(q)
+    assert sorted(ev.payload for *_, ev in q._heap) == [1, 3, 5, 7, 9]
     # restore round-trips pop order and the live-kind counts
-    q2 = EventQueue()
-    q2.restore_entries(entries, seq=q._seq)
-    assert [ev.payload for ev in q2.drain()] == [1, 3, 5, 7, 9]
+    assert [ev.payload for ev in q.drain()] == [1, 3, 5, 7, 9]
+    assert not q.has_live_excluding()
+    restore(q, state)
+    assert len(q) == 5 and q.has_live_excluding()
+    assert [ev.payload for ev in q.drain()] == [1, 3, 5, 7, 9]
 
 
 def test_queue_live_kind_counts_survive_cancel_and_pop():
@@ -286,8 +301,27 @@ def test_capture_rearms_cow_and_invalidates_prior_snapshot():
     assert snap2._cow is not snap._cow  # old snapshot's store retired
 
 
+def test_content_key_describes_the_captured_state():
+    """Two captures of one paused state share a key, even when one is
+    first read after a fork ran its suffix on the live handle."""
+    wl = _workload()
+    handle = build_simulation(wl.fresh_jobs(), CONFIG, policy="dynamic",
+                              profiles=wl.profiles)
+    handle.run_until(9000.0, inclusive=False)
+    key = SimSnapshot.capture(handle).content_key
+    second = SimSnapshot.capture(handle)
+    second.restore()
+    SubmitJob(n_nodes=4, base_runtime=1800.0,
+              mem_request_mb=32768).apply(handle)
+    handle.finish()
+    assert second.content_key == key
+    second.restore()
+    handle.run_until(12000.0, inclusive=False)  # a later state differs
+    assert SimSnapshot.capture(handle).content_key != key
+
+
 # ----------------------------------------------------------------------
-# Prefix-memoized campaign path (t=0 policy forks)
+# Campaign chunks (rows must match per-cell runs)
 # ----------------------------------------------------------------------
 def test_policy_group_rows_match_per_cell_runs():
     from repro.experiments import runner
