@@ -9,8 +9,12 @@ byte-identical after key-sorting, and writes a timing record to
 ```json
 {"grid": "fig5", "scale": "small", "n_scenarios": 48, "workers": 4,
  "serial_s": 26.1, "parallel_s": 7.9, "speedup": 3.3,
- "identical_records": true, "cpu_count": 4}
+ "identical_records": true, "cpu_count": 4, "cpu_limited": false}
 ```
+
+On a runner with fewer CPUs than workers the speedup is not measured:
+``"speedup": null`` plus ``"speedup_unmeasured": "<cpus> CPUs < <workers>
+workers"``.
 
 Usage (CI runs this and uploads the JSON as an artifact):
 
@@ -90,8 +94,8 @@ def main(argv=None) -> int:
         identical = _normalized(serial_path) == _normalized(parallel_path)
 
     cpu_count = os.cpu_count() or 1
-    # A runner with fewer CPUs than workers cannot show a speedup; record
-    # the fact instead of letting a <1x figure read as a regression.
+    # A runner with fewer CPUs than workers cannot measure a speedup:
+    # record why instead of a figure that would read as a regression.
     cpu_limited = cpu_count < args.workers
     record = {
         "grid": "fig5",
@@ -100,11 +104,16 @@ def main(argv=None) -> int:
         "workers": args.workers,
         "serial_s": round(serial_s, 3),
         "parallel_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s > 0 else None,
+        "speedup": (round(serial_s / parallel_s, 3)
+                    if parallel_s > 0 and not cpu_limited else None),
         "identical_records": identical,
         "cpu_count": cpu_count,
         "cpu_limited": cpu_limited,
     }
+    if cpu_limited:
+        record["speedup_unmeasured"] = (
+            f"{cpu_count} CPUs < {args.workers} workers"
+        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=2) + "\n")
@@ -112,11 +121,9 @@ def main(argv=None) -> int:
         f"parallel[{args.scale},s{len(grid)},w{args.workers}]",
         "parallel_s", parallel_s, record,
     )
-    note = (
-        f" [cpu_limited: {cpu_count} CPUs < {args.workers} workers; "
-        "speedup figure is not meaningful]" if cpu_limited else ""
-    )
-    print(f"speedup:  {record['speedup']}x{note}  "
+    speedup = (f"unmeasured ({record['speedup_unmeasured']})"
+               if cpu_limited else f"{record['speedup']}x")
+    print(f"speedup:  {speedup}  "
           f"(records identical: {identical}); wrote {out}")
     return 0 if identical else 1
 

@@ -65,25 +65,69 @@ class UsageTrace:
         idx = int(self.times.searchsorted(progress, side="right")) - 1
         return int(self.mem_mb[idx if idx > 0 else 0])
 
+    def usage_at_many(self, progress) -> np.ndarray:
+        """:meth:`usage_at` of every entry of ``progress`` (int64 array)."""
+        idx = self.times.searchsorted(progress, side="right") - 1
+        return self.mem_mb[np.maximum(idx, 0)]
+
     def max_in(self, p0: float, p1: float) -> int:
         """Maximum usage over progress window ``[p0, p1]``.
 
         This is the demand the Decider enforces for the window (§2.3).
-        Queried per running job on every update tick, so it calls the
-        array's own ``searchsorted`` and answers a window that lies inside
-        one segment (the common case: traces are short) without a second
-        search or a slice.
+        """
+        return self.max_in_ranges(p0, p1)[0]
+
+    def max_in_ranges(
+        self, p0: float, p1: float
+    ) -> Tuple[int, float, float, float, float]:
+        """:meth:`max_in` plus the half-open progress ranges ``[lo0, hi0)``
+        and ``[lo1, hi1)`` of the segments holding ``p0`` and ``p1``.
+
+        The maximum depends only on those two segments, so every window
+        whose ends stay inside them has the same maximum.  A window inside
+        one segment (the common case: traces are short) costs one search.
         """
         if p1 < p0:
             raise TraceError(f"empty window [{p0}, {p1}]")
         times = self.times
+        last = len(times) - 1
         i0 = int(times.searchsorted(p0, side="right")) - 1
         if i0 < 0:
             i0 = 0
-        if i0 + 1 == len(times) or p1 < times[i0 + 1]:
-            return int(self.mem_mb[i0])
+        lo0 = float(times[i0]) if i0 else -np.inf
+        hi0 = float(times[i0 + 1]) if i0 < last else np.inf
+        if p1 < hi0:
+            return int(self.mem_mb[i0]), lo0, hi0, lo0, hi0
         i1 = int(times.searchsorted(p1, side="right")) - 1
-        return int(self.mem_mb[i0 : i1 + 1].max())
+        hi1 = float(times[i1 + 1]) if i1 < last else np.inf
+        return (int(self.mem_mb[i0 : i1 + 1].max()), lo0, hi0,
+                float(times[i1]), hi1)
+
+    def window_max(self, p0, p1) -> np.ndarray:
+        """:meth:`max_in` of every window ``[p0[k], p1[k]]`` of two 1-D
+        arrays, as an int64 array.
+
+        One search per window end, then one segmented max: window ``k``
+        reduces ``mem_mb[start[k]:end[k]]``, read off interleaved bounds
+        by ``np.maximum.reduceat``.  A sentinel entry makes an end bound
+        of ``len(mem_mb)`` legal; the gap slices between windows are
+        discarded.
+        """
+        p0 = np.asarray(p0, dtype=np.float64)
+        p1 = np.asarray(p1, dtype=np.float64)
+        if p0.shape != p1.shape or p0.ndim != 1:
+            raise TraceError("window ends must be 1-D arrays of equal length")
+        if (p1 < p0).any():
+            raise TraceError("empty window: an end precedes its start")
+        if not len(p0):
+            return np.empty(0, dtype=np.int64)
+        times = self.times
+        bounds = np.empty(2 * len(p0), dtype=np.intp)
+        bounds[0::2] = np.maximum(times.searchsorted(p0, side="right") - 1, 0)
+        # p1 >= p0, so each end bound lies past its start bound
+        bounds[1::2] = np.maximum(times.searchsorted(p1, side="right"), 1)
+        padded = np.append(self.mem_mb, 0)
+        return np.maximum.reduceat(padded, bounds)[0::2]
 
     def peak(self) -> int:
         """Maximum usage over the whole job."""

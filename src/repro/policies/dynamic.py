@@ -43,7 +43,7 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
     #: the rank-scale cache holds arrays that are never written, so a
     #: dict copy captures it
     fork_state = StaticDisaggregatedPolicy.fork_state.extend(
-        copies=("_pinned", "_observed_peak", "_rank_scale_cache"),
+        copies=("_pinned", "_observed_peak", "_readings", "_rank_scale_cache"),
         objects=("_monitor_rng",),
         fixed=(
             "headroom_mb", "max_oom_failures", "checkpoint_restart",
@@ -90,6 +90,10 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         self._pinned: Set[int] = set()
         #: highest per-node demand seen before each job's OOM kills
         self._observed_peak: dict[int, int] = {}
+        #: per job, the last noiseless Monitor reading and the progress
+        #: ranges ``[lo0, hi0)``, ``[lo1, hi1)`` of the trace segments
+        #: holding its window's start and end (see :meth:`update`)
+        self._readings: Dict[int, Tuple[int, float, float, float, float]] = {}
         #: per-job rank-scale vector aligned with ``alloc.nodes`` (a
         #: job's node_scale never changes, so this is computed once)
         self._rank_scale_cache: Dict[int, Optional[np.ndarray]] = {}
@@ -113,6 +117,7 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
     def on_finish(self, job: Job) -> None:
         self._pinned.discard(job.jid)
         self._observed_peak.pop(job.jid, None)
+        self._readings.pop(job.jid, None)
         self._rank_scale_cache.pop(job.jid, None)
 
     # ------------------------------------------------------------------
@@ -127,17 +132,28 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
 
         A reading equal to the one the allocation was last sized to
         (``alloc.sized_for_mb``) finds every node at its demand already,
-        so Decider and Actuator are skipped.  The Monitor always runs:
-        its noise RNG and the observed peak advance either way.
+        so Decider and Actuator are skipped.  A noiseless reading depends
+        only on the trace segments holding the window's two ends, so
+        while both ends stay inside the segments of the recorded reading
+        and that reading is the mark, the Monitor is skipped as well: it
+        would return the same reading, and ``_observed_peak`` holds it
+        already.  With ``monitor_noise > 0`` nothing is recorded and the
+        Monitor runs on every update, so its RNG draws once per update.
         """
         out = UpdateOutcome()
-        if job.jid in self._pinned:
+        jid = job.jid
+        if jid in self._pinned:
             return out
-        alloc = self.cluster.allocations.get(job.jid)
+        alloc = self.cluster.allocations.get(jid)
         if alloc is None:
             return out
+        end = progress + window
+        seen = self._readings.get(jid)
+        if (seen is not None and seen[0] == alloc.sized_for_mb
+                and seen[1] <= progress < seen[2] and seen[3] <= end < seen[4]):
+            return out
         with self.obs.phase("monitor"):
-            reference = self._monitor(job, progress, window)
+            reference = self._monitor(job, progress, end)
         if reference == alloc.sized_for_mb:
             return out
         with self.obs.phase("decider"):
@@ -148,30 +164,37 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
             # the resulting pool/cluster events hang off it causally.
             prov.scope = prov.emit(
                 "decide",
-                jid=job.jid,
+                jid=jid,
                 reference_mb=int(reference),
                 n_deltas=len(deltas),
                 grow_mb=int(deltas[deltas > 0].sum()),
                 shrink_mb=int(-deltas[deltas < 0].sum()),
             )
         with self.obs.phase("actuator"):
-            self._actuate(job.jid, alloc, nodes, deltas, out)
+            self._actuate(jid, alloc, nodes, deltas, out)
         if not out.oom:
             out.resized = out.freed_mb > 0 or out.grown_mb > 0
-        alloc.sized_for_mb = None if out.oom else reference
+            alloc.sized_for_mb = reference
+        else:
+            # The kill releases the allocation without ``on_finish``.
+            alloc.sized_for_mb = None
+            self._readings.pop(jid, None)
         return out
 
-    def _monitor(self, job: Job, progress: float, window: float) -> int:
+    def _monitor(self, job: Job, progress: float, end: float) -> int:
         """Monitor: the usage reading the Decider will act on."""
-        reference = job.usage.max_in(progress, progress + window)
+        peak, *ranges = job.usage.max_in_ranges(progress, end)
         if self.monitor_noise > 0.0:
             # Noisy telemetry: the Decider sees a perturbed reading, but
             # never below the memory resident right now (the Monitor
             # cannot report less than what is mapped).
             noise = 1.0 + self._monitor_rng.normal(0.0, self.monitor_noise)
-            observed = int(round(reference * max(noise, 0.0)))
+            observed = int(round(peak * max(noise, 0.0)))
             reference = max(observed, job.usage.usage_at(progress))
-        reference += self.headroom_mb
+            reference += self.headroom_mb
+        else:
+            reference = peak + self.headroom_mb
+            self._readings[job.jid] = (reference, *ranges)
         prev = self._observed_peak.get(job.jid, 0)
         if reference > prev:
             self._observed_peak[job.jid] = reference

@@ -144,14 +144,11 @@ def generate(
         n_windows = max(int(np.ceil(runtime / WINDOW_S)), 1)
         t0 = np.arange(n_windows) * WINDOW_S
         t1 = np.minimum(t0 + WINDOW_S, runtime)
-        maxima = np.array(
-            [curve.max_in(a, b) for a, b in zip(t0, t1)], dtype=np.float64
-        )
+        maxima = curve.window_max(t0, t1).astype(np.float64)
         # Window averages: sample the curve mid-window (cheap, adequate).
-        avgs = np.array(
-            [curve.usage_at((a + b) / 2) for a, b in zip(t0, t1)], dtype=np.float64
+        avgs = np.minimum(
+            curve.usage_at_many((t0 + t1) / 2).astype(np.float64), maxima
         )
-        avgs = np.minimum(avgs, maxima)
         jobs.append(
             GoogleJob(
                 job_id=jid,

@@ -62,7 +62,7 @@ class GrizzlyJob:
         """
         n = max(int(np.ceil(self.duration / interval)), 1)
         times = np.arange(n, dtype=np.float64) * interval
-        mem = np.array([self.usage.usage_at(t) for t in times], dtype=np.float64)
+        mem = self.usage.usage_at_many(times).astype(np.float64)
         return np.column_stack([times, mem])
 
 

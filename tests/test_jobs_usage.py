@@ -39,6 +39,10 @@ def test_max_in_window(trace):
 def test_max_in_rejects_reversed_window(trace):
     with pytest.raises(TraceError):
         trace.max_in(10.0, 5.0)
+    with pytest.raises(TraceError):
+        trace.window_max([0.0, 10.0], [5.0, 5.0])
+    with pytest.raises(TraceError):
+        trace.window_max([0.0], [5.0, 6.0])  # unequal lengths
 
 
 def test_peak_and_mean(trace):
@@ -169,16 +173,52 @@ def _trace_and_window(draw):
     a, b = draw(point), draw(point)
     if draw(st.booleans()):
         b = a  # point window
-    return UsageTrace(times, mem), min(a, b), max(a, b)
+    # A batch of further windows drawn from the same points.
+    batch = [tuple(sorted((draw(point), draw(point))))
+             for _ in range(draw(st.integers(0, 8)))]
+    return UsageTrace(times, mem), min(a, b), max(a, b), batch
 
 
 @given(_trace_and_window())
-@example((UsageTrace([0.0, 100.0, 200.0], [1, 9, 3]), 100.0, 200.0))
-@example((UsageTrace([0.0, 100.0], [5, 2]), -10.0, -5.0))
-@example((UsageTrace([0.0], [7]), 3.0, 3.0))
+# Batch windows: before 0 through three segments, a point, past the end.
+@example((UsageTrace([0.0, 100.0, 200.0], [1, 9, 3]), 100.0, 200.0,
+          [(-5.0, 250.0), (150.0, 150.0), (200.0, 1e9)]))
+@example((UsageTrace([0.0, 100.0], [5, 2]), -10.0, -5.0, []))
+@example((UsageTrace([0.0], [7]), 3.0, 3.0, [(-1.0, -1.0), (0.0, 5.0)]))
 @settings(max_examples=300, deadline=None)
 def test_window_queries_match_reference(case):
-    trace, p0, p1 = case
+    trace, p0, p1, batch = case
     assert trace.max_in(p0, p1) == _ref_max_in(trace, p0, p1)
     assert trace.usage_at(p0) == _ref_usage_at(trace, p0)
     assert trace.usage_at(p1) == _ref_usage_at(trace, p1)
+    # Batch forms: element for element the scalar answers, as int64
+    # arrays; an empty batch answers empty, a reversed window raises.
+    windows = [(p0, p1)] + batch
+    starts, ends = np.array(windows).T
+    maxima = trace.window_max(starts, ends)
+    assert maxima.dtype == np.int64
+    assert maxima.tolist() == [trace.max_in(a, b) for a, b in windows]
+    points = np.concatenate([starts, ends])
+    usage = trace.usage_at_many(points)
+    assert usage.dtype == np.int64
+    assert usage.tolist() == [trace.usage_at(p) for p in points]
+    assert trace.window_max(starts[:0], ends[:0]).tolist() == []
+    assert trace.usage_at_many(points[:0]).tolist() == []
+    if p0 < p1:
+        with pytest.raises(TraceError):
+            trace.window_max(ends, starts)
+    # max_in_ranges: the segment ranges hold the window's ends, are
+    # bounded by breakpoints (or unbounded), and every window whose ends
+    # stay inside them has the same maximum.
+    mx, lo0, hi0, lo1, hi1 = trace.max_in_ranges(p0, p1)
+    assert mx == trace.max_in(p0, p1)
+    assert lo0 <= p0 < hi0 and lo1 <= p1 < hi1
+    edges = set(trace.times.tolist()) | {-np.inf, np.inf}
+    assert {lo0, hi0, lo1, hi1} <= edges
+    firsts = [p0 if lo0 == -np.inf else lo0, np.nextafter(hi0, -np.inf)]
+    lasts = [lo1, np.nextafter(hi1, -np.inf) if hi1 < np.inf else p1 + 1e6]
+    for q0 in firsts:
+        for q1 in lasts:
+            if np.isfinite(q0) and q0 <= q1:
+                assert trace.max_in(q0, q1) == mx
+

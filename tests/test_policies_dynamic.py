@@ -10,6 +10,8 @@ from repro.core.state import capture, restore
 from repro.jobs.usage import UsageTrace
 from repro.policies.base import UpdateOutcome
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
+from repro.scheduler.simulator import simulate
+from repro.traces.pipeline import synthetic_workload
 
 from conftest import make_job
 
@@ -178,6 +180,18 @@ def _spy_decide(policy, monkeypatch):
     return calls
 
 
+def _spy_monitor(policy, monkeypatch):
+    calls = []
+    real = policy._monitor
+
+    def spy(job, progress, end):
+        calls.append((progress, end))
+        return real(job, progress, end)
+
+    monkeypatch.setattr(policy, "_monitor", spy)
+    return calls
+
+
 def test_unchanged_reading_skips_decider(policy, cluster, monkeypatch):
     job = varying_job(n_nodes=2)
     start(policy, cluster, job)
@@ -198,16 +212,19 @@ def test_unchanged_reading_skips_decider(policy, cluster, monkeypatch):
 
 
 def test_skipped_update_still_runs_the_monitor(cluster, monkeypatch):
-    # Noise too small to move a 10 GB reading: readings repeat, yet every
-    # update must still draw from the Monitor's RNG.
+    # Noise too small to move a 10 GB reading: readings repeat, yet a
+    # noisy Monitor records nothing, runs on every update and draws once.
     policy = DynamicDisaggregatedPolicy(cluster, monitor_noise=1e-9,
                                         monitor_seed=5)
     job, alloc = _marked_job(policy, cluster, 10_000)
     calls = _spy_decide(policy, monkeypatch)
-    policy.update(job, 100.0, 100.0)
-    assert calls == []
+    monitor = _spy_monitor(policy, monkeypatch)
+    for progress in (100.0, 200.0, 300.0):
+        policy.update(job, progress, 100.0)
+    assert calls == [] and len(monitor) == 3
+    assert policy._readings == {}
     reference = np.random.default_rng(5)
-    for _ in range(2):
+    for _ in range(4):
         reference.normal(0.0, 1e-9)
     assert policy._monitor_rng.bit_generator.state == reference.bit_generator.state
 
@@ -215,10 +232,14 @@ def test_skipped_update_still_runs_the_monitor(cluster, monkeypatch):
 @pytest.mark.parametrize(
     "mutation", ["grow_local", "shrink_local", "add_remote", "remove_remote"]
 )
-def test_direct_cluster_mutation_clears_mark(policy, cluster, mutation):
+def test_direct_cluster_mutation_clears_mark(policy, cluster, mutation,
+                                             monkeypatch):
     # 150 GB per node exceeds every node's DRAM, so the job borrows.
     mb = 150_000 if mutation == "remove_remote" else 10_000
     job, alloc = _marked_job(policy, cluster, mb)
+    # A flat trace: every window stays inside the recorded ranges.
+    assert policy._readings[job.jid] == (mb, -np.inf, np.inf, -np.inf, np.inf)
+    monitor = _spy_monitor(policy, monkeypatch)
     node = alloc.nodes[0]
     if mutation == "remove_remote":
         lender = next(iter(alloc.remote_mb[node]))
@@ -230,7 +251,7 @@ def test_direct_cluster_mutation_clears_mark(policy, cluster, mutation):
         getattr(cluster, mutation)(job.jid, node, 512)
     assert alloc.sized_for_mb is None
     out = policy.update(job, 100.0, 100.0)  # same reading as before
-    assert out.resized
+    assert out.resized and len(monitor) == 1
     assert [alloc.total_on(n) for n in alloc.nodes] == [mb] * len(alloc.nodes)
     assert alloc.sized_for_mb == mb
     cluster.check_invariants()
@@ -244,7 +265,7 @@ def test_resize_local_clears_mark(policy, cluster):
     assert [alloc.total_on(n) for n in alloc.nodes] == [10_000, 10_000]
 
 
-def test_oom_update_leaves_no_mark(cluster):
+def test_oom_update_leaves_no_mark(cluster, monkeypatch):
     policy = DynamicDisaggregatedPolicy(cluster)
     total = cluster.total_capacity_mb()
     a = varying_job(jid=1, lo=1000, hi=total - 70_000, request=total - 70_000)
@@ -257,6 +278,15 @@ def test_oom_update_leaves_no_mark(cluster):
     out = policy.update(b, 450.0, 100.0)
     assert out.oom
     assert alloc.sized_for_mb is None
+    # The kill requeues the job without on_finish, so the OOM outcome
+    # drops the Monitor record, and the restarted job's first tick reads.
+    assert b.jid not in policy._readings
+    cluster.release(b.jid)
+    b.restarts += 1
+    start(policy, cluster, b)
+    monitor = _spy_monitor(policy, monkeypatch)
+    policy.update(b, 0.0, 100.0)
+    assert monitor == [(0.0, 100.0)]
 
 
 def test_restored_allocation_keeps_its_mark_and_restarted_starts_unmarked(
@@ -292,3 +322,82 @@ def test_unsealed_mark_fails_conservation():
     alloc.sized_for_mb = 1024
     with pytest.raises(ValueError):
         alloc.check_conservation()
+
+
+# ----------------------------------------------------------------------
+# Monitor record: a window that stays in its trace segments skips the
+# Monitor while the reading is the mark
+# ----------------------------------------------------------------------
+def test_skipped_update_changes_no_state(policy, cluster, monkeypatch):
+    job = varying_job(n_nodes=2)
+    start(policy, cluster, job)
+    policy.update(job, 0.0, 100.0)  # shrink to 10k, mark and record
+    alloc = cluster.allocations[job.jid]
+    peak = dict(policy._observed_peak)
+    rng_state = policy._monitor_rng.bit_generator.state
+    before = _ledgers(cluster)
+    monitor = _spy_monitor(policy, monkeypatch)
+    decide = _spy_decide(policy, monkeypatch)
+    # Both window ends stay inside [0, 500): the reading cannot change.
+    for progress in (100.0, 250.0, 399.0):
+        assert policy.update(job, progress, 100.0) == UpdateOutcome()
+    assert monitor == [] and decide == []
+    assert policy._observed_peak == peak
+    assert alloc.sized_for_mb == 10_000
+    assert policy._monitor_rng.bit_generator.state == rng_state
+    assert _ledgers(cluster) == before
+    policy.on_finish(job)
+    assert job.jid not in policy._readings
+
+
+def test_window_leaving_its_segments_runs_the_monitor(policy, cluster,
+                                                      monkeypatch):
+    job = make_job(jid=1, runtime=1000.0, request_mb=10_000)
+    # Two equal-valued segments: crossing the breakpoint re-reads the
+    # same 10k, so only the Monitor runs, never the Decider.
+    job.usage = UsageTrace([0.0, 300.0, 600.0], [10_000, 10_000, 40_000])
+    start(policy, cluster, job)
+    policy.update(job, 0.0, 100.0)
+    monitor = _spy_monitor(policy, monkeypatch)
+    decide = _spy_decide(policy, monkeypatch)
+    policy.update(job, 100.0, 199.0)  # end just below the breakpoint
+    assert monitor == []
+    policy.update(job, 100.0, 200.0)  # end reaches the breakpoint
+    assert monitor == [(100.0, 300.0)] and decide == []
+    policy.update(job, 200.0, 200.0)  # recorded: [0, 300) and [300, 600)
+    assert len(monitor) == 1
+    policy.update(job, 300.0, 200.0)  # start leaves its segment
+    assert monitor[-1] == (300.0, 500.0) and decide == []
+    out = policy.update(job, 400.0, 200.0)  # end reaches the 40k segment
+    assert monitor[-1] == (400.0, 600.0)
+    assert decide == [job.jid] and out.grown_mb == 30_000
+
+
+def test_monitor_record_changes_no_simulation_output():
+    """Runs with OOM kills and restarts produce the same records and the
+    same observed peaks whether or not the Monitor record is consulted."""
+
+    class NeverRecorded(dict):
+        def get(self, key, default=None):
+            return default
+
+    wl = synthetic_workload(n_jobs=60, n_system_nodes=48, seed=7,
+                            frac_large=0.5)
+    config = SystemConfig.from_memory_level(25, n_nodes=48)
+    results, peaks, monitored = [], [], []
+    for consult in (True, False):
+        policy = DynamicDisaggregatedPolicy(Cluster(config))
+        if not consult:
+            policy._readings = NeverRecorded()
+        calls = []
+        real = policy._monitor
+        policy._monitor = lambda *a: calls.append(a) or real(*a)
+        res = simulate(wl.fresh_jobs(), config, policy=policy,
+                       profiles=wl.profiles)
+        results.append((res.oom_kills, [repr(r) for r in res.records]))
+        peaks.append(dict(policy._observed_peak))
+        monitored.append(len(calls))
+    assert results[0][0] > 0
+    assert results[0] == results[1]
+    assert peaks[0] == peaks[1]
+    assert monitored[0] < monitored[1]

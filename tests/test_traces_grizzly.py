@@ -81,6 +81,8 @@ def test_ldms_series_and_rdp_compression(dataset):
     series = job.ldms_series()
     assert series.shape[1] == 2
     assert series[1, 0] - series[0, 0] == LDMS_INTERVAL_S
+    scalar = [float(job.usage.usage_at(t)) for t in series[:, 0]]
+    assert series[:, 1].tolist() == scalar
     compressed = rdp(series, epsilon=job.peak_memory_mb * 0.02)
     assert len(compressed) < len(series)
 

@@ -1,9 +1,12 @@
 """End-to-end trace generation (Fig. 3 pipeline)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.errors import TraceError
+from repro.traces import google
 from repro.traces.archer import LARGE_MEMORY_THRESHOLD_MB
 from repro.traces.pipeline import grizzly_workload, synthetic_workload
 from repro.traces.shapes import phased_usage, spike_usage
@@ -68,6 +71,23 @@ class TestSyntheticWorkload:
             assert x.submit_time == y.submit_time
             assert x.mem_request_mb == y.mem_request_mb
             assert np.array_equal(x.usage.mem_mb, y.usage.mem_mb)
+
+    def test_generated_bytes_pinned(self):
+        """Generation output is pinned byte for byte: every job's usage
+        trace, and the window tables of a donor pool.  The digest was
+        recorded with per-window scalar ``max_in``/``usage_at`` queries,
+        so the batch queries must reproduce them exactly."""
+        h = hashlib.sha256()
+        wl = synthetic_workload(n_jobs=80, n_system_nodes=64, seed=11)
+        for job in wl.jobs:
+            h.update(job.usage.times.astype("<f8").tobytes())
+            h.update(job.usage.mem_mb.astype("<i8").tobytes())
+        for donor in google.generate(300, seed=5):
+            h.update(donor.avg_usage.astype("<f8").tobytes())
+            h.update(donor.max_usage.astype("<f8").tobytes())
+        assert h.hexdigest() == (
+            "bbfe620124892561c73b481359cc8b1d843bff675193aef4a245aff5f88cf23c"
+        )
 
     def test_validation(self):
         with pytest.raises(TraceError):
