@@ -10,7 +10,7 @@ Four deep families (run under ``repro lint --deep`` or by explicit
   unpicklable callables reachable from process-pool workers.
 * ``INV1xx`` — aggregate coherence: the cluster ledger fields may only
   be written inside the owning mutators, which must maintain the O(1)
-  aggregates, bump the generation stamp, and notify listeners.
+  aggregates and notify listeners.
 * ``UNIT1xx`` — flow-sensitive integer-mebibyte discipline, extending
   UNIT001 across assignments and call boundaries.
 
@@ -37,8 +37,6 @@ from .graph import FunctionInfo, ModuleInfo, Project, dotted
 from .rules import _float_producer, _mb_named, _target_names
 
 __all__ = [
-    "FREE_VECTOR_FIELDS",
-    "GENERATION_LOG_SINKS",
     "LEDGER_FIELDS",
     "PROVENANCE_OBSERVED_FIELDS",
     "PROVENANCE_SINKS",
@@ -695,27 +693,18 @@ class UnpicklableDispatchRule(ProjectRule):
 # ----------------------------------------------------------------------
 # INV1xx — aggregate coherence
 # ----------------------------------------------------------------------
-#: Cluster ledger state: raw vectors, busy bookkeeping, O(1) aggregates,
-#: and the free-DRAM generation log.  Writes outside the owning class
-#: (the one defining ``check_invariants``) bypass aggregate maintenance.
+#: Cluster ledger state: raw vectors, busy bookkeeping and O(1)
+#: aggregates.  Writes outside the owning class (the one defining
+#: ``check_invariants``) bypass aggregate maintenance.
 LEDGER_FIELDS = frozenset(
     {"local_used_mb", "lent_mb", "remote_held_mb", "busy", "job_on_node",
      "lender_jobs", "busy_count", "busy_large_count", "local_used_total",
      "lent_total", "memory_node_count", "startable_count", "_free_local",
-     "_memnode", "generation", "allocations", "_free_log",
-     "_free_log_base", "free_log_overflows", "columns"}
+     "_memnode", "allocations", "columns"}
 )
-#: Fields mirrored by the maintained free vector + generation log: every
-#: in-place element write must pass through a generation-log sink.
-FREE_VECTOR_FIELDS = frozenset({"local_used_mb", "lent_mb", "_free_local"})
-#: Methods that append to the free-DRAM delta log and advance the
-#: generation stamp — the scalar sink and its columnar bulk twin.  The
-#: columnar mutators (``_touch_*_many``) fancy-index whole node batches
-#: and log through the bulk sink; both satisfy INV102.
-GENERATION_LOG_SINKS = frozenset({"_log_free", "_log_free_many"})
 #: Generic names also used outside ledger classes; only flagged when the
 #: written object's type resolves to a ledger-owning class.
-_AMBIGUOUS_FIELDS = frozenset({"busy", "generation", "allocations"})
+_AMBIGUOUS_FIELDS = frozenset({"busy", "allocations"})
 
 
 def _owner_classes(project: Project) -> Set[str]:
@@ -777,8 +766,8 @@ class LedgerWriteRule(ProjectRule):
     """INV101: ledger fields written outside the owning mutators.
 
     Direct pokes like ``cluster.lent_mb[n] -= mb`` from policies or
-    experiments desync the O(1) aggregates and the generation-stamped
-    free log; all mutations go through the owning class's methods
+    experiments desync the O(1) aggregates and the demand listeners; all
+    mutations go through the owning class's methods
     (``apply``/``release``/``grow_local``/...), which maintain both.
     """
 
@@ -795,7 +784,7 @@ class LedgerWriteRule(ProjectRule):
                 and f"{fn.module.name}.{fn.cls}" in owners
             )
             if in_owner:
-                continue  # INV102/INV103 govern the mutators themselves
+                continue  # INV103/INV104 govern the mutators themselves
             local_types = project.local_types(fn.module, fn)
             for stmt in ast.walk(fn.node):
                 if not isinstance(stmt, ast.stmt):
@@ -814,61 +803,9 @@ class LedgerWriteRule(ProjectRule):
                         self, fn, stmt,
                         f"direct write to ledger field '{attr}' outside "
                         "the owning cluster mutators; the O(1) aggregates "
-                        "and generation log desync — go through "
+                        "and demand listeners desync — go through "
                         "apply/release/grow_local/shrink_local/"
                         "add_remote/remove_remote",
-                    )
-
-
-@register
-class FreeVectorLogRule(ProjectRule):
-    """INV102: in-place free-vector writes must log the generation.
-
-    Inside the owning class, any element write to ``local_used_mb``,
-    ``lent_mb`` or ``_free_local`` — scalar or fancy-indexed over a node
-    batch — must (transitively) reach a generation-log sink
-    (``_log_free`` or its columnar bulk twin ``_log_free_many``) so the
-    generation stamp advances and incremental consumers see the change.
-    """
-
-    id = "INV102"
-    title = "free-vector element write without a generation-log bump"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        owners = _owner_classes(project)
-        for qname in sorted(owners):
-            cls = project.classes[qname]
-            for method in cls.methods.values():
-                if (
-                    method.name in GENERATION_LOG_SINKS
-                    or method.name == "recompute_aggregates"
-                ):
-                    continue
-                writes = [
-                    stmt
-                    for stmt in ast.walk(method.node)
-                    if isinstance(stmt, ast.stmt)
-                    for base, attr, sub in _attr_store_targets(stmt)
-                    if sub
-                    and attr in FREE_VECTOR_FIELDS
-                    and isinstance(base, ast.Name)
-                    and base.id == "self"
-                ]
-                if not writes:
-                    continue
-                reach = project.reachable({method.qname})
-                if any(
-                    q.rsplit(".", 1)[-1] in GENERATION_LOG_SINKS
-                    for q in reach
-                ):
-                    continue
-                for stmt in writes:
-                    yield _finding(
-                        self, method, stmt,
-                        f"'{method.name}' writes a free-vector element but "
-                        "never reaches _log_free/_log_free_many; the "
-                        "generation stamp and delta log go stale for "
-                        "incremental consumers",
                     )
 
 
@@ -933,13 +870,10 @@ class LenderNotifyRule(ProjectRule):
 #: ``cluster.apply``/``cluster.release`` tap).  ``lender_jobs`` is
 #: already governed by INV103.
 PROVENANCE_OBSERVED_FIELDS = frozenset({"remote_held_mb", "allocations"})
-#: The observable seams: the demand notifier and the generation-log
-#: sinks every tapped mutator funnels through.  A mutator reaching none
-#: of them changes state that no provenance tap, listener, or
-#: incremental consumer will ever see.
-PROVENANCE_SINKS = frozenset(
-    {"_notify_demand", "_log_free", "_log_free_many"}
-)
+#: The observable seam: the demand notifier every tapped mutator
+#: funnels through.  A mutator that never reaches it changes state that
+#: no provenance tap or listener will ever see.
+PROVENANCE_SINKS = frozenset({"_notify_demand"})
 
 
 @register
@@ -947,14 +881,14 @@ class ProvenanceTapRule(ProjectRule):
     """INV104: ledger mutations invisible to the provenance taps.
 
     The causal-provenance layer (``repro.obs.provenance``) observes the
-    cluster purely through its notification seams — the demand pub/sub
-    (``_notify_demand``) and the generation-logged mutator funnels that
-    the apply/release tap rides on.  A mutator in a ledger-owning class
-    (one defining ``check_invariants``) that writes remote holdings or
-    the allocations map but (transitively) reaches none of those seams
-    mutates state that neither the provenance graph, nor the contention
-    repricer, nor ``repro diff`` will ever see — the run's causal record
-    silently diverges from its actual state.  Pool planners don't mutate
+    cluster purely through its notification seam, the demand pub/sub
+    (``_notify_demand``), which the apply/release commits that carry the
+    tap also reach.  A mutator in a ledger-owning class (one defining
+    ``check_invariants``) that writes remote holdings or the allocations
+    map but never (transitively) reaches that seam mutates state that
+    neither the provenance graph, nor the contention repricer, nor
+    ``repro diff`` will ever see — the run's causal record silently
+    diverges from its actual state.  Pool planners don't mutate
     ledger state and emit their ``borrow_plan`` events directly.
     """
 
@@ -992,8 +926,7 @@ class ProvenanceTapRule(ProjectRule):
                     yield _finding(
                         self, method, stmt,
                         f"'{method.name}' mutates provenance-observed "
-                        "ledger state but never reaches "
-                        "_notify_demand/_log_free/_log_free_many; the "
-                        "provenance taps, contention repricer and run "
+                        "ledger state but never reaches _notify_demand; "
+                        "the provenance taps, contention repricer and run "
                         "diffs go blind to this mutation",
                     )

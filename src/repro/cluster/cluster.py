@@ -31,11 +31,9 @@ telemetry sampling are O(changed nodes) instead of O(n_nodes).
 :meth:`~Cluster.check_invariants` (and the property tests) cross-check
 the incremental values against.
 
-The generation-stamped free-DRAM delta log (:meth:`Cluster.free_changes_since`)
-is the compatibility layer incremental consumers (the pool's sorted-free
-indexes) sync against; when the bounded log overflows, consumers that fell
-behind rebuild from the columns and the overflow is counted in
-:attr:`Cluster.free_log_overflows` (surfaced as a ``repro.obs`` gauge).
+Readers that need an order over free DRAM (the memory pool's lender and
+node choice) select it from the live ``free_local`` column per request,
+so no mutator keeps a change log for them.
 """
 
 from __future__ import annotations
@@ -53,11 +51,6 @@ from .allocation import JobAllocation
 from .columns import ColumnPageStore, NodeColumns
 from .node import Node
 
-#: Bound on the free-ledger delta log.  When it overflows, the oldest
-#: entries are dropped and consumers that fell behind (see
-#: :meth:`Cluster.free_changes_since`) rebuild their index from scratch.
-FREE_LOG_LIMIT = 4096
-
 
 class Cluster:
     """Mutable cluster state shared by scheduler and allocation policies."""
@@ -72,10 +65,8 @@ class Cluster:
         values=(
             "busy_count", "busy_large_count", "local_used_total",
             "lent_total", "memory_node_count", "startable_count",
-            "_total_capacity", "generation", "_free_log_base",
-            "free_log_overflows", "_deferred_demand",
+            "_total_capacity", "_deferred_demand",
         ),
-        copies=("_free_log",),
         nested=("lender_jobs",),
         object_maps=("allocations",),
         fixed=(
@@ -88,6 +79,10 @@ class Cluster:
         # the copy-on-write store that performs the rollback
         survive=("_torus", "_distance_rows", "_cow"),
     )
+
+    #: Zero kept for ``perfbench/spans.py``, which reads it: no free-change
+    #: log is kept, so none overflows.
+    free_log_overflows = 0
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -141,14 +136,6 @@ class Cluster:
         self._memnode = self.columns.memnode
         self._memnode_view = self._memnode.view()
         self._memnode_view.flags.writeable = False
-        #: bumped once per node whose free DRAM changed (index generation)
-        self.generation: int = 0
-        # Delta log: nodes touched at generations [_free_log_base, generation)
-        self._free_log: List[int] = []
-        self._free_log_base: int = 0
-        #: times the bounded delta log overflowed (consumers that fell
-        #: behind rebuild from the columns; surfaced via repro.obs)
-        self.free_log_overflows: int = 0
         #: demand-ledger listeners, called as ``listener(cluster, lenders)``
         #: whenever the borrow layout or total allocation of a job changes
         #: (``lenders`` = the job's lender nodes whose demand may change)
@@ -215,11 +202,11 @@ class Cluster:
 
     # ------------------------------------------------------------------
     # Node-view write funnels (scenario setup / what-if scaffolding).
-    # These keep the columns, aggregates, generation log and demand
-    # listeners coherent, but bypass the per-job allocation records, so
-    # they are for standalone column state only: `check_invariants`
-    # cross-checks ledgers against live allocations and will reject
-    # funnel-written state that no allocation backs.
+    # These keep the columns, aggregates and demand listeners coherent,
+    # but bypass the per-job allocation records, so they are for
+    # standalone column state only: `check_invariants` cross-checks
+    # ledgers against live allocations and will reject funnel-written
+    # state that no allocation backs.
     # ------------------------------------------------------------------
     def set_local_used(self, node: int, mb: int) -> None:
         """Set ``local_used_mb[node]`` absolutely, keeping columns coherent."""
@@ -309,17 +296,6 @@ class Cluster:
         """Jobs currently borrowing from ``lender`` (job id -> MB)."""
         return self.lender_jobs[lender]
 
-    def free_changes_since(self, generation: int) -> Optional[List[int]]:
-        """Nodes whose free DRAM changed since ``generation``.
-
-        Returns ``None`` when the delta log no longer reaches back that
-        far (the consumer must rebuild its index from scratch).  Entries
-        may repeat; consumers deduplicate.
-        """
-        if generation < self._free_log_base:
-            return None
-        return self._free_log[generation - self._free_log_base:]
-
     # ------------------------------------------------------------------
     # Demand-ledger listeners (incremental contention bookkeeping)
     # ------------------------------------------------------------------
@@ -408,43 +384,12 @@ class Cluster:
     # ------------------------------------------------------------------
     # Incremental ledger maintenance (every mutation funnels through here)
     # ------------------------------------------------------------------
-    def _log_free(self, node: int) -> None:
-        """Record that ``node``'s free DRAM changed (index delta log)."""
-        self.generation += 1
-        log = self._free_log
-        log.append(node)
-        if len(log) > FREE_LOG_LIMIT:
-            drop = len(log) // 2
-            del log[:drop]
-            self._free_log_base += drop
-            # Counted, not silent: consumers that fell behind the dropped
-            # prefix must full-rebuild; repro.obs samples this counter.
-            self.free_log_overflows += 1
-
-    def _log_free_many(self, nodes: Sequence[int]) -> None:
-        """Bulk :meth:`_log_free`: one generation bump per changed node.
-
-        Keeps the ``generation == _free_log_base + len(_free_log)``
-        arithmetic of the single-node path so index consumers can slice
-        the log by generation regardless of which path appended.
-        """
-        count = len(nodes)
-        self.generation += count
-        log = self._free_log
-        log.extend(nodes)
-        while len(log) > FREE_LOG_LIMIT:
-            drop = len(log) // 2
-            del log[:drop]
-            self._free_log_base += drop
-            self.free_log_overflows += 1
-
     def _touch_local(self, node: int, delta: int) -> None:
         if self._cow is not None:
             self._cow.touch(node)
         self.local_used_mb[node] += delta
         self._free_local[node] -= delta
         self.local_used_total += delta
-        self._log_free(node)
 
     def _touch_local_many(self, nodes: np.ndarray, deltas: np.ndarray) -> None:
         """Columnar bulk :meth:`_touch_local` (``nodes`` must be unique)."""
@@ -453,7 +398,6 @@ class Cluster:
         self.local_used_mb[nodes] += deltas
         self._free_local[nodes] -= deltas
         self.local_used_total += int(deltas.sum())
-        self._log_free_many(nodes.tolist())
 
     def _touch_lent_many(self, nodes: np.ndarray, deltas: np.ndarray) -> None:
         """Columnar bulk :meth:`_touch_lent` (``nodes`` must be unique).
@@ -467,7 +411,6 @@ class Cluster:
         self.lent_mb[nodes] += deltas
         self._free_local[nodes] -= deltas
         self.lent_total += int(deltas.sum())
-        self._log_free_many(nodes.tolist())
         new_mem = self.lent_mb[nodes] * 2 > self.capacity_mb[nodes]
         flipped = new_mem != self._memnode[nodes]
         if flipped.any():
@@ -485,7 +428,6 @@ class Cluster:
         self.lent_mb[node] += delta
         self._free_local[node] -= delta
         self.lent_total += delta
-        self._log_free(node)
         is_mem = self.lent_mb[node] * 2 > self.capacity_mb[node]
         if is_mem != self._memnode[node]:
             self._memnode[node] = is_mem
@@ -670,7 +612,7 @@ class Cluster:
         """Grow (``delta > 0``) or shrink (``delta < 0``) job ``jid``'s
         local DRAM on each of ``nodes`` in one columnar write.
 
-        Same ledgers, free-change log order and coalesced demand set as
+        Same ledgers and coalesced demand set as
         :meth:`grow_local` / :meth:`shrink_local` per node in the given
         order.  ``nodes`` must be distinct compute nodes of the job, every
         delta non-zero; everything is validated before anything is
@@ -783,9 +725,9 @@ class Cluster:
 
         Models plugging additional disaggregated memory into the fabric
         behind those nodes (the ``add-memnodes`` what-if perturbation).
-        Free DRAM, the generation log and the memory-node flags stay
-        coherent; a node that had lent more than half its *old* capacity
-        may stop being a memory node.
+        Free DRAM and the memory-node flags stay coherent; a node that
+        had lent more than half its *old* capacity may stop being a
+        memory node.
         """
         if extra_mb <= 0:
             raise AllocationError(
@@ -801,7 +743,6 @@ class Cluster:
         self.capacity_mb[nodes_arr] += extra_mb
         self._free_local[nodes_arr] += extra_mb
         self._total_capacity += int(extra_mb) * len(nodes_arr)
-        self._log_free_many(nodes_arr.tolist())
         new_mem = self.lent_mb[nodes_arr] * 2 > self.capacity_mb[nodes_arr]
         flipped = new_mem != self._memnode[nodes_arr]
         if flipped.any():

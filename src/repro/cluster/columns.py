@@ -3,8 +3,8 @@
 :class:`NodeColumns` owns one numpy array per node attribute — the
 *columnar core* the rest of :mod:`repro.cluster` is built on.  The
 authoritative write path stays in :class:`~repro.cluster.cluster.Cluster`
-(whose mutators keep the O(1) aggregates, generation stamp and demand
-listeners coherent); this module only provides the storage layout plus
+(whose mutators keep the O(1) aggregates and demand listeners
+coherent); this module only provides the storage layout plus
 whole-state operations that are natural on arrays:
 
 * :class:`ColumnPageStore` — the page-granular copy-on-write store

@@ -11,7 +11,7 @@ Reads index the columns directly.  Writes (the ``local_used_mb`` /
 ``lent_mb`` setters) funnel through the cluster's sanctioned mutators
 (:meth:`~repro.cluster.cluster.Cluster.set_local_used` /
 :meth:`~repro.cluster.cluster.Cluster.set_lent`), which keep the derived
-columns, O(1) aggregates, generation log and demand listeners coherent.
+columns, O(1) aggregates and demand listeners coherent.
 They bypass per-job allocation records, so they are for scenario setup
 and tests on standalone clusters — allocation-tracked state must go
 through ``apply``/``release``/``grow_local``/... as before.

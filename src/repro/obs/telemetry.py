@@ -154,21 +154,6 @@ class Telemetry:
         reg.set_gauge("memory_node_count", c.memory_node_count, now)
         reg.set_gauge("busy_nodes", c.busy_count, now)
         reg.set_gauge("startable_nodes", c.startable_count, now)
-        # Delta-log overflows force full index re-sorts; a non-zero rate
-        # here says FREE_LOG_LIMIT is undersized for the workload.
-        reg.set_gauge("free_log_overflows", c.free_log_overflows, now)
-        pool = getattr(controller.policy, "pool", None)
-        if pool is not None:
-            reg.set_gauge(
-                "free_index_rebuilds",
-                pool.free_index.rebuilds + pool.bestfit_index.rebuilds,
-                now,
-            )
-            reg.set_gauge(
-                "free_index_repairs",
-                pool.free_index.repairs + pool.bestfit_index.repairs,
-                now,
-            )
         reg.sample(now)
 
     # ------------------------------------------------------------------

@@ -52,24 +52,18 @@ class StaticDisaggregatedPolicy(AllocationPolicy):
             return None
         free_all = c.free_local()
         startable = c.startable()
-        # Both branches read the pool's maintained sorted-free indexes
-        # instead of argsort-ing per pending job; filtering the index by
-        # the startable mask preserves the relative order a subset sort
-        # would produce (both are (free, node id)-keyed).
-        sel = self.pool.bestfit_index.nodes_in_order()
-        sel = sel[startable[sel]]
-        # Nodes that can serve the request locally form a suffix of the
-        # ascending-free order.
-        first_fit = int(np.searchsorted(free_all[sel], request))
-        if len(sel) - first_fit >= job.n_nodes:
+        # Selection over the live free column; candidates are in node-id
+        # order, so ties fall in node-id order as in a stable subset sort.
+        fit = np.flatnonzero(startable & (free_all >= request))
+        if len(fit) >= job.n_nodes:
             # Enough nodes can serve the request locally: best-fit among
             # them (least free first) to preserve big free blocks.
-            chosen = sel[first_fit : first_fit + job.n_nodes]
+            cand, first = fit, self.pool.least_free_first
         else:
             # Choose the nodes with the most free memory and borrow the
             # remainder from the pool.
-            most_free = self.pool.free_index.nodes_in_order()
-            chosen = most_free[startable[most_free]][: job.n_nodes]
+            cand, first = np.flatnonzero(startable), self.pool.most_free_first
+        chosen = cand[first(free_all[cand], job.n_nodes)]
         alloc = JobAllocation(nodes=[int(n) for n in chosen])
         deficits = {}
         for n in alloc.nodes:

@@ -24,7 +24,7 @@ class MiniLedger:
         self._notify_demand([node])
 
     def logged_commit(self, jid, alloc, node):
-        self.allocations[jid] = alloc
+        self.allocations[jid] = alloc  # EXPECT: INV104
         self._log_free(node)
 
     def check_invariants(self):

@@ -180,25 +180,20 @@ def test_race003_lambda_target():
 
 
 # ----------------------------------------------------------------------
-# INV101/102/103 — ledger coherence
+# INV101/103 — ledger coherence
 # ----------------------------------------------------------------------
 
 _OWNER_MODULE = (
     "class Led:\n"
     "    def __init__(self, n):\n"
     "        self.lent_mb = [0] * n\n"
-    "        self.generation = 0\n"
     "        self.lender_jobs = [dict() for _ in range(n)]\n"
-    "\n"
-    "    def _log_free(self, node):\n"
-    "        self.generation += 1\n"
     "\n"
     "    def _notify_demand(self, lenders):\n"
     "        pass\n"
     "\n"
     "    def lend(self, node, mb):\n"
     "        self.lent_mb[node] += mb\n"
-    "        self._log_free(node)\n"
     "        self._notify_demand([node])\n"
     "\n"
     "    def check_invariants(self):\n"
@@ -234,28 +229,6 @@ def test_inv101_through_mutator_is_clean():
     assert findings_for(sources, "INV101") == []
 
 
-def test_inv102_silent_free_vector_write():
-    sources = {
-        "repro/cluster/led.py": (
-            "class Led:\n"
-            "    def __init__(self, n):\n"
-            "        self.local_used_mb = [0] * n\n"
-            "        self.generation = 0\n"
-            "\n"
-            "    def _log_free(self, node):\n"
-            "        self.generation += 1\n"
-            "\n"
-            "    def silent(self, node, mb):\n"
-            "        self.local_used_mb[node] += mb\n"
-            "\n"
-            "    def check_invariants(self):\n"
-            "        pass\n"
-        ),
-    }
-    hits = findings_for(sources, "INV102")
-    assert len(hits) == 1
-
-
 def test_inv101_flags_columnar_remote_held_poke():
     sources = {
         "repro/cluster/led.py": _OWNER_MODULE.replace(
@@ -272,51 +245,6 @@ def test_inv101_flags_columnar_remote_held_poke():
     hits = findings_for(sources, "INV101")
     assert len(hits) == 1
     assert hits[0].path == "repro/policies/poke.py"
-
-
-def test_inv102_bulk_sink_is_clean():
-    """Fancy-indexed column writes that log through _log_free_many (the
-    columnar bulk sink) satisfy INV102 like the scalar _log_free path."""
-    sources = {
-        "repro/cluster/led.py": (
-            "class Led:\n"
-            "    def __init__(self, n):\n"
-            "        self.local_used_mb = [0] * n\n"
-            "        self.generation = 0\n"
-            "\n"
-            "    def _log_free_many(self, nodes):\n"
-            "        self.generation += len(nodes)\n"
-            "\n"
-            "    def touch_many(self, nodes, deltas):\n"
-            "        self.local_used_mb[nodes] += deltas\n"
-            "        self._log_free_many(nodes)\n"
-            "\n"
-            "    def check_invariants(self):\n"
-            "        pass\n"
-        ),
-    }
-    assert findings_for(sources, "INV102") == []
-
-
-def test_inv102_bulk_write_without_any_sink_fires():
-    sources = {
-        "repro/cluster/led.py": (
-            "class Led:\n"
-            "    def __init__(self, n):\n"
-            "        self.local_used_mb = [0] * n\n"
-            "        self.generation = 0\n"
-            "\n"
-            "    def _log_free_many(self, nodes):\n"
-            "        self.generation += len(nodes)\n"
-            "\n"
-            "    def touch_many(self, nodes, deltas):\n"
-            "        self.local_used_mb[nodes] += deltas\n"
-            "\n"
-            "    def check_invariants(self):\n"
-            "        pass\n"
-        ),
-    }
-    assert len(findings_for(sources, "INV102")) == 1
 
 
 def test_inv103_silent_lender_write():

@@ -18,7 +18,6 @@ EXPECTED_DEEP_RULES = EXPECTED_RULES + [
     "DET102",
     "DET103",
     "INV101",
-    "INV102",
     "INV103",
     "INV104",
     "RACE001",

@@ -58,13 +58,6 @@ def test_plan_borrow_negative_rejected(cluster):
         MemoryPool(cluster).plan_borrow(-5)
 
 
-def test_available_mb_accounts_exclusions(cluster):
-    pool = MemoryPool(cluster)
-    total = pool.available_mb()
-    assert total == cluster.total_capacity_mb()
-    assert pool.available_mb(exclude=[0]) == total - 128 * 1024
-
-
 def test_round_robin_rotates(cluster):
     pool = MemoryPool(cluster, strategy=ROUND_ROBIN)
     first = pool.plan_borrow(100)[0][0]

@@ -64,15 +64,11 @@ def test_view_is_live_not_snapshot(cluster):
 # ----------------------------------------------------------------------
 def test_view_write_updates_columns_and_aggregates(cluster):
     node = cluster.node(4)
-    gen = cluster.generation
     node.local_used_mb = 2048
     assert int(cluster.local_used_mb[4]) == 2048
     assert int(cluster.columns.local_used_mb[4]) == 2048
     assert node.free_local_mb == node.capacity_mb - 2048
     assert cluster.local_used_total == 2048
-    # the funnelled write is generation-stamped like any other mutation
-    assert cluster.generation == gen + 1
-    assert cluster.free_changes_since(gen) == [4]
     # derived columns stay coherent; the full allocation cross-check
     # only applies once the funnel write is reverted (no record backs it)
     cluster.columns.validate()

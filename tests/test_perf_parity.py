@@ -1,10 +1,11 @@
-"""Parity tests for the incremental ledgers and allocation indexes.
+"""Parity tests for the incremental ledgers and lender selection.
 
 The simulator's hot paths read maintained state — cluster scalar
-aggregates, the sorted-free node indexes, the contention model's
-per-lender demand ledger — instead of recomputing from the full ledgers
-per event.  These tests drive random operation sequences and whole
-campaigns through both the incremental and the brute-force paths and
+aggregates, the contention model's per-lender demand ledger — instead of
+recomputing from the full ledgers per event, and select lender and node
+prefixes from the live free column instead of sorting it.  These tests
+drive random operation sequences and whole campaigns through both the
+fast paths and the brute-force references (``reference_orders``) and
 assert they agree exactly (bit-identical floats, identical plans,
 byte-identical campaign records).
 """
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.allocation import JobAllocation
 from repro.cluster.cluster import Cluster
-from repro.cluster.memorypool import MemoryPool, SortedFreeIndex
+from repro.cluster.memorypool import SPLIT_PREFIX, MemoryPool
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError
 from repro.jobs.job import Job
@@ -28,6 +29,8 @@ from repro.jobs.usage import UsageTrace
 from repro.policies.static import StaticDisaggregatedPolicy
 from repro.slowdown.model import ContentionModel
 from repro.slowdown.profiles import AppProfile
+
+import reference_orders as ref
 
 N_NODES = 8
 
@@ -112,13 +115,12 @@ def _drive(cluster: Cluster, ops) -> None:
 
 
 # ----------------------------------------------------------------------
-# Aggregates and sorted-free indexes under random op streams
+# Aggregates under random op streams; selection == the full sorts
 # ----------------------------------------------------------------------
 @given(ops=op_strategy)
 @settings(max_examples=60, deadline=None)
 def test_aggregates_and_indexes_track_brute_force(ops):
     cluster = _cluster()
-    pool = MemoryPool(cluster)
     for op_chunk in ops:
         _drive(cluster, [op_chunk])
         # check_invariants cross-checks every scalar aggregate, the
@@ -131,10 +133,6 @@ def test_aggregates_and_indexes_track_brute_force(ops):
             np.asarray(cluster.free_local()).sum()
         )
         assert cluster.allocated_total == cluster.total_allocated_mb()
-        # Both index orders must equal a fresh stable argsort after the
-        # lazy sync (exercises the repair and the rebuild paths).
-        pool.free_index.check_consistent()
-        pool.bestfit_index.check_consistent()
     for mb in (512, 100_000):
         assert cluster.fitting_idle_count(mb) == int(
             ((~cluster.busy) & (cluster.capacity_mb >= mb)).sum()
@@ -145,54 +143,31 @@ def test_aggregates_and_indexes_track_brute_force(ops):
        exclude=st.sets(st.integers(0, N_NODES - 1), max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_plan_borrow_matches_unindexed_plan(ops, request_mb, exclude):
-    """plan_borrow through the index == the original zero-and-argsort plan."""
+    """plan_borrow by selection == the zero-and-argsort plan."""
     cluster = _cluster()
     pool = MemoryPool(cluster)
     _drive(cluster, ops)
     got = pool.plan_borrow(request_mb, exclude=tuple(exclude))
-    free = np.asarray(cluster.free_local()).copy()
-    if exclude:
-        free[np.asarray(sorted(exclude), dtype=np.int64)] = 0
-    if int(free.sum()) < request_mb:
-        assert got is None
-        return
-    order = np.argsort(-free, kind="stable")
-    want, remaining = [], request_mb
-    for node in order:
-        avail = int(free[node])
-        if avail <= 0:
-            continue
-        take = min(avail, remaining)
-        want.append((int(node), take))
-        remaining -= take
-        if remaining == 0:
-            break
-    assert got == want
+    assert got == ref.plan_borrow_ref(cluster.free_local(), request_mb,
+                                      tuple(exclude))
 
 
 @given(ops=op_strategy, request_mb=st.integers(1, 140_000),
        n_nodes=st.integers(1, N_NODES))
 @settings(max_examples=40, deadline=None)
 def test_static_plan_matches_unindexed_selection(ops, request_mb, n_nodes):
-    """The static policy's index-backed node choice == the per-job sorts."""
+    """The static policy's selected nodes == the per-job subset sorts."""
     cluster = _cluster()
     policy = StaticDisaggregatedPolicy(cluster)
     _drive(cluster, ops)
     job = _job(99, n_nodes=n_nodes)
     job.mem_request_mb = request_mb
     got = policy.plan(job)
-    # Reference: the original subset-argsort selection.
-    startable = np.flatnonzero(cluster.startable())
-    if len(startable) < n_nodes:
+    if cluster.startable_count < n_nodes:
         assert got is None
         return
-    free = np.asarray(cluster.free_local())[startable]
-    fits = free >= request_mb
-    if int(fits.sum()) >= n_nodes:
-        cand = startable[fits]
-        chosen = cand[np.argsort(free[fits], kind="stable")[:n_nodes]]
-    else:
-        chosen = startable[np.argsort(-free, kind="stable")[:n_nodes]]
+    chosen = ref.best_fit_nodes(cluster.free_local(), cluster.startable(),
+                                request_mb, n_nodes)
     if got is not None:
         assert got.nodes == [int(n) for n in chosen]
 
@@ -295,8 +270,6 @@ def _state(cluster):
         "columns": cluster.columns.content_hash(),
         "aggregates": {name: getattr(cluster, name)
                        for name in cluster.recompute_aggregates()},
-        "generation": cluster.generation,
-        "free_log": (cluster._free_log_base, list(cluster._free_log)),
         "local_mb": list(alloc.local_mb.items()),
         "remote_mb": [(n, list(m.items())) for n, m in alloc.remote_mb.items()],
         "sealed": (alloc._total_local, alloc._total_remote,
@@ -420,115 +393,164 @@ def test_defer_demand_is_reentrant():
 
 
 # ----------------------------------------------------------------------
-# Delta-log overflow: counted, and stale consumers rebuild
+# Selection: tie order and scratch isolation
 # ----------------------------------------------------------------------
-def test_free_log_overflow_counts_and_forces_rebuild():
-    from repro.cluster.cluster import FREE_LOG_LIMIT
-
-    cluster = _cluster()
-    idx = SortedFreeIndex(cluster, descending=True)
-    idx.nodes_in_order()
-    assert cluster.free_log_overflows == 0
-    stale_gen = cluster.generation
-    cluster.apply(0, JobAllocation(nodes=[0], local_mb={0: 1024}))
-    for _ in range(FREE_LOG_LIMIT):
-        cluster.grow_local(0, 0, 1)
-        cluster.shrink_local(0, 0, 1)
-    assert cluster.free_log_overflows >= 1
-    # the dropped prefix is gone: a consumer parked before the overflow
-    # must be told to rebuild instead of silently missing deltas
-    assert cluster.free_changes_since(stale_gen) is None
-    rebuilds_before = idx.rebuilds
-    idx.check_consistent()
-    assert idx.rebuilds == rebuilds_before + 1
-
-
-def test_bulk_log_append_keeps_generation_arithmetic():
-    """`generation == _free_log_base + len(_free_log)` must hold across
-    both the scalar and the bulk append paths."""
-    cluster = _cluster()
-    cluster.apply(0, JobAllocation(nodes=[0, 1, 2],
-                                   local_mb={0: 1, 1: 2, 2: 3}))
-    assert cluster.generation == cluster._free_log_base + len(cluster._free_log)
-    gen = cluster.generation
-    cluster.grow_local(0, 1, 64)
-    assert cluster.free_changes_since(gen) == [1]
-    assert cluster.generation == cluster._free_log_base + len(cluster._free_log)
-
-
-# ----------------------------------------------------------------------
-# SortedFreeIndex repair micro-behaviour
-# ----------------------------------------------------------------------
-def test_index_repairs_small_deltas_without_rebuilding():
-    cluster = _cluster()
-    idx = SortedFreeIndex(cluster, descending=True)
-    idx.nodes_in_order()
-    assert idx.rebuilds == 1
-    cluster.apply(0, JobAllocation(nodes=[3], local_mb={3: 4096}))
-    idx.check_consistent()
-    assert idx.rebuilds == 1 and idx.repairs == 1
-
-
-def test_index_rebuilds_when_delta_log_is_lost():
-    cluster = _cluster()
-    idx = SortedFreeIndex(cluster, descending=True)
-    idx.nodes_in_order()
-    for jid in range(4):
-        cluster.apply(jid, JobAllocation(nodes=[jid], local_mb={jid: 1024}))
-    cluster._free_log_base = cluster.generation  # simulate log loss
-    cluster._free_log.clear()
-    idx.check_consistent()
-    assert idx.rebuilds == 2
-
-
 def test_repair_tie_order_with_duplicate_free_values():
-    """Repair must land nodes with *equal* free DRAM in node-id order,
-    exactly where a fresh stable argsort would put them.
+    """Nodes with *equal* free DRAM are selected in node-id order, in the
+    most-free and in the best-fit order, at every prefix length.
 
-    The composite sort key (``free * n + node``) makes ties impossible
-    at the key level; this regression pins the behaviour for deltas that
-    create duplicates of existing free values on both index polarities.
+    The composite key (``±free·n + node``) makes ties impossible at the
+    key level; this pins the behaviour on a column holding two groups of
+    tied values, one of them made by allocations out of node-id order.
     """
     cluster = _cluster()
-    for desc in (True, False):
-        idx = SortedFreeIndex(cluster, descending=desc)
-        idx.nodes_in_order()
-        # Drive several normal nodes to identical free values in
-        # separate repair batches, interleaved with reads.
-        cluster.apply(10 + (0 if desc else 1) * 10,
-                      JobAllocation(nodes=[5], local_mb={5: 4096}))
-        idx.check_consistent()
-        cluster.apply(11 + (0 if desc else 1) * 10,
-                      JobAllocation(nodes=[7], local_mb={7: 4096}))
-        idx.check_consistent()  # nodes 5 and 7 now tie
-        cluster.apply(12 + (0 if desc else 1) * 10,
-                      JobAllocation(nodes=[6], local_mb={6: 4096}))
-        idx.check_consistent()  # three-way tie, middle node repaired last
-        free = np.asarray(cluster.free_local())
-        n = cluster.n_nodes
-        sign = -1 if desc else 1
-        want = np.argsort(sign * free * n + np.arange(n), kind="stable")
-        assert np.array_equal(idx.nodes_in_order(), want)
-        # the tied trio must sit in node-id order, adjacent to each other
-        order = [int(x) for x in idx.nodes_in_order()
-                 if free[x] == free[5] and int(x) in (5, 6, 7)]
-        assert order == [5, 6, 7]
-        for jid in (10, 11, 12) if desc else (20, 21, 22):
-            cluster.release(jid)
-        idx.check_consistent()
+    for jid, node in enumerate((5, 7, 6)):
+        cluster.apply(jid, JobAllocation(nodes=[node], local_mb={node: 4096}))
+    free = cluster.free_local()
+    assert free[5] == free[6] == free[7] and free[2] == free[3] == free[4]
+    for select, full in ((MemoryPool.most_free_first, ref.most_free_order),
+                         (MemoryPool.least_free_first, ref.best_fit_order)):
+        want = full(free).tolist()
+        for k in range(1, N_NODES + 2):
+            assert select(free, k).tolist() == want[:k]
+        trio = [int(x) for x in select(free, N_NODES) if int(x) in (5, 6, 7)]
+        assert trio == [5, 6, 7]
 
 
 def test_overrides_do_not_touch_the_live_index():
+    """split_borrow orders and carves a scratch copy of the free column:
+    the live column is unchanged, and the plan is the reference carve of
+    the overridden order."""
     cluster = _cluster()
     pool = MemoryPool(cluster)
-    live_before = pool.free_index.nodes_in_order().copy()
-    overridden = pool.free_index.nodes_with_overrides({0: 1})
-    free = np.asarray(cluster.free_local()).copy()
-    free[0] = 1
-    n = cluster.n_nodes
-    want = np.argsort(-free * n + np.arange(n), kind="stable")
-    assert np.array_equal(overridden, want)
-    assert np.array_equal(pool.free_index.nodes_in_order(), live_before)
+    cluster.apply(0, JobAllocation(nodes=[3], local_mb={3: 4096}))
+    before = cluster.free_local().copy()
+    demands = {0: 100_000, 2: 70_000}
+    reduce_free = {0: 120_000, 2: 8192}
+    got = pool.split_borrow(demands, reduce_free=reduce_free)
+    assert got is not None
+    assert got == ref.split_borrow_ref(before, demands, reduce_free)
+    assert np.array_equal(cluster.free_local(), before)
+
+
+# ----------------------------------------------------------------------
+# Selection on a wide cluster: prefixes past SPLIT_PREFIX, many ties
+# ----------------------------------------------------------------------
+WIDE_NODES = 256
+GB = 1024
+
+
+def _wide_cluster(used, lent) -> Cluster:
+    """A wide cluster whose free DRAM takes few distinct values.
+
+    ``used[node]`` runs a one-node job holding that many 16 GB blocks
+    (0 leaves the node idle); ``lent[node]`` lends that many 16 GB blocks
+    through the standalone funnel, which makes memory nodes.
+    """
+    cluster = Cluster(SystemConfig(n_nodes=WIDE_NODES, normal_mem_gb=64,
+                                   large_mem_gb=128, frac_large_nodes=0.25))
+    for node, blocks in enumerate(used):
+        if blocks:
+            cluster.apply(node, JobAllocation(
+                nodes=[node], local_mb={node: blocks * 16 * GB}))
+    for node, blocks in lent.items():
+        if int(cluster.free_local()[node]) >= blocks * 16 * GB:
+            cluster.set_lent(node, blocks * 16 * GB)
+    return cluster
+
+
+wide_state = st.tuples(
+    st.lists(st.sampled_from([0, 0, 1, 2, 4]), min_size=WIDE_NODES,
+             max_size=WIDE_NODES),
+    st.dictionaries(st.integers(0, WIDE_NODES - 1), st.integers(1, 3),
+                    max_size=32),
+)
+
+
+def _static_plan_ref(cluster, request_mb, n_nodes):
+    """The static policy's allocation, as (nodes, local, remote) lists,
+    built on the full-sort references; ``None`` if it cannot start."""
+    free = cluster.free_local()
+    if cluster.startable_count < n_nodes:
+        return None
+    nodes = ref.best_fit_nodes(free, cluster.startable(), request_mb, n_nodes)
+    local = {int(n): min(int(free[n]), request_mb) for n in nodes}
+    deficits = {n: request_mb - mb for n, mb in local.items()
+                if mb < request_mb}
+    plans = ref.split_borrow_ref(free, deficits, local) if deficits else {}
+    if plans is None:
+        return None
+    return list(local), list(local.items()), [
+        (n, list(plan)) for n, plan in plans.items()]
+
+
+@given(state=wide_state, data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_wide_selection_matches_full_sorts(state, data):
+    """plan_borrow, split_borrow (with reduce_free) and the static plan
+    on 256 nodes == the full-sort references.  Deficits reach past the
+    first SPLIT_PREFIX lenders, so the walks extend their prefixes."""
+    cluster = _wide_cluster(*state)
+    pool = MemoryPool(cluster)
+    free = cluster.free_local().copy()
+    node_ids = st.integers(0, WIDE_NODES - 1)
+    # Prefix sums of the most-free order: a deficit of ``top[r]`` MB
+    # needs about ``r`` lenders, so drawing ``r`` past SPLIT_PREFIX makes
+    # the walks run off their first prefix.
+    top = np.concatenate(([0], np.cumsum(np.sort(free)[::-1])))
+    reach = st.integers(1, 3 * SPLIT_PREFIX)
+    jitter = st.integers(-GB, GB)
+
+    exclude = data.draw(st.lists(node_ids, max_size=8), label="exclude")
+    amount = max(1, int(top[data.draw(reach, label="reach")])
+                 + data.draw(jitter))
+    assert pool.plan_borrow(amount, exclude=exclude) == ref.plan_borrow_ref(
+        free, amount, exclude)
+
+    nodes = data.draw(st.lists(node_ids, min_size=1, max_size=48,
+                               unique=True), label="compute nodes")
+    share = int(top[data.draw(reach, label="split reach")]) // len(nodes)
+    demands = {n: max(1, share + data.draw(jitter)) for n in nodes}
+    reduce_free = {n: data.draw(st.integers(0, int(free[n]))) for n in nodes}
+    assert pool.split_borrow(demands, reduce_free=reduce_free) == (
+        ref.split_borrow_ref(free, demands, reduce_free))
+
+    n_nodes = data.draw(st.integers(1, 96), label="job nodes")
+    job = _job(WIDE_NODES, n_nodes=n_nodes)
+    job.mem_request_mb = data.draw(st.integers(1, 160 * GB), label="request")
+    got = StaticDisaggregatedPolicy(cluster).plan(job)
+    want = _static_plan_ref(cluster, job.mem_request_mb, n_nodes)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.nodes, list(got.local_mb.items()), [
+            (n, list(m.items())) for n, m in got.remote_mb.items()]) == want
+    assert np.array_equal(cluster.free_local(), free)
+
+
+def test_split_walk_continues_on_the_doubled_prefix(monkeypatch):
+    """A split needing more than SPLIT_PREFIX lenders extends its prefix
+    (64, 128, then 256) and still carves the reference plan."""
+    cluster = _wide_cluster([0] * WIDE_NODES, {})
+    pool = MemoryPool(cluster)
+    widths = []
+    select = MemoryPool.most_free_first
+
+    def spy(free, k):
+        widths.append(k)
+        return select(free, k)
+
+    monkeypatch.setattr(MemoryPool, "most_free_first", staticmethod(spy))
+    free = cluster.free_local().copy()
+    # Nodes 0-63 are the large ones; 90 x 64 GB more reaches node 153,
+    # and node 10's walk resumes past the exhausted head.
+    demands = {200: (64 * 128 + 90 * 64) * GB, 10: 5 * GB}
+    got = pool.split_borrow(demands)
+    assert widths == [SPLIT_PREFIX, 2 * SPLIT_PREFIX, 4 * SPLIT_PREFIX]
+    assert got == ref.split_borrow_ref(free, demands)
+    assert max(lender for lender, _ in got[200]) == 153
+    assert got[10] == [(154, 5 * GB)]
 
 
 # ----------------------------------------------------------------------
@@ -585,12 +607,9 @@ def _campaign_records(tmp_path, monkeypatch, brute: bool):
     from repro.experiments.scenarios import SCALES
 
     if brute:
-        # Force every index sync to a fresh argsort and every demand
-        # read to full recomputation: the pre-optimisation behaviour.
-        monkeypatch.setattr(SortedFreeIndex, "_reinsert",
-                            staticmethod(lambda *a, **k: None))
-        monkeypatch.setattr(Cluster, "free_changes_since",
-                            lambda self, generation: None)
+        # Select every lender and node prefix from a full stable argsort
+        # and recompute every demand read: the pre-optimisation behaviour.
+        ref.patch_in(monkeypatch)
         monkeypatch.setattr(ContentionModel, "attach",
                             lambda self, cluster: None)
     runner.clear_caches()

@@ -165,7 +165,22 @@ def _marked_job(policy, cluster, mb, n_nodes=2):
 
 def _ledgers(cluster):
     return (cluster.local_used_mb.tolist(), cluster.lent_mb.tolist(),
-            cluster.remote_held_mb.tolist(), cluster.generation)
+            cluster.remote_held_mb.tolist())
+
+
+def _spy_touches(cluster, monkeypatch):
+    """Names of the ledger write funnels called from now on: a skipped
+    update that writes and then reverts leaves the ledgers equal, but
+    not this list."""
+    calls = []
+    for name in ("_touch_local", "_touch_lent", "_touch_local_many",
+                 "_touch_lent_many"):
+        def spy(*args, _real=getattr(cluster, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cluster, name, spy)
+    return calls
 
 
 def _spy_decide(policy, monkeypatch):
@@ -199,15 +214,17 @@ def test_unchanged_reading_skips_decider(policy, cluster, monkeypatch):
     alloc = cluster.allocations[job.jid]
     assert alloc.sized_for_mb == 10_000
     before = _ledgers(cluster)
+    touches = _spy_touches(cluster, monkeypatch)
     calls = _spy_decide(policy, monkeypatch)
     out = policy.update(job, 100.0, 100.0)  # still reads 10k
     assert calls == []
     assert out == UpdateOutcome()
-    assert _ledgers(cluster) == before
+    assert _ledgers(cluster) == before and touches == []
     assert alloc.sized_for_mb == 10_000
     # A changed reading runs the Decider again.
     out = policy.update(job, 450.0, 100.0)
     assert calls == [job.jid] and out.grown_mb == 2 * 30_000
+    assert touches  # the spy sees the resize's ledger writes
     assert alloc.sized_for_mb == 40_000
 
 
@@ -336,6 +353,7 @@ def test_skipped_update_changes_no_state(policy, cluster, monkeypatch):
     peak = dict(policy._observed_peak)
     rng_state = policy._monitor_rng.bit_generator.state
     before = _ledgers(cluster)
+    touches = _spy_touches(cluster, monkeypatch)
     monitor = _spy_monitor(policy, monkeypatch)
     decide = _spy_decide(policy, monkeypatch)
     # Both window ends stay inside [0, 500): the reading cannot change.
@@ -345,7 +363,7 @@ def test_skipped_update_changes_no_state(policy, cluster, monkeypatch):
     assert policy._observed_peak == peak
     assert alloc.sized_for_mb == 10_000
     assert policy._monitor_rng.bit_generator.state == rng_state
-    assert _ledgers(cluster) == before
+    assert _ledgers(cluster) == before and touches == []
     policy.on_finish(job)
     assert job.jid not in policy._readings
 

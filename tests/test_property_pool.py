@@ -12,11 +12,35 @@ from repro.core.config import SystemConfig
 from repro.scheduler.backfill import shadow_time
 
 from conftest import make_job
+import reference_orders as ref
 
 
 def fresh_cluster():
     return Cluster(SystemConfig(n_nodes=12, normal_mem_gb=64,
                                 large_mem_gb=128, frac_large_nodes=0.25))
+
+
+def nearest_split_ref(cluster, free, demands):
+    """The nearest strategy's split: each compute node walks its own
+    distance order (most free first among equals) over the shared carve."""
+    free = np.array(free)
+    result = {}
+    for node, need in demands.items():
+        plan = []
+        for lender in np.lexsort((-free, cluster.distance_row(node))):
+            lender = int(lender)
+            if need == 0:
+                break
+            if lender == node or free[lender] <= 0:
+                continue
+            take = min(int(free[lender]), need)
+            free[lender] -= take
+            need -= take
+            plan.append((lender, take))
+        if need > 0:
+            return None
+        result[node] = plan
+    return result
 
 
 @given(
@@ -57,17 +81,14 @@ def test_split_borrow_properties(demands, strategy):
     pool = MemoryPool(cluster, strategy=strategy)
     plans = pool.split_borrow(dict(demands))
     free = cluster.free_local()
+    if strategy == MOST_FREE:
+        want = ref.split_borrow_ref(free, demands)
+    else:
+        want = nearest_split_ref(cluster, free, demands)
+    # A None is the greedy walk's answer, not proof that no split exists
+    # (see test_split_borrow_greedy_misses_a_feasible_split).
+    assert plans == want
     if plans is None:
-        # Infeasibility must be real: total demand exceeds what the
-        # nodes outside each split can jointly provide - at minimum the
-        # total free memory bound must be violated or a single node needs
-        # more than everyone else holds.
-        total = sum(demands.values())
-        worst_single = max(
-            need - (int(free.sum()) - int(free[node]))
-            for node, need in demands.items()
-        )
-        assert total > int(free.sum()) or worst_single > 0 or True
         return
     granted = {}
     for node, plan in plans.items():
@@ -77,6 +98,31 @@ def test_split_borrow_properties(demands, strategy):
             granted[lender] = granted.get(lender, 0) + mb
     for lender, mb in granted.items():
         assert mb <= free[lender]
+
+
+def test_split_borrow_greedy_misses_a_feasible_split():
+    """The shared most-free carve is greedy and can fail where a split
+    exists.  Free [10, 10, 10, 0] GB and demands {0: 12, 1: 12, 2: 6} GB
+    have one: 2 <- 3 + 3 from nodes 0 and 1, 0 <- 7 + 5 from nodes 1
+    and 2, 1 <- 7 + 5 from nodes 0 and 2.  The carve gives node 0 all of
+    node 1, node 1 all of node 0, and leaves node 2 only itself.  This
+    pins the known gap: changing the carve changes simulation outputs.
+    """
+    gb = 1024
+    cluster = Cluster(SystemConfig(n_nodes=4, normal_mem_gb=10,
+                                   large_mem_gb=10, frac_large_nodes=0.0))
+    cluster.apply(0, JobAllocation(nodes=[3], local_mb={3: 10 * gb}))
+    assert cluster.free_local().tolist() == [10 * gb] * 3 + [0]
+    demands = {0: 12 * gb, 1: 12 * gb, 2: 6 * gb}
+    split = {2: {0: 3 * gb, 1: 3 * gb}, 0: {1: 7 * gb, 2: 5 * gb},
+             1: {0: 7 * gb, 2: 5 * gb}}
+    for node, plan in split.items():
+        assert sum(plan.values()) == demands[node] and node not in plan
+    for lender in range(3):
+        lent = sum(plan.get(lender, 0) for plan in split.values())
+        assert lent <= cluster.free_local()[lender]
+    assert MemoryPool(cluster).split_borrow(demands) is None
+    assert ref.split_borrow_ref(cluster.free_local(), demands) is None
 
 
 @given(
