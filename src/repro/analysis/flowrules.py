@@ -768,7 +768,9 @@ class LedgerWriteRule(ProjectRule):
     Direct pokes like ``cluster.lent_mb[n] -= mb`` from policies or
     experiments desync the O(1) aggregates and the demand listeners; all
     mutations go through the owning class's methods
-    (``apply``/``release``/``grow_local``/...), which maintain both.
+    (``apply``/``release``/``resize`` and the scalar
+    ``grow_local``/``shrink_local``/``add_remote``/``remove_remote``),
+    which maintain both.
     """
 
     id = "INV101"
@@ -804,7 +806,7 @@ class LedgerWriteRule(ProjectRule):
                         f"direct write to ledger field '{attr}' outside "
                         "the owning cluster mutators; the O(1) aggregates "
                         "and demand listeners desync — go through "
-                        "apply/release/grow_local/shrink_local/"
+                        "apply/release/resize/grow_local/shrink_local/"
                         "add_remote/remove_remote",
                     )
 

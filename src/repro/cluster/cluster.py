@@ -19,9 +19,9 @@ property-tested):
 
 Incremental aggregates (this module's hot-path contract): every mutator
 (:meth:`Cluster.apply` / :meth:`~Cluster.release` /
+:meth:`~Cluster.resize` and its scalar per-step twins
 :meth:`~Cluster.grow_local` / :meth:`~Cluster.shrink_local` /
-:meth:`~Cluster.resize_local` / :meth:`~Cluster.add_remote` /
-:meth:`~Cluster.remove_remote`) updates
+:meth:`~Cluster.add_remote` / :meth:`~Cluster.remove_remote`) updates
 running scalar aggregates (``busy_count``, ``lent_total``,
 ``local_used_total``, ``memory_node_count``, ``startable_count``) and the
 derived ``free_local`` / ``memnode`` columns in place, so per-event
@@ -402,9 +402,12 @@ class Cluster:
     def _touch_lent_many(self, nodes: np.ndarray, deltas: np.ndarray) -> None:
         """Columnar bulk :meth:`_touch_lent` (``nodes`` must be unique).
 
-        Net-equivalent to per-node touches: lending moves monotonically
-        within one bulk call, so each node flips memory-node status at
-        most once either way.
+        Net-equivalent to per-node touches, ``deltas`` being each node's
+        net change.  Lending need not be monotone across the steps a net
+        change sums (a :meth:`resize` may return memory to a lender and
+        then borrow from it again), so a node may cross the memory-node
+        threshold and come back; comparing each node's final flag with
+        the stored one keeps the counts exact.
         """
         if self._cow is not None:
             self._cow.touch_many(nodes)
@@ -607,16 +610,26 @@ class Cluster:
         alloc._bump_local(-mb)
         self._notify_job_demand(jid, alloc)
 
-    def resize_local(self, jid: int, nodes: Sequence[int], deltas: Sequence[int],
-        alloc: Optional[JobAllocation] = None) -> None:
-        """Grow (``delta > 0``) or shrink (``delta < 0``) job ``jid``'s
-        local DRAM on each of ``nodes`` in one columnar write.
+    def resize(self, jid: int, nodes: Sequence[int], deltas: Sequence[int],
+               borrows: Sequence[Tuple[int, int, int]] = (),
+               alloc: Optional[JobAllocation] = None) -> None:
+        """Resize job ``jid`` in one validated columnar write.
 
-        Same ledgers and coalesced demand set as
-        :meth:`grow_local` / :meth:`shrink_local` per node in the given
-        order.  ``nodes`` must be distinct compute nodes of the job, every
-        delta non-zero; everything is validated before anything is
-        written.
+        ``deltas`` grow (``> 0``) or shrink (``< 0``) the local DRAM on
+        ``nodes``, distinct compute nodes of the job.  ``borrows`` is an
+        ordered list of ``(node, lender, mb)`` borrow changes: ``mb > 0``
+        borrows from ``lender`` on behalf of compute node ``node``,
+        ``mb < 0`` returns.  The result — ledgers, aggregates, allocation
+        maps with their insertion orders, ``lender_jobs`` and the
+        coalesced demand set — is that of :meth:`grow_local` /
+        :meth:`shrink_local` per local delta and :meth:`add_remote` /
+        :meth:`remove_remote` per borrow step, in order.
+
+        The net effect is validated before anything is written: every
+        node is a compute node of the job and every delta non-zero, no
+        node lends to itself, no step returns more than its (node,
+        lender) pair holds at that step, and every touched node ends
+        with free DRAM ``>= 0``.
         """
         if alloc is None:
             alloc = self.allocations.get(jid)
@@ -629,34 +642,103 @@ class Cluster:
         n = len(node_list)
         if len(delta_list) != n or len(set(node_list)) != n:
             raise AllocationError(
-                f"resize_local needs distinct nodes, one delta each: "
+                f"resize needs distinct nodes, one delta each: "
                 f"{node_list} {delta_list}"
             )
-        if not n:
+        if not n and not borrows:
             return
+        node_set = alloc._node_set
+        if node_set is None:
+            node_set = frozenset(alloc.nodes)
         local = alloc.local_mb
-        for node, delta in zip(node_list, delta_list):
-            if not alloc.has_node(node):
+        new_local = [local.get(node, 0) + delta
+                     for node, delta in zip(node_list, delta_list)]
+        if (not node_set.issuperset(node_list) or 0 in delta_list
+                or (n and min(new_local) < 0)):
+            for node, delta, mb in zip(node_list, delta_list, new_local):
+                if node not in node_set:
+                    raise AllocationError(
+                        f"node {node} is not a compute node of job {jid}"
+                    )
+                if delta == 0 or mb < 0:
+                    raise AllocationError(
+                        f"resize {delta}MB invalid; job {jid} holds "
+                        f"{local.get(node, 0)}MB on {node}"
+                    )
+        # Net per-lender and per-holder deltas; each (node, lender) pair
+        # is replayed so no step returns more than the pair then holds.
+        lent: Dict[int, int] = {}
+        held: Dict[int, int] = {}
+        pairs: Dict[Tuple[int, int], int] = {}
+        returned: Dict[int, None] = {}
+        remote = alloc.remote_mb
+        for node, lender, mb in borrows:
+            pair = (node, lender)
+            have = pairs.get(pair)
+            if have is None:
+                have = remote.get(node, {}).get(lender, 0)
+            if (node not in node_set or lender == node or mb == 0
+                    or have + mb < 0):
                 raise AllocationError(
-                    f"node {node} is not a compute node of job {jid}"
+                    f"resize borrow ({node}, {lender}, {mb}MB) invalid for "
+                    f"job {jid}; the pair holds {have}MB"
                 )
-            if delta == 0 or -delta > local.get(node, 0):
-                raise AllocationError(
-                    f"resize_local {delta}MB invalid; job {jid} holds "
-                    f"{local.get(node, 0)}MB on {node}"
-                )
-        over = np.flatnonzero(deltas > self._free_local[nodes])
+            pairs[pair] = have + mb
+            lent[lender] = lent.get(lender, 0) + mb
+            held[node] = held.get(node, 0) + mb
+            if mb < 0:
+                returned[lender] = None
+        if lent:
+            taken = dict(zip(node_list, delta_list))
+            for lender, mb in lent.items():
+                taken[lender] = taken.get(lender, 0) + mb
+            check_nodes = np.fromiter(taken.keys(), np.int64, len(taken))
+            check_mb = np.fromiter(taken.values(), np.int64, len(taken))
+        else:
+            check_nodes, check_mb = nodes, deltas
+        over = np.flatnonzero(check_mb > self._free_local[check_nodes])
         if len(over):
-            i = int(over[0])
+            node = int(check_nodes[over[0]])
             raise AllocationError(
-                f"node {node_list[i]}: {int(self._free_local[node_list[i]])}MB "
-                f"free, need {delta_list[i]}MB"
+                f"node {node}: {int(self._free_local[node])}MB free, "
+                f"need {int(check_mb[over[0]])}MB"
             )
-        self._touch_local_many(nodes, deltas)
-        for node, delta in zip(node_list, delta_list):
-            local[node] = local.get(node, 0) + delta
-        alloc._bump_local(sum(delta_list))
-        self._notify_job_demand(jid, alloc)
+        # Commit: one write per column, then the dict replays in order.
+        if n:
+            self._touch_local_many(nodes, deltas)
+            local.update(zip(node_list, new_local))
+            alloc._bump_local(sum(delta_list))
+        if borrows:
+            k = len(lent)
+            self._touch_lent_many(np.fromiter(lent.keys(), np.int64, k),
+                                  np.fromiter(lent.values(), np.int64, k))
+            k = len(held)
+            held_nodes = np.fromiter(held.keys(), np.int64, k)
+            if self._cow is not None:
+                self._cow.touch_many(held_nodes)
+            self.remote_held_mb[held_nodes] += np.fromiter(
+                held.values(), np.int64, k)
+            lender_jobs = self.lender_jobs
+            for node, lender, mb in borrows:
+                rec = lender_jobs[lender]
+                left = rec.get(jid, 0) + mb
+                if left > 0:
+                    rec[jid] = left
+                else:
+                    del rec[jid]
+                node_map = remote.get(node)
+                if node_map is None:
+                    node_map = remote[node] = {}
+                left = node_map.get(lender, 0) + mb
+                if left:
+                    node_map[lender] = left
+                else:
+                    del node_map[lender]
+                    if not node_map:
+                        del remote[node]
+                alloc._bump_remote(node, lender, mb)
+        # Returned lenders may have left the job's lender set.
+        self._notify_job_demand(jid, alloc, extra=list(returned))
 
     def add_remote(self, jid: int, node: int, lender: int, mb: int,
         alloc: Optional[JobAllocation] = None) -> None:

@@ -112,33 +112,45 @@ class MemoryPool:
         amount_mb: int,
         exclude: Sequence[int] = (),
         near: Optional[int] = None,
+        free: Optional[np.ndarray] = None,
+        free_total: Optional[int] = None,
     ) -> Optional[List[Tuple[int, int]]]:
         """Plan lenders for ``amount_mb``, or ``None`` if infeasible.
 
-        Returns ``[(lender node, MB), ...]`` without mutating any state;
-        the caller commits via :meth:`Cluster.apply` / ``add_remote``.
-        Nodes in ``exclude`` (normally the requesting compute node) never
-        lend to the request.  ``near`` anchors the ``nearest`` strategy.
+        Returns ``[(lender node, MB), ...]`` without mutating cluster
+        state; the caller commits via :meth:`Cluster.apply` /
+        :meth:`Cluster.resize`.  Nodes in ``exclude`` (normally the
+        requesting compute node) never lend to the request.  ``near``
+        anchors the ``nearest`` strategy.
+
+        By default the plan is made on a copy of the live free column.
+        A caller planning several borrows before one commit passes its
+        own scratch column as ``free`` and the column's running sum as
+        ``free_total``; the plan is made on it and debited from it in
+        place.
         """
         if amount_mb < 0:
             raise ValueError(f"negative borrow amount {amount_mb}")
         if amount_mb == 0:
             return []
-        live = self.cluster.free_local()
-        excluded = {int(node) for node in exclude}
-        lendable = self.cluster.free_local_total - sum(
-            int(live[node]) for node in excluded
-        )
+        scratch = free is not None
+        if not scratch:
+            free = self.cluster.free_local()
+            free_total = self.cluster.free_local_total
+        excluded = sorted({int(node) for node in exclude})
+        kept = [(node, int(free[node])) for node in excluded]
+        lendable = free_total - sum(mb for _, mb in kept)
         if lendable < amount_mb:
             if self.provenance.enabled:
                 self.provenance.emit(
                     "borrow_fail", amount_mb=amount_mb, near=near,
-                    lendable_mb=lendable, excluded=sorted(excluded),
+                    lendable_mb=lendable, excluded=excluded,
                 )
             return None
-        free = live.copy()
-        if excluded:
-            free[sorted(excluded)] = 0
+        if not scratch:
+            free = free.copy()
+        for node, _ in kept:
+            free[node] = 0
         ranked = self.strategy == ROUND_ROBIN or (
             self.strategy == NEAREST and near is not None
         )
@@ -159,10 +171,13 @@ class MemoryPool:
             plan.append((node, take))
             remaining -= take
             free[node] -= take
+        if scratch:
+            for node, mb in kept:
+                free[node] = mb
         if self.provenance.enabled:
             self.provenance.emit(
                 "borrow_plan", amount_mb=amount_mb, near=near,
-                excluded=sorted(excluded),
+                excluded=excluded,
                 lenders=[[n, mb] for n, mb in plan],
             )
         return plan

@@ -243,17 +243,24 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
 
     def _actuate(self, jid: int, alloc: JobAllocation, nodes: np.ndarray,
                  deltas: np.ndarray, out: UpdateOutcome) -> None:
-        """Actuator: apply the decided resizes, in node order.
+        """Actuator: plan the decided resizes in node order, then commit
+        them in one :meth:`Cluster.resize`.
 
         A local-only resize — every shrink on a node that holds no remote
         memory, every grow within its node's free DRAM — touches no node
-        but its own, so it is applied in one columnar write.  Any other
-        resize goes node by node: a borrow plan depends on the free DRAM
-        that earlier nodes of the same resize left.
+        but its own and needs no plan.  Any other resize is planned
+        against one scratch copy of the free column, which each node's
+        plan debits or credits as committing it would: a borrow plan
+        depends on the free DRAM that earlier nodes of the same resize
+        left.  A shrink reads only the job's own maps for its node, which
+        no earlier node of the resize changes.  A borrow that cannot be
+        planned is an OOM: what was planned up to it, that node's local
+        take included, is committed, as a node-by-node Actuator would
+        have left it.
 
-        The whole window runs under ``defer_demand`` so the per-mutation
-        demand notifications collapse into one flush — the contention
-        model reprices after the update returns, so nothing reads lender
+        The whole window runs under ``defer_demand`` so the resize's
+        demand notification joins one flush — the contention model
+        reprices after the update returns, so nothing reads lender
         demand mid-window.
         """
         if not len(deltas):
@@ -263,69 +270,64 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         with c.defer_demand():
             if np.where(grow, deltas <= c.free_local()[nodes],
                         c.remote_held_mb[nodes] == 0).all():
-                c.resize_local(jid, nodes, deltas, alloc=alloc)
+                c.resize(jid, nodes, deltas, alloc=alloc)
                 out.grown_mb += int(deltas[grow].sum())
                 out.freed_mb -= int(deltas[~grow].sum())
                 out.touched_nodes.extend(nodes.tolist())
                 return
+            free = c.free_local().copy()
+            free_total = c.free_local_total
+            local_nodes, local_deltas = [], []
+            borrows = []
+            touched = out.touched_nodes
             for node, delta in zip(nodes.tolist(), deltas.tolist()):
                 if delta < 0:
-                    self._shrink(jid, alloc, node, -delta, out)
-                elif not self._grow(jid, alloc, node, delta, out):
+                    excess = -delta
+                    remote_map = alloc.remote_mb.get(node)
+                    if remote_map:
+                        # Most-loaded lenders first (ties in map order),
+                        # so memory nodes recover their ability to start
+                        # jobs sooner.
+                        for lender in sorted(remote_map, reverse=True,
+                                             key=remote_map.__getitem__):
+                            if excess <= 0:
+                                break
+                            give = min(remote_map[lender], excess)
+                            borrows.append((node, lender, -give))
+                            free[lender] += give
+                            free_total += give
+                            out.freed_mb += give
+                            touched.append(lender)
+                            excess -= give
+                    give = min(alloc.local_mb.get(node, 0), excess)
+                    if give > 0:
+                        local_nodes.append(node)
+                        local_deltas.append(-give)
+                        free[node] += give
+                        free_total += give
+                        out.freed_mb += give
+                        touched.append(node)
+                    continue
+                take = min(int(free[node]), delta)
+                if take > 0:
+                    local_nodes.append(node)
+                    local_deltas.append(take)
+                    free[node] -= take
+                    free_total -= take
+                    out.grown_mb += take
+                    touched.append(node)
+                deficit = delta - take
+                if not deficit:
+                    continue
+                # Any node but this one may lend — including the job's own.
+                plan = self.pool.plan_borrow(deficit, exclude=[node], near=node,
+                                             free=free, free_total=free_total)
+                if plan is None:
                     out.oom = True
-                    return
-
-    # ------------------------------------------------------------------
-    def _shrink(
-        self, jid: int, alloc: JobAllocation, node: int, excess: int, out: UpdateOutcome
-    ) -> None:
-        """Release ``excess`` MB on ``node``: remote first, then local."""
-        c = self.cluster
-        remote_map = alloc.remote_mb.get(node)
-        if remote_map:
-            # Release from the most-loaded lenders first so memory nodes
-            # recover their ability to start jobs sooner.
-            for lender in sorted(remote_map, key=lambda l: -remote_map[l]):
-                if excess <= 0:
                     break
-                give = min(remote_map[lender], excess)
-                c.remove_remote(jid, node, lender, give, alloc=alloc)
-                out.freed_mb += give
-                out.touched_nodes.append(lender)
-                excess -= give
-        if excess > 0:
-            local = alloc.local_mb.get(node, 0)
-            give = min(local, excess)
-            if give > 0:
-                c.shrink_local(jid, node, give, alloc=alloc)
-                out.freed_mb += give
-                out.touched_nodes.append(node)
-
-    def _grow(
-        self, jid: int, alloc: JobAllocation, node: int, deficit: int, out: UpdateOutcome
-    ) -> bool:
-        """Acquire ``deficit`` MB on ``node``: local first, then remote.
-
-        Returns ``False`` when the pool cannot cover the remainder (OOM).
-        """
-        c = self.cluster
-        free_local = int(
-            c.capacity_mb[node] - c.local_used_mb[node] - c.lent_mb[node]
-        )
-        take = min(free_local, deficit)
-        if take > 0:
-            c.grow_local(jid, node, take, alloc=alloc)
-            out.grown_mb += take
-            out.touched_nodes.append(node)
-            deficit -= take
-        if deficit == 0:
-            return True
-        # Any node but this one may lend — including the job's own nodes.
-        plan = self.pool.plan_borrow(deficit, exclude=[node], near=node)
-        if plan is None:
-            return False
-        for lender, mb in plan:
-            c.add_remote(jid, node, lender, mb, alloc=alloc)
-            out.grown_mb += mb
-            out.touched_nodes.append(lender)
-        return True
+                free_total -= deficit
+                for lender, mb in plan:
+                    borrows.append((node, lender, mb))
+                    out.grown_mb += mb
+                    touched.append(lender)
+            c.resize(jid, local_nodes, local_deltas, borrows, alloc=alloc)

@@ -1,11 +1,17 @@
-"""Full-sort references for lender and node selection.
+"""Full-sort references for lender and node selection, and a per-node
+reference Actuator.
 
 The memory pool and the static policy select short prefixes of the
 free-DRAM orders from the live free column (``MemoryPool.most_free_first``
 / ``least_free_first``).  These are the orders they must reproduce, built
 the slow way with a stable ``argsort``, plus the plans the pool builds on
-them.  The parity tests compare against them, and :func:`patch_in`
-swaps them into the pool so a whole campaign can run on the references.
+them.  The dynamic policy's Actuator plans a whole resize against one
+scratch free column and commits it in one ``Cluster.resize``;
+:func:`actuate_per_node` is the Actuator it must reproduce, committing
+node by node with the scalar mutators and planning each borrow on the
+live column.  The parity tests compare against them, and :func:`patch_in`
+swaps them into the pool and the policy so a whole campaign can run on
+the references.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.memorypool import MemoryPool
+from repro.policies.dynamic import DynamicDisaggregatedPolicy
 
 Plan = List[Tuple[int, int]]
 
@@ -107,9 +114,77 @@ def split_borrow_ref(
     return result
 
 
+def _shrink(policy, jid, alloc, node, excess, out) -> None:
+    """Release ``excess`` MB on ``node``: remote first, then local."""
+    c = policy.cluster
+    remote_map = alloc.remote_mb.get(node)
+    if remote_map:
+        # Release from the most-loaded lenders first so memory nodes
+        # recover their ability to start jobs sooner.
+        for lender in sorted(remote_map, key=lambda l: -remote_map[l]):
+            if excess <= 0:
+                break
+            give = min(remote_map[lender], excess)
+            c.remove_remote(jid, node, lender, give, alloc=alloc)
+            out.freed_mb += give
+            out.touched_nodes.append(lender)
+            excess -= give
+    if excess > 0:
+        local = alloc.local_mb.get(node, 0)
+        give = min(local, excess)
+        if give > 0:
+            c.shrink_local(jid, node, give, alloc=alloc)
+            out.freed_mb += give
+            out.touched_nodes.append(node)
+
+
+def _grow(policy, jid, alloc, node, deficit, out) -> bool:
+    """Acquire ``deficit`` MB on ``node``: local first, then remote.
+
+    Returns ``False`` when the pool cannot cover the remainder (OOM).
+    """
+    c = policy.cluster
+    free_local = int(
+        c.capacity_mb[node] - c.local_used_mb[node] - c.lent_mb[node]
+    )
+    take = min(free_local, deficit)
+    if take > 0:
+        c.grow_local(jid, node, take, alloc=alloc)
+        out.grown_mb += take
+        out.touched_nodes.append(node)
+        deficit -= take
+    if deficit == 0:
+        return True
+    # Any node but this one may lend — including the job's own nodes.
+    plan = policy.pool.plan_borrow(deficit, exclude=[node], near=node)
+    if plan is None:
+        return False
+    for lender, mb in plan:
+        c.add_remote(jid, node, lender, mb, alloc=alloc)
+        out.grown_mb += mb
+        out.touched_nodes.append(lender)
+    return True
+
+
+def actuate_per_node(policy, jid, alloc, nodes, deltas, out) -> None:
+    """The dynamic Actuator node by node: every resize, local-only or
+    not, commits each node's change through the scalar mutators before
+    the next node plans, each borrow planned on the live free column."""
+    with policy.cluster.defer_demand():
+        for node, delta in zip(nodes.tolist(), deltas.tolist()):
+            if delta < 0:
+                _shrink(policy, jid, alloc, node, -delta, out)
+            elif not _grow(policy, jid, alloc, node, delta, out):
+                out.oom = True
+                return
+
+
 def patch_in(monkeypatch) -> None:
-    """Make the pool select its prefixes from the full-sort orders."""
+    """Make the pool select its prefixes from the full-sort orders, and
+    the dynamic policy actuate node by node."""
     monkeypatch.setattr(MemoryPool, "most_free_first", staticmethod(
         lambda free, k: most_free_order(free)[:k]))
     monkeypatch.setattr(MemoryPool, "least_free_first", staticmethod(
         lambda free, k: best_fit_order(free)[:k]))
+    monkeypatch.setattr(DynamicDisaggregatedPolicy, "_actuate",
+                        actuate_per_node)

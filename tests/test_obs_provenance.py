@@ -1,10 +1,12 @@
 """Causal provenance graph: ring buffer, linking, determinism, and the
 provably-free-when-disabled guard (repro.obs.provenance)."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.config import SystemConfig
 from repro.obs.provenance import (
     NULL_PROVENANCE,
@@ -125,6 +127,29 @@ def test_provenance_dump_byte_identical_across_runs(workload):
         _run(workload, telemetry=tel)
         dumps.append(tel.provenance.to_jsonl())
     assert dumps[0] == dumps[1]
+
+
+#: sha256 of ``provenance.jsonl`` from ``repro simulate`` with
+#: :data:`BORROWING_RUN`: the run borrows (61 ``borrow_plan``, 56
+#: ``demand_dirty`` and 12 ``borrow_split`` events), so a reordered
+#: borrow plan, demand-dirty lender list or split changes the bytes.
+BORROWING_RUN = ["--jobs", "60", "--nodes", "64", "--frac-large", "0.25",
+                 "--memory-level", "50", "--policy", "dynamic"]
+BORROWING_PROVENANCE_SHA256 = (
+    "2c727d7f4928ee2a45b9c6a16255fe9efa2dbd4802971563be16152a954301b3"
+)
+
+
+def test_borrowing_run_provenance_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "obs"
+    assert main(["simulate", *BORROWING_RUN, "--telemetry", str(out)]) == 0
+    capsys.readouterr()
+    raw = (out / "provenance.jsonl").read_bytes()
+    kinds = [json.loads(line)["kind"] for line in raw.splitlines()]
+    for kind, count in (("borrow_plan", 61), ("demand_dirty", 56),
+                        ("borrow_split", 12)):
+        assert kinds.count(kind) == count, kind
+    assert hashlib.sha256(raw).hexdigest() == BORROWING_PROVENANCE_SHA256
 
 
 def test_finish_walks_back_to_submit(workload):

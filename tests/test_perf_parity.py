@@ -1,4 +1,5 @@
-"""Parity tests for the incremental ledgers and lender selection.
+"""Parity tests for the incremental ledgers, lender selection and the
+bulk resize write.
 
 The simulator's hot paths read maintained state — cluster scalar
 aggregates, the contention model's per-lender demand ledger — instead of
@@ -57,7 +58,8 @@ def _job(jid: int, n_nodes: int = 1) -> Job:
 op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["apply", "apply_remote", "apply_wide", "release",
-                         "grow_l", "shrink_l", "resize_l", "add_r", "rem_r"]),
+                         "grow_l", "shrink_l", "resize_l", "resize_r",
+                         "add_r", "rem_r"]),
         st.integers(0, 5),       # job id
         st.integers(0, N_NODES - 1),  # node selector
         st.integers(1, 40000),   # MB amount
@@ -105,7 +107,17 @@ def _drive(cluster: Cluster, ops) -> None:
                 nodes = alloc.nodes[:2] if alloc else [node]
                 step, sign = mb % 2048 + 1, 1 if mb % 2 else -1
                 deltas = [sign * step, -sign * (step // 2 + 1)]
-                cluster.resize_local(jid, nodes, deltas[:len(nodes)])
+                cluster.resize(jid, nodes, deltas[:len(nodes)])
+            elif op == "resize_r":
+                # One bulk borrow write on ``node``: borrow from
+                # ``lender`` and hand part of it back, or return to
+                # ``lender`` and borrow from the next node instead.
+                if mb % 2:
+                    borrows = [(node, lender, mb), (node, lender, -(mb // 2 + 1))]
+                else:
+                    borrows = [(node, lender, -mb),
+                               (node, (lender + 1) % N_NODES, mb)]
+                cluster.resize(jid, [], [], borrows)
             elif op == "add_r":
                 cluster.add_remote(jid, node, lender, mb)
             elif op == "rem_r":
@@ -143,13 +155,22 @@ def test_aggregates_and_indexes_track_brute_force(ops):
        exclude=st.sets(st.integers(0, N_NODES - 1), max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_plan_borrow_matches_unindexed_plan(ops, request_mb, exclude):
-    """plan_borrow by selection == the zero-and-argsort plan."""
+    """plan_borrow by selection == the zero-and-argsort plan, on the live
+    column and on a scratch copy, which the plan is debited from in place
+    (its excluded entries kept)."""
     cluster = _cluster()
     pool = MemoryPool(cluster)
     _drive(cluster, ops)
-    got = pool.plan_borrow(request_mb, exclude=tuple(exclude))
-    assert got == ref.plan_borrow_ref(cluster.free_local(), request_mb,
-                                      tuple(exclude))
+    live = cluster.free_local().copy()
+    want = ref.plan_borrow_ref(live, request_mb, tuple(exclude))
+    assert pool.plan_borrow(request_mb, exclude=tuple(exclude)) == want
+    scratch = live.copy()
+    assert pool.plan_borrow(request_mb, exclude=tuple(exclude), free=scratch,
+                            free_total=int(scratch.sum())) == want
+    assert np.array_equal(cluster.free_local(), live)
+    for lender, mb in want or ():
+        live[lender] -= mb
+    assert np.array_equal(scratch, live)
 
 
 @given(ops=op_strategy, request_mb=st.integers(1, 140_000),
@@ -243,14 +264,16 @@ def test_borrow_from_own_node_released_once():
 
 
 # ----------------------------------------------------------------------
-# One-pass local resize == per-node grow_local / shrink_local
+# One bulk resize == the scalar mutators step by step
 # ----------------------------------------------------------------------
 _RESIZE_JID = 9
 
 
 def _resize_cluster(ops):
     """A cluster with a wide job (it borrows, so it has lenders to
-    dirty) under a random history of other jobs, plus a listener log."""
+    dirty) under a random history of other jobs, plus a listener log.
+    Copy-on-write is armed with one node per page afterwards, so the
+    dirty pages name exactly the nodes a resize writes."""
     cluster = _cluster()
     calls = []
     cluster.add_demand_listener(lambda c, lenders: calls.append(sorted(lenders)))
@@ -259,12 +282,14 @@ def _resize_cluster(ops):
         remote_mb={2: {7: 4096}},
     ))
     _drive(cluster, ops)
+    cluster.arm_cow(page_nodes=1)
     del calls[:]
     return cluster, calls
 
 
 def _state(cluster):
-    """Everything a resize may write, in comparable form."""
+    """Everything a resize may write, in comparable form: maps as item
+    lists, so their insertion orders count too."""
     alloc = cluster.allocations.get(_RESIZE_JID)
     return {
         "columns": cluster.columns.content_hash(),
@@ -273,7 +298,10 @@ def _state(cluster):
         "local_mb": list(alloc.local_mb.items()),
         "remote_mb": [(n, list(m.items())) for n, m in alloc.remote_mb.items()],
         "sealed": (alloc._total_local, alloc._total_remote,
-                   dict(alloc._remote_on), dict(alloc._lender_mb)),
+                   list(alloc._remote_on.items()),
+                   list(alloc._lender_mb.items())),
+        "lender_jobs": [list(rec.items()) for rec in cluster.lender_jobs],
+        "dirty_pages": np.flatnonzero(cluster._cow._dirty).tolist(),
     }
 
 
@@ -304,7 +332,7 @@ def test_resize_local_matches_per_node_mutators(ops, data):
     assert _state(one) == _state(two)
     nodes, deltas = data.draw(_local_resize(one))
     with one.defer_demand():
-        one.resize_local(_RESIZE_JID, nodes, deltas)
+        one.resize(_RESIZE_JID, nodes, deltas)
     with two.defer_demand():
         for node, delta in zip(nodes, deltas):
             if delta > 0:
@@ -318,25 +346,201 @@ def test_resize_local_matches_per_node_mutators(ops, data):
         cluster.check_invariants()
 
 
-def test_resize_local_rejects_without_writing():
+@st.composite
+def _resize_steps(draw, cluster):
+    """A valid interleaving of local deltas (one per node at most) and
+    borrow steps on the wide job: borrows from any other node, its own
+    compute nodes included, and returns of what a pair holds, each
+    valid at its step."""
+    alloc = cluster.allocations[_RESIZE_JID]
+    free = cluster.free_local().copy()
+    local = dict(alloc.local_mb)
+    pairs = {(n, lender): mb for n, m in alloc.remote_mb.items()
+             for lender, mb in m.items()}
+    steps = []
+    resized = set()
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["local", "borrow", "return"]))
+        node = draw(st.sampled_from(alloc.nodes))
+        if kind == "local":
+            if node in resized:
+                continue
+            choices = []
+            if free[node] > 0:
+                choices.append(st.integers(1, int(free[node])))
+            if local.get(node, 0) > 0:
+                choices.append(st.integers(-local[node], -1))
+            if not choices:
+                continue
+            delta = draw(st.one_of(choices))
+            resized.add(node)
+            local[node] = local.get(node, 0) + delta
+            free[node] -= delta
+            steps.append(("local", node, delta))
+            continue
+        if kind == "borrow":
+            lender = draw(st.sampled_from(
+                [n for n in range(N_NODES) if n != node]))
+            if free[lender] <= 0:
+                continue
+            mb = draw(st.integers(1, int(free[lender])))
+        else:
+            held = sorted(lender for (n, lender), mb in pairs.items()
+                          if n == node and mb > 0)
+            if not held:
+                continue
+            lender = draw(st.sampled_from(held))
+            mb = -draw(st.integers(1, pairs[node, lender]))
+        pairs[node, lender] = pairs.get((node, lender), 0) + mb
+        free[lender] -= mb
+        steps.append(("borrow", node, lender, mb))
+    return steps
+
+
+def _apply_steps(cluster, steps):
+    """``steps`` through the scalar mutators, one call per step."""
+    for step in steps:
+        if step[0] == "local":
+            _, node, delta = step
+            if delta > 0:
+                cluster.grow_local(_RESIZE_JID, node, delta)
+            else:
+                cluster.shrink_local(_RESIZE_JID, node, -delta)
+        else:
+            _, node, lender, mb = step
+            if mb > 0:
+                cluster.add_remote(_RESIZE_JID, node, lender, mb)
+            else:
+                cluster.remove_remote(_RESIZE_JID, node, lender, -mb)
+
+
+def _resize_steps_bulk(cluster, steps):
+    """``steps`` as one :meth:`Cluster.resize`."""
+    local = [step[1:] for step in steps if step[0] == "local"]
+    cluster.resize(_RESIZE_JID, [node for node, _ in local],
+                   [delta for _, delta in local],
+                   [step[1:] for step in steps if step[0] == "borrow"])
+
+
+@given(ops=op_strategy, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_resize_matches_scalar_mutators_in_step_order(ops, data):
+    """Local deltas and ordered borrows and returns in one resize ==
+    the scalar mutators step by step: columns, aggregates, every map
+    with its insertion order, lender_jobs, the dirty COW pages and the
+    coalesced demand notification."""
+    one, one_calls = _resize_cluster(ops)
+    two, two_calls = _resize_cluster(ops)
+    steps = data.draw(_resize_steps(one))
+    with one.defer_demand():
+        _resize_steps_bulk(one, steps)
+    with two.defer_demand():
+        _apply_steps(two, steps)
+    assert _state(one) == _state(two)
+    assert one_calls == two_calls and len(one_calls) <= 1
+    for cluster in (one, two):
+        cluster.allocations[_RESIZE_JID].check_seal()
+        cluster.check_invariants()
+
+
+def test_resize_borrows_from_its_own_node_and_returns_in_order():
+    """A return, a borrow from one of the job's own compute nodes and a
+    borrow that re-creates an emptied pair, in one resize: every map
+    keeps the order the scalar mutators give it."""
+    steps = [
+        ("borrow", 2, 7, -4096),     # empties node 2's only pair
+        ("borrow", 5, 0, 1024),      # lender 0 is a node of the job
+        ("local", 0, -1024),
+        ("borrow", 2, 6, 512),
+        ("borrow", 2, 7, 256),       # pair (2, 7) comes back, at the end
+        ("borrow", 5, 0, -24),
+    ]
+    one, one_calls = _resize_cluster([])
+    two, two_calls = _resize_cluster([])
+    with one.defer_demand():
+        _resize_steps_bulk(one, steps)
+    with two.defer_demand():
+        _apply_steps(two, steps)
+    assert _state(one) == _state(two)
+    assert one_calls == two_calls == [[0, 6, 7]]
+    alloc = one.allocations[_RESIZE_JID]
+    assert list(alloc.remote_mb) == [5, 2]
+    assert list(alloc.remote_mb[2].items()) == [(6, 512), (7, 256)]
+    assert list(alloc._lender_mb) == [0, 6, 7]
+    one.check_invariants()
+
+
+@pytest.mark.parametrize("lent_before", ["above", "below"])
+def test_resize_lender_crosses_memnode_threshold_and_back(lent_before):
+    """Within one resize a lender's lending crosses the memory-node
+    threshold and comes back: node 2 returns to lender 6 and node 3
+    borrows from it (or the other way round).  The bulk lending write
+    sees only the net change, so the flag and the memory-node and
+    startable counts must come out as the per-step writes leave them."""
+    half = 64 * 1024 // 2  # node 6 is a normal 64 GB node
+
+    def run(bulk):
+        cluster = _cluster()
+        start = half + 1 if lent_before == "above" else half - 1
+        cluster.apply(0, JobAllocation(
+            nodes=[2, 3], local_mb={2: 1024, 3: 1024},
+            remote_mb={2: {6: start}}))
+        memnode = bool(cluster.is_memory_node()[6])
+        assert memnode == (lent_before == "above")
+        if lent_before == "above":
+            borrows = [(2, 6, -2), (3, 6, 2)]  # down, then back up
+        else:
+            borrows = [(3, 6, 2), (2, 6, -2)]  # up, then back down
+        if bulk:
+            cluster.resize(0, [], [], borrows)
+        else:
+            for node, lender, mb in borrows:
+                if mb > 0:
+                    cluster.add_remote(0, node, lender, mb)
+                else:
+                    cluster.remove_remote(0, node, lender, -mb)
+        assert bool(cluster.is_memory_node()[6]) == memnode
+        brute = cluster.recompute_aggregates()
+        assert cluster.memory_node_count == brute["memory_node_count"]
+        assert cluster.startable_count == brute["startable_count"]
+        cluster.check_invariants()
+        return (cluster.memory_node_count, cluster.startable_count,
+                cluster.columns.content_hash())
+
+    assert run(bulk=True) == run(bulk=False)
+
+
+def test_resize_rejects_without_writing():
     cluster, calls = _resize_cluster([])
-    free2 = int(cluster.free_local()[2])
+    free = cluster.free_local()
+    free0, free2, free6 = int(free[0]), int(free[2]), int(free[6])
     before = _state(cluster)
-    # Each bad call leads with a valid delta, so a write-as-you-go
+    assert before["dirty_pages"] == []
+    # Each bad call leads with a valid step, so a write-as-you-go
     # implementation would have changed state before raising.
-    for nodes, deltas in [
-        ([0, 2], [512, free2 + 1]),        # grow beyond free DRAM
-        ([0, 5], [512, -513]),             # shrink beyond local held
-        ([0, 3], [512, 1]),                # node outside the job
-        ([0, 0], [512, 1]),                # repeated node
-        ([0, 2], [512, 0]),                # zero delta
-        ([0, 2], [512]),                   # one delta per node
+    for nodes, deltas, borrows in [
+        ([0, 2], [512, free2 + 1], []),    # grow beyond free DRAM
+        ([0, 5], [512, -513], []),         # shrink beyond local held
+        ([0, 3], [512, 1], []),            # node outside the job
+        ([0, 0], [512, 1], []),            # repeated node
+        ([0, 2], [512, 0], []),            # zero delta
+        ([0, 2], [512], []),               # one delta per node
+        # a return larger than the pair holds (4096 MB), at the start
+        # of the call or after a borrow on the same pair
+        ([], [], [(0, 3, 512), (2, 7, -4097)]),
+        ([], [], [(0, 3, 512), (0, 3, -513)]),
+        ([], [], [(0, 3, 512), (2, 2, 512)]),     # borrow from itself
+        ([], [], [(0, 3, 512), (2, 6, free6 + 1)]),  # lender short
+        ([], [], [(0, 6, free6), (2, 6, 1)]),     # short on the net
+        ([0], [free0], [(2, 0, 1)]),              # local take + lending
+        ([], [], [(0, 3, 512), (3, 4, 512)]),     # node outside the job
+        ([], [], [(0, 3, 512), (2, 4, 0)]),       # zero borrow
     ]:
         with pytest.raises(AllocationError):
-            cluster.resize_local(_RESIZE_JID, nodes, deltas)
+            cluster.resize(_RESIZE_JID, nodes, deltas, borrows)
         assert _state(cluster) == before
     with pytest.raises(AllocationError):
-        cluster.resize_local(42, [0], [1])  # job not allocated
+        cluster.resize(42, [0], [1])  # job not allocated
     assert calls == []
     cluster.check_invariants()
 
@@ -607,11 +811,20 @@ def _campaign_records(tmp_path, monkeypatch, brute: bool):
     from repro.experiments.scenarios import SCALES
 
     if brute:
-        # Select every lender and node prefix from a full stable argsort
-        # and recompute every demand read: the pre-optimisation behaviour.
+        # Select every lender and node prefix from a full stable argsort,
+        # actuate node by node with the scalar mutators and recompute
+        # every demand read: the pre-optimisation behaviour.
         ref.patch_in(monkeypatch)
         monkeypatch.setattr(ContentionModel, "attach",
                             lambda self, cluster: None)
+    resizes = []
+    bulk = Cluster.resize
+
+    def spy(self, jid, nodes, deltas, borrows=(), alloc=None):
+        resizes.append(len(borrows))
+        return bulk(self, jid, nodes, deltas, borrows, alloc)
+
+    monkeypatch.setattr(Cluster, "resize", spy)
     runner.clear_caches()
     grid = fig5_scenarios(scale=SCALES["small"], mixes=(0.25,),
                           memory_levels=(50,), overestimations=(0.0,))
@@ -620,12 +833,18 @@ def _campaign_records(tmp_path, monkeypatch, brute: bool):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     for rec in records:
         rec.pop("elapsed_s", None)  # wall clock legitimately differs
-    return records
+    return records, resizes
 
 
 @pytest.mark.slow
 def test_campaign_records_byte_identical_to_brute_path(tmp_path, monkeypatch):
-    fast = _campaign_records(tmp_path, monkeypatch, brute=False)
     with monkeypatch.context() as mp:
-        brute = _campaign_records(tmp_path, mp, brute=True)
+        fast, resizes = _campaign_records(tmp_path, mp, brute=False)
+    # The grid's dynamic run makes non-local resizes (about 140, with
+    # some 400 borrow and return steps), so the bulk Actuator's planning
+    # is compared, not only its local-only write.
+    assert sum(1 for steps in resizes if steps) > 100
+    with monkeypatch.context() as mp:
+        brute, resizes = _campaign_records(tmp_path, mp, brute=True)
+    assert resizes == []  # the reference Actuator uses scalar mutators
     assert json.dumps(fast, sort_keys=True) == json.dumps(brute, sort_keys=True)

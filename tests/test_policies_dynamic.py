@@ -1,18 +1,23 @@
 """Dynamic disaggregated policy: Decider/Actuator resizing and OOM."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cluster.allocation import JobAllocation
 from repro.cluster.cluster import Cluster
+from repro.cluster.memorypool import STRATEGIES, MemoryPool
 from repro.core.config import SystemConfig
 from repro.core.state import capture, restore
 from repro.jobs.usage import UsageTrace
+from repro.obs.provenance import ProvenanceLog
 from repro.policies.base import UpdateOutcome
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
 from repro.scheduler.simulator import simulate
 from repro.traces.pipeline import synthetic_workload
 
+import reference_orders as ref
 from conftest import make_job
 
 
@@ -114,6 +119,76 @@ def test_oom_when_pool_exhausted(cluster):
     start(policy, cluster, b)
     out = policy.update(b, 450.0, 100.0)
     assert out.oom
+
+
+def _oom_mid_resize(strategy, per_node):
+    """A four-node resize that runs out of lendable memory at its
+    fourth node, through the bulk or the per-node reference Actuator.
+
+    Job 2 runs on nodes 2-5; node 2 borrows 20000 MB from node 5, one
+    of the job's own nodes.  Job 1 fills nodes 0, 1, 6 and 7 but for
+    10500 MB.  The reading asks node 2 for half of what the others get:
+    node 2 returns its borrow and shrinks, nodes 3 and 4 take their free
+    DRAM and borrow, and node 5 finds 71644 MB left of the 79000 MB it
+    needs, whatever the lender strategy.
+    """
+    cluster = Cluster(SystemConfig(n_nodes=8, normal_mem_gb=64,
+                                   large_mem_gb=128, frac_large_nodes=0.25))
+    large, normal = 128 * 1024, 64 * 1024
+    cluster.apply(1, JobAllocation(nodes=[0, 1, 6, 7], local_mb={
+        0: large - 3000, 1: large - 2000, 6: normal - 1000, 7: normal - 4500}))
+    cluster.apply(2, JobAllocation(
+        nodes=[2, 3, 4, 5], local_mb={2: normal, 3: 1000, 4: 1000, 5: 1000},
+        remote_mb={2: {5: 20_000}}))
+    prov = ProvenanceLog()
+    cluster.add_demand_listener(lambda c, lenders: prov.emit(
+        "demand_dirty", lenders=[int(lender) for lender in lenders]))
+    policy = DynamicDisaggregatedPolicy(cluster)
+    policy.pool = MemoryPool(cluster, strategy)
+    policy.pool.provenance = prov
+    if per_node:
+        policy._actuate = lambda *args: ref.actuate_per_node(policy, *args)
+    job = varying_job(jid=2, lo=1000, hi=80_000, request=1000, n_nodes=4)
+    job.node_scale = (0.5, 1.0, 1.0, 1.0)
+    alloc = cluster.allocations[2]
+    out = policy.update(job, 450.0, 100.0)
+    state = {
+        "columns": cluster.columns.content_hash(),
+        "aggregates": {name: getattr(cluster, name)
+                       for name in cluster.recompute_aggregates()},
+        "local_mb": list(alloc.local_mb.items()),
+        "remote_mb": [(n, list(m.items())) for n, m in alloc.remote_mb.items()],
+        "sealed": (alloc._total_local, alloc._total_remote,
+                   list(alloc._remote_on.items()),
+                   list(alloc._lender_mb.items())),
+        "lender_jobs": [list(rec.items()) for rec in cluster.lender_jobs],
+    }
+    cluster.check_invariants()
+    return out, state, prov.to_jsonl()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_oom_mid_resize_matches_per_node_actuator(strategy):
+    """The bulk Actuator commits what it planned before the failed
+    borrow, the failing node's local take included, exactly as the
+    node-by-node Actuator leaves it: same ledgers, maps and orders,
+    outcome, and provenance rows."""
+    bulk = _oom_mid_resize(strategy, per_node=False)
+    per_node = _oom_mid_resize(strategy, per_node=True)
+    assert bulk == per_node
+    out, state, rows = bulk
+    assert out.oom
+    # Nodes 3 and 4 borrowed, node 5 took its free DRAM and then failed.
+    kinds = [(e["kind"], e["data"].get("near")) for e in map(json.loads,
+                                                           rows.splitlines())]
+    assert kinds == [("borrow_plan", 3), ("borrow_plan", 4),
+                     ("borrow_fail", 5), ("demand_dirty", None)]
+    assert out.freed_mb == 45_536
+    # Node 5's local take (its free DRAM, which depends on where nodes 3
+    # and 4 borrowed) is committed with the rest.
+    assert 2 * 79_000 < out.grown_mb < 3 * 79_000
+    assert state["local_mb"][3] == (5, out.grown_mb - 2 * 79_000 + 1000)
+    assert dict(state["remote_mb"]).get(2) is None  # node 2 returned all
 
 
 def test_pinned_jobs_not_resized(cluster):
@@ -276,7 +351,7 @@ def test_direct_cluster_mutation_clears_mark(policy, cluster, mutation,
 
 def test_resize_local_clears_mark(policy, cluster):
     job, alloc = _marked_job(policy, cluster, 10_000)
-    cluster.resize_local(job.jid, alloc.nodes, [512, -512])
+    cluster.resize(job.jid, alloc.nodes, [512, -512])
     assert alloc.sized_for_mb is None
     policy.update(job, 100.0, 100.0)
     assert [alloc.total_on(n) for n in alloc.nodes] == [10_000, 10_000]
@@ -314,7 +389,7 @@ def test_restored_allocation_keeps_its_mark_and_restarted_starts_unmarked(
     # so the mark still describes what every node holds.
     cow = cluster.arm_cow()
     state = capture(cluster)
-    cluster.resize_local(job.jid, alloc.nodes, [512, -512])
+    cluster.resize(job.jid, alloc.nodes, [512, -512])
     assert alloc.sized_for_mb is None
     cow.rollback()
     restore(cluster, state)
