@@ -13,8 +13,8 @@
   and print the report;
 * ``inspect`` — characterise a saved workload (Table 2/3 style);
 * ``trace`` — summarise a telemetry directory written by
-  ``simulate --telemetry`` / ``campaign --telemetry`` (top-N slowest
-  control-loop phases, metric catalogue, ``--job N`` lifecycle,
+  ``simulate --telemetry`` / ``campaign --telemetry`` (top-N layers of
+  the wall-clock layer table, metric catalogue, ``--job N`` lifecycle,
   ``--perfetto`` trace-event export, ``--strict`` truncation gate);
 * ``explain`` — causal "why" report for one job: wait-time blame
   decomposition plus the provenance why-chain;
@@ -124,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--timeline", action="store_true",
                      help="render an ASCII occupancy strip and Gantt chart")
     sim.add_argument("--telemetry", metavar="DIR",
-                     help="observe the run and export metrics/spans/events "
-                          "to this directory (read back with 'repro trace')")
+                     help="observe the run and export metrics, layer "
+                          "table and events to this directory (read back "
+                          "with 'repro trace')")
 
     # ------------------------------------------------------------------
     wi = sub.add_parser(
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("directory", help="telemetry directory to read")
     tr.add_argument("--top", type=int, default=10,
-                    help="slowest control-loop phases to show (default 10)")
+                    help="layers to show, by self time (default 10)")
     tr.add_argument("--job", type=int, metavar="JID",
                     help="explain one job: reconstruct its lifecycle "
                          "from the exported events.jsonl")
@@ -375,12 +376,13 @@ def _cmd_simulate(args) -> int:
         from .obs.provenance import lifecycle_rows
 
         telemetry.export(args.telemetry)
-        n_spans = len(telemetry.tracer) if telemetry.tracer else 0
+        tracer = telemetry.tracer
+        n_layers = len(tracer.table()) if tracer is not None else 0
         n_events = len(lifecycle_rows(telemetry.provenance))
         console.status(
             f"wrote telemetry to {args.telemetry} "
             f"({len(telemetry.registry.counters)} counters, "
-            f"{n_spans} spans, {n_events} events); "
+            f"{n_layers} timed layers, {n_events} events); "
             f"inspect with: repro trace {args.telemetry}")
     return 0
 

@@ -46,7 +46,6 @@ import numpy as np
 from ..core.config import SystemConfig
 from ..core.errors import AllocationError
 from ..core.state import ForkState
-from ..obs.profiling import perf_section
 from .allocation import JobAllocation
 from .columns import ColumnPageStore, NodeColumns
 from .node import Node
@@ -443,12 +442,6 @@ class Cluster:
     # ------------------------------------------------------------------
     def apply(self, jid: int, alloc: JobAllocation) -> None:
         """Commit ``alloc`` for job ``jid``, updating every ledger."""
-        with perf_section("cluster.apply"):
-            self._apply(jid, alloc)
-        if self._prov_tap is not None:
-            self._prov_tap("apply", jid, alloc)
-
-    def _apply(self, jid: int, alloc: JobAllocation) -> None:
         if jid in self.allocations:
             raise AllocationError(f"job {jid} already has an allocation")
         nodes_arr = np.asarray(alloc.nodes, dtype=np.int64)
@@ -526,16 +519,11 @@ class Cluster:
         self.allocations[jid] = alloc
         alloc._seal()
         self._notify_demand(list(borrow_totals))
+        if self._prov_tap is not None:
+            self._prov_tap("apply", jid, alloc)
 
     def release(self, jid: int) -> JobAllocation:
         """Release all resources of job ``jid`` and return its allocation."""
-        with perf_section("cluster.release"):
-            alloc = self._release(jid)
-        if self._prov_tap is not None:
-            self._prov_tap("release", jid, alloc)
-        return alloc
-
-    def _release(self, jid: int) -> JobAllocation:
         alloc = self.allocations.pop(jid, None)
         if alloc is None:
             raise AllocationError(f"job {jid} has no allocation to release")
@@ -572,6 +560,8 @@ class Cluster:
             for node, lender_map in alloc.remote_mb.items():
                 self.remote_held_mb[node] -= sum(lender_map.values())
         self._notify_demand(released_lenders)
+        if self._prov_tap is not None:
+            self._prov_tap("release", jid, alloc)
         return alloc
 
     # ------------------------------------------------------------------

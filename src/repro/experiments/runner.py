@@ -21,7 +21,6 @@ from typing import Hashable, List, Optional
 
 from ..core.rng import stable_seed
 from ..metrics.records import SimulationResult
-from ..obs.profiling import perf_section
 from ..obs.telemetry import Telemetry
 from ..scheduler.simulator import simulate
 from ..traces import cache as trace_cache
@@ -121,24 +120,23 @@ def base_workload(scenario: Scenario) -> Workload:
         _workload_cache.put(key, wl)
         return wl
     seed = stable_seed(*scenario.generation_seed_key(), base=1234)
-    with perf_section("runner.generate_workload"):
-        if scenario.trace == "grizzly":
-            wl = grizzly_workload(
-                overestimation=0.0,
-                n_system_nodes=scenario.n_nodes,
-                scale_jobs=scenario.n_jobs,
-                seed=seed,
-            )
-        else:
-            wl = synthetic_workload(
-                n_jobs=scenario.n_jobs,
-                frac_large=scenario.frac_large,
-                overestimation=0.0,
-                target_utilization=scenario.target_utilization,
-                n_system_nodes=scenario.n_nodes,
-                max_job_nodes=scenario.effective_max_job_nodes(),
-                seed=seed,
-            )
+    if scenario.trace == "grizzly":
+        wl = grizzly_workload(
+            overestimation=0.0,
+            n_system_nodes=scenario.n_nodes,
+            scale_jobs=scenario.n_jobs,
+            seed=seed,
+        )
+    else:
+        wl = synthetic_workload(
+            n_jobs=scenario.n_jobs,
+            frac_large=scenario.frac_large,
+            overestimation=0.0,
+            target_utilization=scenario.target_utilization,
+            n_system_nodes=scenario.n_nodes,
+            max_job_nodes=scenario.effective_max_job_nodes(),
+            seed=seed,
+        )
     _workload_cache.put(key, wl)
     trace_cache.store_workload(disk_key, wl)
     return wl
@@ -183,14 +181,13 @@ def run(scenario: Scenario, collect_telemetry: bool = False) -> SimulationResult
         if collect_telemetry
         else None
     )
-    with perf_section("runner.simulate"):
-        res = simulate(
-            jobs,
-            scenario.system_config(),
-            policy=scenario.policy,
-            profiles=wl.profiles,
-            telemetry=telemetry,
-        )
+    res = simulate(
+        jobs,
+        scenario.system_config(),
+        policy=scenario.policy,
+        profiles=wl.profiles,
+        telemetry=telemetry,
+    )
     res.meta["scenario"] = scenario
     if telemetry is not None:
         res.meta["telemetry_dump"] = telemetry.registry.to_dict()

@@ -1,13 +1,14 @@
 """repro.obs — zero-overhead-when-disabled observability.
 
-Seven pieces (see ``docs/OBSERVABILITY.md``):
+Six pieces (see ``docs/OBSERVABILITY.md``):
 
 * :mod:`~repro.obs.registry` — deterministic, pickle-safe metrics
   (``Counter`` / ``Gauge`` / ``Histogram``) sampled on a simulated-time
   cadence into time series; parallel workers merge child registries into
   the parent bit-identically.
-* :mod:`~repro.obs.tracing` — wall-clock + simulated-time spans of the
-  controller tick and the Monitor/Decider/Actuator/Executor phases.
+* :mod:`~repro.obs.layers` — the wall-clock layer table (calls, total,
+  self and max time per simulator layer), timed from outside the
+  simulator for the duration of each observed engine run.
 * :mod:`~repro.obs.provenance` — the causal event graph recorded at the
   simulator's decision seams (the run's one event record; its
   job-lifecycle view is ``events.jsonl``), plus :mod:`~repro.obs.blame`
@@ -16,9 +17,6 @@ Seven pieces (see ``docs/OBSERVABILITY.md``):
   exported runs (``repro diff A B``).
 * :mod:`~repro.obs.perfetto` — Chrome trace-event export for the
   Perfetto UI (``repro trace DIR --perfetto out.json``).
-* :mod:`~repro.obs.profiling` — ``perf_section()`` hooks on the
-  simulator hot paths, aggregated into a flame-style table
-  (``benchmarks/bench_obs.py`` → ``BENCH_obs.json``).
 * :mod:`~repro.obs.export` — JSONL, CSV and Prometheus text dumps.
 
 The facade is :class:`~repro.obs.telemetry.Telemetry`; pass one to
@@ -36,14 +34,8 @@ from .export import (
     parse_prometheus_text,
     prometheus_text,
 )
+from .layers import LAYER_POINTS, LayerTimer
 from .perfetto import perfetto_events, write_perfetto
-from .profiling import (
-    PerfAggregator,
-    disable_profiling,
-    enable_profiling,
-    perf_section,
-    profiling_active,
-)
 from .provenance import (
     NULL_PROVENANCE,
     NullProvenance,
@@ -60,7 +52,6 @@ from .report import (
     render_trace_summary,
 )
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
-from .tracing import Span, SpanTracer
 
 __all__ = [
     "BlameAccumulator",
@@ -68,31 +59,26 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LAYER_POINTS",
+    "LayerTimer",
     "MetricsRegistry",
     "NULL_PROVENANCE",
     "NULL_TELEMETRY",
     "NullProvenance",
     "NullTelemetry",
-    "PerfAggregator",
     "ProvenanceLog",
-    "Span",
-    "SpanTracer",
     "Telemetry",
     "WAIT_COMPONENTS",
     "causal_chain",
     "console",
     "diff_runs",
-    "disable_profiling",
-    "enable_profiling",
     "lifecycle_rows",
     "load_blame",
     "load_provenance",
     "metrics_csv",
     "metrics_jsonl",
     "parse_prometheus_text",
-    "perf_section",
     "perfetto_events",
-    "profiling_active",
     "prometheus_text",
     "render_diff",
     "render_explain",

@@ -11,15 +11,12 @@ telemetry into the Chrome trace-event JSON format that Perfetto
   its ``eid``/``parents``/payload in ``args`` (from
   ``provenance.jsonl``);
 * **counter** tracks — the sampled gauge series (queue depth, pool
-  occupancy, ...) as ``ph: "C"`` counters (from ``metrics.jsonl``);
-* **spans** process — the wall-clock diagnostic spans plotted at their
-  simulated-time anchors (from ``spans.jsonl``).
+  occupancy, ...) as ``ph: "C"`` counters (from ``metrics.jsonl``).
 
 Timestamps are simulated seconds scaled to microseconds, so the
-Perfetto timeline reads directly in simulated time.  The dump is
-deterministic (stable sort, sorted keys): identical-seed runs export
-identical job/provenance/counter tracks; only the spans process carries
-wall-clock durations.
+Perfetto timeline reads directly in simulated time.  The dump reads no
+wall-clock data and is deterministic (stable sort, sorted keys):
+identical-seed runs export identical documents.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .report import (
     load_events,
     load_meta,
     load_metrics_records,
-    load_spans,
     samples_by_name,
 )
 
@@ -45,13 +41,11 @@ PathLike = Union[str, Path]
 PID_JOBS = 1
 PID_PROVENANCE = 2
 PID_COUNTERS = 3
-PID_SPANS = 4
 
 _PROCESS_NAMES = {
     PID_JOBS: "jobs",
     PID_PROVENANCE: "provenance",
     PID_COUNTERS: "counters",
-    PID_SPANS: "spans (wall-clock diagnostics)",
 }
 
 #: Terminal lifecycle markers closing a job's ``run`` slice.
@@ -137,19 +131,6 @@ def _counter_events(records: List[Dict]) -> List[Dict]:
     return out
 
 
-def _span_events(spans) -> List[Dict]:
-    out: List[Dict] = []
-    for s in spans:
-        ev: Dict[str, object] = {
-            "name": s.name, "ph": "X", "pid": PID_SPANS, "tid": 0,
-            "ts": _us(s.sim_t), "dur": max(int(round(s.wall_s * 1e6)), 1),
-        }
-        if s.jid is not None:
-            ev["args"] = {"jid": s.jid}
-        out.append(ev)
-    return out
-
-
 def perfetto_events(directory: PathLike) -> List[Dict]:
     """All trace events of one telemetry directory, deterministic order."""
     directory = Path(directory)
@@ -162,7 +143,6 @@ def perfetto_events(directory: PathLike) -> List[Dict]:
     events += _job_events(load_events(directory))
     events += _provenance_events(load_provenance(directory))
     events += _counter_events(load_metrics_records(directory))
-    events += _span_events(load_spans(directory))
     # Stable deterministic order: metadata first, then by time/track.
     events.sort(
         key=lambda e: (e["ph"] != "M", e.get("ts", 0), e["pid"],

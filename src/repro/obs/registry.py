@@ -15,8 +15,8 @@ Time series come from :meth:`MetricsRegistry.sample`: each call appends
 one ``(t, name, value)`` row per counter and gauge, in sorted-name
 order, so a registry's serialisation is a pure function of the simulated
 run — never of wall-clock, host, or worker placement.  Wall-clock data
-belongs in :mod:`repro.obs.tracing` / :mod:`repro.obs.profiling`, which
-are exported separately and excluded from determinism comparisons.
+belongs in :mod:`repro.obs.layers`, which is exported separately and
+excluded from determinism comparisons.
 """
 
 from __future__ import annotations

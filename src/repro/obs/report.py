@@ -4,14 +4,14 @@
 :meth:`repro.obs.telemetry.Telemetry.export`:
 
 * a run summary — counters, histogram digests, per-event-kind counts,
-  and the top-N slowest control-loop phases by total wall time;
+  and the top-N layers of the wall-clock layer table by self time;
 * a per-job lifecycle reconstruction ("explain job N") from
   ``events.jsonl`` (the job-lifecycle view of the provenance record),
   with queue-wait / runtime / response-time derived in place.
 
 Every file of the directory layout is optional, so the same command
 also works on a merged campaign telemetry directory (metrics only, no
-spans or events).
+layer table or events).
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .blame import WAIT_COMPONENTS
+from .layers import ROOT
 from .provenance import causal_chain, load_provenance, render_row
-from .tracing import Span, aggregate_spans
 
 __all__ = [
     "load_blame",
     "load_events",
+    "load_layers",
     "load_meta",
     "load_metrics_records",
-    "load_spans",
     "render_explain",
     "render_job_trace",
     "render_trace_summary",
@@ -64,12 +64,9 @@ def load_metrics_records(directory: PathLike) -> List[Dict]:
     return _read_jsonl(Path(directory) / "metrics.jsonl")
 
 
-def load_spans(directory: PathLike) -> List[Span]:
-    """Spans from ``spans.jsonl`` (empty list if absent)."""
-    return [
-        Span.from_json(row)
-        for row in _read_jsonl(Path(directory) / "spans.jsonl")
-    ]
+def load_layers(directory: PathLike) -> List[Dict]:
+    """Layer-table rows from ``spans.jsonl`` (empty list if absent)."""
+    return _read_jsonl(Path(directory) / "spans.jsonl")
 
 
 def load_events(directory: PathLike) -> List[Dict]:
@@ -130,7 +127,7 @@ def render_trace_summary(directory: PathLike, top: int = 10) -> str:
     directory = Path(directory)
     records = load_metrics_records(directory)
     meta = load_meta(directory)
-    spans = load_spans(directory)
+    layers = load_layers(directory)
     events = load_events(directory)
 
     parts: List[str] = []
@@ -176,20 +173,25 @@ def render_trace_summary(directory: PathLike, top: int = 10) -> str:
         parts += ["", f"event log: {len(events)} entries",
                   _table(["event", "count"], sorted(counts.items()))]
 
-    if spans:
-        agg = aggregate_spans(spans)
+    if layers:
+        layers = sorted(layers, key=lambda r: (-r["self_s"], r["name"]))
+        run_s = next((r["total_s"] for r in layers if r["name"] == ROOT), 0.0)
         rows = [
-            [name, n_spans, calls, f"{total * 1e3:.2f}", f"{mx * 1e3:.3f}"]
-            for name, n_spans, calls, total, mx in agg[:top]
+            [r["name"], r["calls"], f"{r['total_s'] * 1e3:.2f}",
+             f"{r['self_s'] * 1e3:.2f}",
+             f"{100.0 * r['self_s'] / run_s:.1f}%" if run_s else "",
+             f"{r['max_s'] * 1e3:.3f}"]
+            for r in layers[:top]
         ]
         parts += [
             "",
-            f"slowest phases (top {len(rows)} of {len(agg)}, "
-            "by total wall time)",
-            _table(["phase", "spans", "calls", "total ms", "max ms"], rows),
+            f"slowest layers (top {len(rows)} of {len(layers)}, by self "
+            f"time; share of {ROOT})",
+            _table(["layer", "calls", "total ms", "self ms", "share",
+                    "max ms"], rows),
         ]
     else:
-        parts += ["", "no spans recorded "
+        parts += ["", "no layer table recorded "
                       "(trace_spans=False, or a campaign metrics dump)"]
     return "\n".join(parts)
 
@@ -220,7 +222,6 @@ def render_job_trace(directory: PathLike, jid: int) -> str:
     directory = Path(directory)
     dropped = int(load_meta(directory).get("provenance_dropped", 0) or 0)
     events = [e for e in load_events(directory) if e.get("jid") == jid]
-    spans = [s for s in load_spans(directory) if s.jid == jid]
 
     lines = [f"job {jid} lifecycle  ({directory})"]
     if dropped:
@@ -264,12 +265,6 @@ def render_job_trace(directory: PathLike, jid: int) -> str:
         derived.append(f"{n_oom} OOM restart(s)")
     if derived:
         lines.append("  -> " + "; ".join(derived))
-    if spans:
-        total = sum(s.wall_s for s in spans)
-        lines.append(
-            f"  spans touching this job: {len(spans)} "
-            f"({total * 1e3:.3f} ms wall)"
-        )
     return "\n".join(lines)
 
 

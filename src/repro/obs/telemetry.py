@@ -1,12 +1,11 @@
 """The telemetry facade wired into ``simulate(..., telemetry=...)``.
 
 One :class:`Telemetry` instance observes one simulation run: it owns the
-metrics registry (deterministic, simulated-time driven), the span tracer
-(wall-clock, diagnostics only), the phase accumulator that turns the
-per-job Monitor/Decider/Actuator timings into one aggregated span per
-controller tick, and the causal provenance record with its wait-time
-blame.  It knows how to export all of it to a directory that
-``repro trace`` can read back.
+metrics registry (deterministic, simulated-time driven), the wall-clock
+layer table (:class:`~repro.obs.layers.LayerTimer`, diagnostics only,
+attached around each engine run by the simulation handle), and the
+causal provenance record with its wait-time blame.  It knows how to
+export all of it to a directory that ``repro trace`` can read back.
 
 :data:`NULL_TELEMETRY` is the disabled singleton: every hook is a no-op
 and the controller/policies pay only an attribute lookup and a call, so
@@ -17,12 +16,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from time import perf_counter
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..core.state import ForkState
 from .blame import BlameAccumulator
 from .export import metrics_csv, metrics_jsonl, prometheus_text
+from .layers import LayerTimer
 from .provenance import (
     DEFAULT_MAX_PROV_ENTRIES,
     NULL_PROVENANCE,
@@ -30,7 +29,6 @@ from .provenance import (
     lifecycle_jsonl,
 )
 from .registry import MetricsRegistry
-from .tracing import SpanTracer
 
 __all__ = ["NULL_TELEMETRY", "NullTelemetry", "Telemetry"]
 
@@ -46,48 +44,11 @@ RESIZE_BUCKETS_MB = (256, 1024, 4096, 16384, 65536, 262144)
 DEFAULT_SAMPLE_INTERVAL = 300.0
 
 
-class _PhaseTimer:
-    """Accumulates one phase's wall time into the tick accumulator."""
-
-    __slots__ = ("acc", "name", "t0")
-
-    def __init__(self, acc: Dict[str, List[float]], name: str):
-        self.acc = acc
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        dt = perf_counter() - self.t0
-        row = self.acc.get(self.name)
-        if row is None:
-            self.acc[self.name] = [1, dt]
-        else:
-            row[0] += 1
-            row[1] += dt
-        return False
-
-
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
-
-
 class Telemetry:
     """Observability for one simulation run.
 
     A what-if fork rolls back the deterministic state (registry,
-    provenance, blame, metadata).  The span tracer is wall-clock
+    provenance, blame, metadata).  The layer table is wall-clock
     diagnostics: a fork keeps accumulating into it.
     """
 
@@ -95,7 +56,6 @@ class Telemetry:
 
     fork_state = ForkState(
         copies=("meta",),
-        nested=("_phase_acc",),
         objects=("registry", "provenance", "blame"),
         fixed=("sample_interval", "tracer"),
     )
@@ -113,7 +73,8 @@ class Telemetry:
             )
         self.sample_interval = sample_interval
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer() if trace_spans else None
+        #: wall-clock layer table, attached around each engine run
+        self.tracer = LayerTimer() if trace_spans else None
         #: causal event graph + wait-time blame (``repro explain``);
         #: ``provenance=False`` keeps the shared disabled singleton
         if provenance:
@@ -124,7 +85,6 @@ class Telemetry:
             self.blame = None
         #: run metadata stamped by ``simulate`` (policy, system, summary)
         self.meta: Dict[str, object] = {}
-        self._phase_acc: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     # Metric hooks (deterministic; simulated-time driven)
@@ -157,31 +117,6 @@ class Telemetry:
         reg.sample(now)
 
     # ------------------------------------------------------------------
-    # Span/phase hooks (wall clock; diagnostics only)
-    # ------------------------------------------------------------------
-    def span(self, name: str, sim_t: float, jid: Optional[int] = None,
-             detail: str = ""):
-        if self.tracer is None:
-            return _NULL_CONTEXT
-        return self.tracer.span(name, sim_t, jid, detail)
-
-    def phase(self, name: str):
-        """Accumulate one (per-job) phase timing into the current tick."""
-        if self.tracer is None:
-            return _NULL_CONTEXT
-        return _PhaseTimer(self._phase_acc, name)
-
-    def flush_phases(self, sim_t: float, prefix: str) -> None:
-        """Emit one aggregated span per accumulated phase and reset."""
-        if self.tracer is None or not self._phase_acc:
-            self._phase_acc.clear()
-            return
-        for name in sorted(self._phase_acc):
-            count, total = self._phase_acc[name]
-            self.tracer.add(f"{prefix}.{name}", sim_t, total, int(count))
-        self._phase_acc.clear()
-
-    # ------------------------------------------------------------------
     # Run lifecycle
     # ------------------------------------------------------------------
     def finish(self, result) -> None:
@@ -197,10 +132,10 @@ class Telemetry:
         """Write the run's telemetry into ``directory`` and return it.
 
         Files: ``metrics.jsonl`` / ``metrics.csv`` / ``metrics.prom``
-        (deterministic registry dumps), ``spans.jsonl`` (wall-clock
-        spans), ``provenance.jsonl`` / ``events.jsonl`` / ``blame.json``
-        (causal graph, its job-lifecycle view, wait-time attribution;
-        when provenance is enabled), ``meta.json``.
+        (deterministic registry dumps), ``spans.jsonl`` (the wall-clock
+        layer table), ``provenance.jsonl`` / ``events.jsonl`` /
+        ``blame.json`` (causal graph, its job-lifecycle view, wait-time
+        attribution; when provenance is enabled), ``meta.json``.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -241,7 +176,6 @@ class NullTelemetry(Telemetry):
 
     def __init__(self) -> None:
         super().__init__(trace_spans=False, provenance=False)
-        self.tracer = None
 
     def inc(self, name: str, n: int = 1) -> None:
         pass
@@ -253,15 +187,6 @@ class NullTelemetry(Telemetry):
         pass
 
     def sample_cluster(self, now: float, controller) -> None:
-        pass
-
-    def span(self, name, sim_t, jid=None, detail=""):
-        return _NULL_CONTEXT
-
-    def phase(self, name):
-        return _NULL_CONTEXT
-
-    def flush_phases(self, sim_t, prefix) -> None:
         pass
 
     def finish(self, result) -> None:

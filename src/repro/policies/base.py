@@ -47,8 +47,9 @@ class AllocationPolicy(ABC):
     uses_disaggregation: bool = False
     #: Whether the policy resizes allocations while jobs run.
     is_dynamic: bool = False
-    #: Telemetry sink for Monitor/Decider/Actuator phase timings; the
-    #: controller replaces this (per instance) when a run is observed.
+    #: Telemetry sink whose provenance log the dynamic Decider writes
+    #: to; the controller replaces this (per instance) when a run is
+    #: observed.
     obs = NULL_TELEMETRY
 
     #: the controller sets ``obs`` (per instance) while wiring the run

@@ -126,9 +126,10 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
 
         ``progress`` is the job's current work position and ``window`` the
         progress span until the next update; the enforced demand is the
-        maximum usage in that span (paper §2.3).  Each phase runs under
-        ``self.obs.phase(...)`` so an observed run gets per-phase wall
-        times; with telemetry disabled the wrappers are shared no-ops.
+        maximum usage in that span (paper §2.3).  The three phases are
+        the methods ``_monitor``, ``_decide`` and ``_actuate``, so an
+        observed run times each of them from outside
+        (:mod:`repro.obs.layers`).
 
         A reading equal to the one the allocation was last sized to
         (``alloc.sized_for_mb``) finds every node at its demand already,
@@ -152,12 +153,10 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         if (seen is not None and seen[0] == alloc.sized_for_mb
                 and seen[1] <= progress < seen[2] and seen[3] <= end < seen[4]):
             return out
-        with self.obs.phase("monitor"):
-            reference = self._monitor(job, progress, end)
+        reference = self._monitor(job, progress, end)
         if reference == alloc.sized_for_mb:
             return out
-        with self.obs.phase("decider"):
-            nodes, deltas = self._decide(job, alloc, reference)
+        nodes, deltas = self._decide(job, alloc, reference)
         prov = self.obs.provenance
         if len(deltas) and prov.enabled:
             # Decider verdict, parented on the job's last lifecycle event;
@@ -170,8 +169,7 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
                 grow_mb=int(deltas[deltas > 0].sum()),
                 shrink_mb=int(-deltas[deltas < 0].sum()),
             )
-        with self.obs.phase("actuator"):
-            self._actuate(jid, alloc, nodes, deltas, out)
+        self._actuate(jid, alloc, nodes, deltas, out)
         if not out.oom:
             out.resized = out.freed_mb > 0 or out.grown_mb > 0
             alloc.sized_for_mb = reference

@@ -20,7 +20,6 @@ from typing import Iterable
 
 from ..cluster.cluster import Cluster
 from ..jobs.job import Job
-from ..obs.profiling import perf_section
 
 
 def expected_finish(job: Job, now: float) -> float:
@@ -49,40 +48,39 @@ def shadow_time(
     treats the job as waiting for other state changes, e.g. dynamic-policy
     shrinkage).
     """
-    with perf_section("backfill.shadow_time"):
-        c = cluster
-        free_nodes = c.n_idle()
-        free_mem = c.free_local_total
-        # Idle nodes whose capacity class fits, for the baseline policy
-        # (O(1) from the cluster's per-class idle tallies).
-        fitting_idle = c.fitting_idle_count(blocked.mem_request_mb)
+    c = cluster
+    free_nodes = c.n_idle()
+    free_mem = c.free_local_total
+    # Idle nodes whose capacity class fits, for the baseline policy
+    # (O(1) from the cluster's per-class idle tallies).
+    fitting_idle = c.fitting_idle_count(blocked.mem_request_mb)
 
-        def feasible(nodes: int, mem: int, fitting: int) -> bool:
-            if disaggregated:
-                if nodes < blocked.n_nodes:
-                    return False
-                return mem >= blocked.n_nodes * blocked.mem_request_mb
-            return fitting >= blocked.n_nodes
+    def feasible(nodes: int, mem: int, fitting: int) -> bool:
+        if disaggregated:
+            if nodes < blocked.n_nodes:
+                return False
+            return mem >= blocked.n_nodes * blocked.mem_request_mb
+        return fitting >= blocked.n_nodes
 
-        if feasible(free_nodes, free_mem, fitting_idle):
-            return now
+    if feasible(free_nodes, free_mem, fitting_idle):
+        return now
 
-        order = sorted(running, key=lambda j: (expected_finish(j, now), j.jid))
-        nodes, mem, fitting = free_nodes, free_mem, fitting_idle
-        for job in order:
-            alloc = c.allocations.get(job.jid)
-            if alloc is None:
-                continue
-            nodes += len(alloc.nodes)
-            mem += alloc.total()
-            if not disaggregated:
-                fitting += int(
-                    (c.capacity_mb[alloc.nodes_array()]
-                     >= blocked.mem_request_mb).sum()
-                )
-            if feasible(nodes, mem, fitting):
-                return expected_finish(job, now)
-        return float("inf")
+    order = sorted(running, key=lambda j: (expected_finish(j, now), j.jid))
+    nodes, mem, fitting = free_nodes, free_mem, fitting_idle
+    for job in order:
+        alloc = c.allocations.get(job.jid)
+        if alloc is None:
+            continue
+        nodes += len(alloc.nodes)
+        mem += alloc.total()
+        if not disaggregated:
+            fitting += int(
+                (c.capacity_mb[alloc.nodes_array()]
+                 >= blocked.mem_request_mb).sum()
+            )
+        if feasible(nodes, mem, fitting):
+            return expected_finish(job, now)
+    return float("inf")
 
 
 def can_backfill(candidate: Job, now: float, shadow: float) -> bool:

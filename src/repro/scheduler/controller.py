@@ -98,8 +98,8 @@ class Controller:
         model.attach(cluster)
         self.config = config
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # The policy reports Monitor/Decider/Actuator phase timings to
-        # the same sink (instance attribute shadows the class default).
+        # The policy's Decider records provenance into the same sink
+        # (instance attribute shadows the class default).
         policy.obs = self.telemetry
         # Causal provenance + wait-time blame.  Everything below is
         # reached only behind `if prov.enabled:` guards, and the cluster
@@ -207,8 +207,7 @@ class Controller:
             prov.scope = prov.emit(
                 "sched_pass", parents=(), queue_depth=len(self.pending)
             )
-        with self.telemetry.span("controller.sched_pass", engine.now):
-            self._sched_pass(engine.now)
+        self._sched_pass(engine.now)
 
     def _on_finish(self, engine: Engine, ev: Event) -> None:
         job: Job = ev.payload
@@ -256,52 +255,49 @@ class Controller:
                 "mem_update", parents=(), running=len(self.running)
             )
         tick_scope = prov.scope
-        with tel.span("controller.mem_update", now):
-            affected: Set[int] = set()
-            freed = False
-            # Deterministic iteration order over running jobs.
-            for jid in sorted(self.running):
-                job = self.running.get(jid)
-                if job is None or job.state is not JobState.RUNNING:
-                    continue
-                if prov.enabled:
-                    # The policy scopes its events under its own "decide";
-                    # each job's loop turn restarts from the tick root.
-                    prov.scope = tick_scope
-                self._advance(job, now)
-                window = self.config.update_interval / max(job.slowdown, 1.0)
-                outcome = self.policy.update(job, job.work_done, window)
-                if outcome.oom:
-                    affected.update(self._kill(job, now))
-                    freed = True
-                    continue
-                if outcome.resized:
-                    tel.inc("resizes")
-                    if outcome.freed_mb > 0:
-                        tel.inc("resize_freed_mb", outcome.freed_mb)
-                        tel.observe_resize(outcome.freed_mb)
-                    if outcome.grown_mb > 0:
-                        tel.inc("resize_grown_mb", outcome.grown_mb)
-                        tel.observe_resize(outcome.grown_mb)
-                    if prov.enabled:
-                        prov.emit(
-                            "resize", jid=job.jid,
-                            freed_mb=outcome.freed_mb,
-                            grown_mb=outcome.grown_mb,
-                        )
-                if outcome.touched_nodes:
-                    affected.update(
-                        self.model.affected_jobs(self.cluster, outcome.touched_nodes)
-                    )
-                if outcome.freed_mb > 0:
-                    freed = True
-            # Executor: push the decided changes back into the engine by
-            # repricing affected finish events (paper Fig. 1a).
+        affected: Set[int] = set()
+        freed = False
+        # Deterministic iteration order over running jobs.
+        for jid in sorted(self.running):
+            job = self.running.get(jid)
+            if job is None or job.state is not JobState.RUNNING:
+                continue
             if prov.enabled:
+                # The policy scopes its events under its own "decide";
+                # each job's loop turn restarts from the tick root.
                 prov.scope = tick_scope
-            with tel.phase("executor"):
-                self._reprice(affected, now)
-        tel.flush_phases(now, "policy")
+            self._advance(job, now)
+            window = self.config.update_interval / max(job.slowdown, 1.0)
+            outcome = self.policy.update(job, job.work_done, window)
+            if outcome.oom:
+                affected.update(self._kill(job, now))
+                freed = True
+                continue
+            if outcome.resized:
+                tel.inc("resizes")
+                if outcome.freed_mb > 0:
+                    tel.inc("resize_freed_mb", outcome.freed_mb)
+                    tel.observe_resize(outcome.freed_mb)
+                if outcome.grown_mb > 0:
+                    tel.inc("resize_grown_mb", outcome.grown_mb)
+                    tel.observe_resize(outcome.grown_mb)
+                if prov.enabled:
+                    prov.emit(
+                        "resize", jid=job.jid,
+                        freed_mb=outcome.freed_mb,
+                        grown_mb=outcome.grown_mb,
+                    )
+            if outcome.touched_nodes:
+                affected.update(
+                    self.model.affected_jobs(self.cluster, outcome.touched_nodes)
+                )
+            if outcome.freed_mb > 0:
+                freed = True
+        # Executor: push the decided changes back into the engine by
+        # repricing affected finish events (paper Fig. 1a).
+        if prov.enabled:
+            prov.scope = tick_scope
+        self._reprice(affected, now)
         if freed:
             self._dirty = True
             self._request_sched(now)
@@ -367,15 +363,13 @@ class Controller:
                     # blocked head-of-queue job.
                     break
                 blocked = job
-                with self.telemetry.span("controller.backfill_shadow", now,
-                                         jid=job.jid):
-                    shadow = shadow_time(
-                        job,
-                        self.cluster,
-                        self.running.values(),
-                        now,
-                        self.policy.uses_disaggregation,
-                    )
+                shadow = shadow_time(
+                    job,
+                    self.cluster,
+                    self.running.values(),
+                    now,
+                    self.policy.uses_disaggregation,
+                )
                 if self.prov.enabled:
                     self.prov.emit(
                         "backfill_shadow", jid=job.jid,

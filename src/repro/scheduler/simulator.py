@@ -26,7 +26,6 @@ from ..core.state import ForkState
 from ..core.errors import SimulationError
 from ..jobs.job import Job
 from ..metrics.records import SimulationResult
-from ..obs.profiling import perf_section
 from ..obs.telemetry import Telemetry
 from ..policies import make_policy
 from ..policies.base import AllocationPolicy
@@ -77,9 +76,16 @@ class SimulationHandle:
         ``until`` (or earlier if the queue drained).  Returns the
         engine clock.
         """
-        return self.engine.run(
-            until=until, max_events=self.max_events, inclusive=inclusive
-        )
+        return self._run(until=until, inclusive=inclusive)
+
+    def _run(self, **kw) -> float:
+        """One engine run, timed layer by layer when the telemetry traces
+        (the one place a :class:`~repro.obs.layers.LayerTimer` attaches)."""
+        tracer = self.telemetry.tracer if self.telemetry is not None else None
+        if tracer is None:
+            return self.engine.run(max_events=self.max_events, **kw)
+        with tracer.attached(self.engine):
+            return self.engine.run(max_events=self.max_events, **kw)
 
     def finish(self) -> SimulationResult:
         """Drain the engine and close the books.
@@ -90,8 +96,7 @@ class SimulationHandle:
         straight ``simulate`` call.  May be called again after a
         what-if rollback re-ran the suffix.
         """
-        with perf_section("simulate.engine_run"):
-            self.engine.run(max_events=self.max_events)
+        self._run()
         controller = self.controller
         if controller.running or controller.pending:
             raise SimulationError(
@@ -202,12 +207,12 @@ def simulate(
     telemetry:
         A :class:`repro.obs.Telemetry` instance to observe the run —
         metric counters/gauges sampled on its simulated-time cadence and
-        control-loop spans.  When the telemetry carries provenance (the
-        default), the run also records the causal event graph, whose
-        job-lifecycle view is the run's event log
-        (:func:`repro.obs.provenance.lifecycle_rows`), and per-job wait
-        blame (``result.meta["blame"]``, ``repro explain``).  ``None``
-        (default) keeps every hook a no-op.
+        a wall-clock table of the simulator's layers.  When the
+        telemetry carries provenance (the default), the run also records
+        the causal event graph, whose job-lifecycle view is the run's
+        event log (:func:`repro.obs.provenance.lifecycle_rows`), and
+        per-job wait blame (``result.meta["blame"]``, ``repro
+        explain``).  ``None`` (default) keeps every hook a no-op.
     """
     handle = build_simulation(
         jobs, config, policy=policy, profiles=profiles, model=model,

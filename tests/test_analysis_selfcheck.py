@@ -56,7 +56,7 @@ def test_analysis_subpackage_is_deep_lint_clean():
 
 
 def test_obs_subpackage_is_lint_clean():
-    # The telemetry layer's wall-clock use (spans, profiling) must stay
+    # The telemetry layer's wall-clock use (the layer table) must stay
     # outside the determinism-scoped dirs; linting it directly keeps the
     # subpackage covered even if the tree-wide path set changes.
     findings = lint_paths([str(PACKAGE_DIR / "obs")])

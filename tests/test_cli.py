@@ -221,7 +221,7 @@ def test_simulate_telemetry_and_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "counters" in out
     assert "jobs_finished" in out
-    assert "slowest phases" in out
+    assert "slowest layers" in out
 
     rc = main(["trace", str(tel_dir), "--job", "0"])
     assert rc == 0

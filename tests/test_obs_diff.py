@@ -39,8 +39,8 @@ def test_identical_seed_runs_diff_clean(twin_runs):
 
 
 def test_wall_clock_streams_are_excluded(twin_runs):
-    # spans.jsonl and meta.json legitimately differ between runs; the
-    # bisection must never look at them.
+    # spans.jsonl (the wall-clock layer table) and meta.json legitimately
+    # differ between runs; the bisection must never look at them.
     assert "spans.jsonl" not in DIFF_FILES
     assert "meta.json" not in DIFF_FILES
 

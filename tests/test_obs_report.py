@@ -6,8 +6,8 @@ from repro.core.config import SystemConfig
 from repro.obs.export import metrics_jsonl
 from repro.obs.report import (
     load_events,
+    load_layers,
     load_metrics_records,
-    load_spans,
     render_job_trace,
     render_trace_summary,
     samples_by_name,
@@ -33,7 +33,7 @@ def test_summary_has_all_sections(telemetry_dir):
     assert "histograms" in text
     assert "job_wait_s" in text
     assert "event log:" in text
-    assert "slowest phases" in text
+    assert "slowest layers" in text
     assert "policy.monitor" in text
     assert "(policy: dynamic)" in text
 
@@ -41,8 +41,8 @@ def test_summary_has_all_sections(telemetry_dir):
 def test_summary_top_limits_phase_rows(telemetry_dir):
     text = render_trace_summary(telemetry_dir, top=1)
     assert "top 1 of" in text
-    # Exactly one data row under the phase table header.
-    tail = text.split("slowest phases")[1].splitlines()
+    # Exactly one data row under the layer table header.
+    tail = text.split("slowest layers")[1].splitlines()
     data_rows = [ln for ln in tail if ln.strip() and "  " in ln][2:]
     assert len(data_rows) == 1
 
@@ -64,7 +64,8 @@ def test_job_trace_unknown_jid(telemetry_dir):
 
 
 def test_metrics_only_directory_tolerated(tmp_path):
-    # A merged campaign directory has metrics files but no spans/events.
+    # A merged campaign directory has metrics files but no layer table
+    # or events.
     tel_dir = tmp_path / "merged"
     tel_dir.mkdir()
     tel = Telemetry()
@@ -72,7 +73,7 @@ def test_metrics_only_directory_tolerated(tmp_path):
     (tel_dir / "metrics.jsonl").write_text(metrics_jsonl(tel.registry))
     text = render_trace_summary(tel_dir)
     assert "jobs_finished" in text
-    assert "no spans recorded" in text
+    assert "no layer table recorded" in text
     job = render_job_trace(tel_dir, 0)
     assert "no events.jsonl" in job
 
@@ -86,7 +87,9 @@ def test_samples_by_name_groups_series(telemetry_dir):
 
 
 def test_spans_round_trip(telemetry_dir):
-    spans = load_spans(telemetry_dir)
-    assert spans
-    assert all(s.wall_s >= 0 for s in spans)
-    assert any(s.name == "controller.mem_update" for s in spans)
+    rows = load_layers(telemetry_dir)
+    assert rows
+    assert all(set(row) == {"name", "calls", "total_s", "self_s", "max_s"}
+               for row in rows)
+    assert all(0.0 <= row["self_s"] <= row["total_s"] for row in rows)
+    assert any(row["name"] == "scheduler.on_mem_update" for row in rows)

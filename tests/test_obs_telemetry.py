@@ -118,18 +118,3 @@ def test_sample_interval_validated():
     with pytest.raises(ValueError):
         Telemetry(sample_interval=-1.0)
 
-
-def test_phase_accumulator_aggregates_per_tick():
-    tel = Telemetry()
-    for _ in range(3):
-        with tel.phase("monitor"):
-            pass
-    with tel.phase("decider"):
-        pass
-    tel.flush_phases(600.0, "policy")
-    names = [(s.name, s.count, s.sim_t) for s in tel.tracer.spans]
-    assert names == [("policy.decider", 1, 600.0),
-                     ("policy.monitor", 3, 600.0)]
-    # Accumulator resets after the flush.
-    tel.flush_phases(900.0, "policy")
-    assert len(tel.tracer.spans) == 2
