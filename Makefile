@@ -4,11 +4,12 @@
 #   make lint-deep — whole-program pass only (call graph + dataflow rules)
 #   make test      — tier-1 test suite (includes the lint self-check)
 #   make check     — both
+#   make loc       — src/repro line count per package and in total
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-deep lint-json lint-sarif test check \
+.PHONY: lint lint-deep lint-json lint-sarif test check loc \
 	bench-parallel bench-obs obs-smoke bench-sim bench-sim-16k bench-lint \
 	bench-whatif bench-check
 
@@ -37,6 +38,18 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 check: lint test
+
+# Lines of *.py under src/repro, per package (subpackages included) and
+# in total: the net src/ line count that ROADMAP.md tracks.
+loc:
+	@for init in src/repro/*/__init__.py; do \
+		pkg=$${init%/__init__.py}; \
+		printf '%-14s %6d\n' "$${pkg#src/repro/}/" \
+			"$$(find $$pkg -name '*.py' -exec cat {} + | wc -l)"; \
+	done
+	@printf '%-14s %6d\n' "(top level)" "$$(cat src/repro/*.py | wc -l)"
+	@printf '%-14s %6d\n' "total" \
+		"$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
 
 # Serial-vs-parallel campaign timing; writes benchmarks/output/BENCH_parallel.json
 bench-parallel:

@@ -38,8 +38,7 @@ so no mutator keeps a change log for them.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -64,7 +63,7 @@ class Cluster:
         values=(
             "busy_count", "busy_large_count", "local_used_total",
             "lent_total", "memory_node_count", "startable_count",
-            "_total_capacity", "_deferred_demand",
+            "_total_capacity",
         ),
         nested=("lender_jobs",),
         object_maps=("allocations",),
@@ -139,11 +138,6 @@ class Cluster:
         #: whenever the borrow layout or total allocation of a job changes
         #: (``lenders`` = the job's lender nodes whose demand may change)
         self._demand_listeners: List[Callable[["Cluster", Sequence[int]], None]] = []
-        # Coalesced-notification state (see :meth:`defer_demand`):
-        # explicit dirty lenders + dirty allocations expanded at flush.
-        self._deferred_demand: Optional[
-            Tuple[set, Dict[int, JobAllocation]]
-        ] = None
         #: provenance tap, called as ``tap(kind, jid, alloc)`` after a
         #: whole-allocation mutation commits (None = disabled, free)
         self._prov_tap: Optional[Callable[[str, int, JobAllocation], None]] = None
@@ -310,10 +304,10 @@ class Cluster:
     ) -> None:
         """Install ``tap(kind, jid, alloc)`` on apply/release commits.
 
-        The incremental mutators (grow/shrink/add/remove) already reach
-        observers through the demand listener pub/sub; the tap covers the
-        whole-allocation seams those notifications cannot attribute to a
-        single job.  ``None`` (the default) keeps the mutators tap-free.
+        A :meth:`resize` already reaches observers through the demand
+        listener pub/sub; the tap covers the whole-allocation seams
+        those notifications cannot attribute to a single job.  ``None``
+        (the default) keeps the mutators tap-free.
         """
         self._prov_tap = tap
 
@@ -326,59 +320,24 @@ class Cluster:
     def _notify_demand(self, lenders: Sequence[int]) -> None:
         if not lenders or not self._demand_listeners:
             return
-        if self._deferred_demand is not None:
-            self._deferred_demand[0].update(lenders)
-            return
         for listener in self._demand_listeners:
             listener(self, lenders)
 
     def _notify_job_demand(
-        self, jid: int, alloc: JobAllocation, extra: Sequence[int] = ()
+        self, alloc: JobAllocation, extra: Iterable[int] = ()
     ) -> None:
         """All of ``alloc``'s lenders (plus ``extra``) may change demand.
 
         A job's ``remote_fraction`` depends on its *total* allocation, so
-        any resize dirties every one of its lenders.  Inside a
-        :meth:`defer_demand` window the allocation itself is recorded and
-        expanded once at flush — turning the per-node O(lenders)
-        notifications of a multi-node resize into a single O(lenders)
-        pass per job.
+        any resize dirties every one of its lenders.  Listeners get one
+        sorted, de-duplicated lender list per call — for a
+        :meth:`resize`, one notification however many nodes it touched.
         """
         if not self._demand_listeners:
             return
-        deferred = self._deferred_demand
-        if deferred is not None:
-            deferred[0].update(extra)
-            deferred[1][jid] = alloc
-            return
-        dirty = list(alloc.lender_ids())
-        dirty.extend(extra)
-        self._notify_demand(dirty)
-
-    @contextmanager
-    def defer_demand(self):
-        """Coalesce demand notifications until the ``with`` block exits.
-
-        Within the window, dirtied lenders and resized allocations are
-        collected instead of notifying listeners per mutation; one
-        deduplicated, sorted notification fires at exit.  Reentrant: an
-        inner window defers to the outermost flush.  Callers must not
-        read listener-maintained state (e.g. the contention model's
-        ``lender_demand``) inside the window — it may be stale until the
-        flush.
-        """
-        if self._deferred_demand is not None or not self._demand_listeners:
-            yield
-            return
-        self._deferred_demand = (set(), {})
-        try:
-            yield
-        finally:
-            lenders, allocs = self._deferred_demand
-            self._deferred_demand = None
-            for alloc in allocs.values():
-                lenders.update(alloc.lender_ids())
-            self._notify_demand(sorted(lenders))
+        dirty = set(alloc.lender_ids())
+        dirty.update(extra)
+        self._notify_demand(sorted(dirty))
 
     # ------------------------------------------------------------------
     # Incremental ledger maintenance (every mutation funnels through here)
@@ -583,7 +542,7 @@ class Cluster:
         # The job's total allocation changed, so its remote fraction —
         # and with it the demand it places on every one of its lenders —
         # changed too.
-        self._notify_job_demand(jid, alloc)
+        self._notify_job_demand(alloc)
 
     def shrink_local(self, jid: int, node: int, mb: int,
         alloc: Optional[JobAllocation] = None) -> None:
@@ -598,7 +557,7 @@ class Cluster:
         self._touch_local(node, -mb)
         alloc.local_mb[node] = have - mb
         alloc._bump_local(-mb)
-        self._notify_job_demand(jid, alloc)
+        self._notify_job_demand(alloc)
 
     def resize(self, jid: int, nodes: Sequence[int], deltas: Sequence[int],
                borrows: Sequence[Tuple[int, int, int]] = (),
@@ -610,10 +569,10 @@ class Cluster:
         ordered list of ``(node, lender, mb)`` borrow changes: ``mb > 0``
         borrows from ``lender`` on behalf of compute node ``node``,
         ``mb < 0`` returns.  The result — ledgers, aggregates, allocation
-        maps with their insertion orders, ``lender_jobs`` and the
-        coalesced demand set — is that of :meth:`grow_local` /
-        :meth:`shrink_local` per local delta and :meth:`add_remote` /
-        :meth:`remove_remote` per borrow step, in order.
+        maps with their insertion orders and ``lender_jobs`` — is that of
+        :meth:`grow_local` / :meth:`shrink_local` per local delta and
+        :meth:`add_remote` / :meth:`remove_remote` per borrow step, in
+        order; its one demand notification is the sorted union of theirs.
 
         The net effect is validated before anything is written: every
         node is a compute node of the job and every delta non-zero, no
@@ -660,7 +619,7 @@ class Cluster:
         lent: Dict[int, int] = {}
         held: Dict[int, int] = {}
         pairs: Dict[Tuple[int, int], int] = {}
-        returned: Dict[int, None] = {}
+        returned: Set[int] = set()
         remote = alloc.remote_mb
         for node, lender, mb in borrows:
             pair = (node, lender)
@@ -677,7 +636,7 @@ class Cluster:
             lent[lender] = lent.get(lender, 0) + mb
             held[node] = held.get(node, 0) + mb
             if mb < 0:
-                returned[lender] = None
+                returned.add(lender)
         if lent:
             taken = dict(zip(node_list, delta_list))
             for lender, mb in lent.items():
@@ -728,7 +687,7 @@ class Cluster:
                         del remote[node]
                 alloc._bump_remote(node, lender, mb)
         # Returned lenders may have left the job's lender set.
-        self._notify_job_demand(jid, alloc, extra=list(returned))
+        self._notify_job_demand(alloc, extra=returned)
 
     def add_remote(self, jid: int, node: int, lender: int, mb: int,
         alloc: Optional[JobAllocation] = None) -> None:
@@ -750,7 +709,7 @@ class Cluster:
         node_map = alloc.remote_mb.setdefault(node, {})
         node_map[lender] = node_map.get(lender, 0) + mb
         alloc._bump_remote(node, lender, mb)
-        self._notify_job_demand(jid, alloc)
+        self._notify_job_demand(alloc)
 
     def remove_remote(self, jid: int, node: int, lender: int, mb: int,
         alloc: Optional[JobAllocation] = None) -> None:
@@ -779,7 +738,7 @@ class Cluster:
         alloc._bump_remote(node, lender, -mb)
         # ``lender`` may no longer appear in the job's lender set; include
         # it explicitly so its demand entry is invalidated.
-        self._notify_job_demand(jid, alloc, extra=(lender,))
+        self._notify_job_demand(alloc, extra=(lender,))
 
     def _alloc_of(self, jid: int, node: int) -> JobAllocation:
         alloc = self.allocations.get(jid)

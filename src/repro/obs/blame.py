@@ -21,8 +21,9 @@ job's previous attribution to that cause:
 The components of one job sum to its total queued time (its *wait* for
 never-restarted jobs; across all requeue episodes for OOM-restarted
 ones) — property-tested in ``tests/test_obs_blame.py``.  The decomposed
-slowdown counterpart lives in
-:meth:`repro.slowdown.model.ContentionModel.slowdown_breakdown`.
+slowdown counterpart is the breakdown that
+:meth:`repro.slowdown.model.ContentionModel.slowdown` fills in when
+asked for it.
 """
 
 from __future__ import annotations

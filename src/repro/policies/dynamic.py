@@ -255,77 +255,71 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         planned is an OOM: what was planned up to it, that node's local
         take included, is committed, as a node-by-node Actuator would
         have left it.
-
-        The whole window runs under ``defer_demand`` so the resize's
-        demand notification joins one flush — the contention model
-        reprices after the update returns, so nothing reads lender
-        demand mid-window.
         """
         if not len(deltas):
             return
         c = self.cluster
         grow = deltas > 0
-        with c.defer_demand():
-            if np.where(grow, deltas <= c.free_local()[nodes],
-                        c.remote_held_mb[nodes] == 0).all():
-                c.resize(jid, nodes, deltas, alloc=alloc)
-                out.grown_mb += int(deltas[grow].sum())
-                out.freed_mb -= int(deltas[~grow].sum())
-                out.touched_nodes.extend(nodes.tolist())
-                return
-            free = c.free_local().copy()
-            free_total = c.free_local_total
-            local_nodes, local_deltas = [], []
-            borrows = []
-            touched = out.touched_nodes
-            for node, delta in zip(nodes.tolist(), deltas.tolist()):
-                if delta < 0:
-                    excess = -delta
-                    remote_map = alloc.remote_mb.get(node)
-                    if remote_map:
-                        # Most-loaded lenders first (ties in map order),
-                        # so memory nodes recover their ability to start
-                        # jobs sooner.
-                        for lender in sorted(remote_map, reverse=True,
-                                             key=remote_map.__getitem__):
-                            if excess <= 0:
-                                break
-                            give = min(remote_map[lender], excess)
-                            borrows.append((node, lender, -give))
-                            free[lender] += give
-                            free_total += give
-                            out.freed_mb += give
-                            touched.append(lender)
-                            excess -= give
-                    give = min(alloc.local_mb.get(node, 0), excess)
-                    if give > 0:
-                        local_nodes.append(node)
-                        local_deltas.append(-give)
-                        free[node] += give
+        if np.where(grow, deltas <= c.free_local()[nodes],
+                    c.remote_held_mb[nodes] == 0).all():
+            c.resize(jid, nodes, deltas, alloc=alloc)
+            out.grown_mb += int(deltas[grow].sum())
+            out.freed_mb -= int(deltas[~grow].sum())
+            out.touched_nodes.extend(nodes.tolist())
+            return
+        free = c.free_local().copy()
+        free_total = c.free_local_total
+        local_nodes, local_deltas = [], []
+        borrows = []
+        touched = out.touched_nodes
+        for node, delta in zip(nodes.tolist(), deltas.tolist()):
+            if delta < 0:
+                excess = -delta
+                remote_map = alloc.remote_mb.get(node)
+                if remote_map:
+                    # Most-loaded lenders first (ties in map order),
+                    # so memory nodes recover their ability to start
+                    # jobs sooner.
+                    for lender in sorted(remote_map, reverse=True,
+                                         key=remote_map.__getitem__):
+                        if excess <= 0:
+                            break
+                        give = min(remote_map[lender], excess)
+                        borrows.append((node, lender, -give))
+                        free[lender] += give
                         free_total += give
                         out.freed_mb += give
-                        touched.append(node)
-                    continue
-                take = min(int(free[node]), delta)
-                if take > 0:
+                        touched.append(lender)
+                        excess -= give
+                give = min(alloc.local_mb.get(node, 0), excess)
+                if give > 0:
                     local_nodes.append(node)
-                    local_deltas.append(take)
-                    free[node] -= take
-                    free_total -= take
-                    out.grown_mb += take
+                    local_deltas.append(-give)
+                    free[node] += give
+                    free_total += give
+                    out.freed_mb += give
                     touched.append(node)
-                deficit = delta - take
-                if not deficit:
-                    continue
-                # Any node but this one may lend — including the job's own.
-                plan = self.pool.plan_borrow(deficit, exclude=[node], near=node,
-                                             free=free, free_total=free_total)
-                if plan is None:
-                    out.oom = True
-                    break
-                free_total -= deficit
-                for lender, mb in plan:
-                    borrows.append((node, lender, mb))
-                    out.grown_mb += mb
-                    touched.append(lender)
-            c.resize(jid, local_nodes, local_deltas, borrows, alloc=alloc)
+                continue
+            take = min(int(free[node]), delta)
+            if take > 0:
+                local_nodes.append(node)
+                local_deltas.append(take)
+                free[node] -= take
+                free_total -= take
+                out.grown_mb += take
+                touched.append(node)
+            deficit = delta - take
+            if not deficit:
+                continue
+            # Any node but this one may lend — including the job's own.
+            plan = self.pool.plan_borrow(deficit, exclude=[node], near=node,
+                                         free=free, free_total=free_total)
+            if plan is None:
+                out.oom = True
+                break
+            free_total -= deficit
+            for lender, mb in plan:
+                borrows.append((node, lender, mb))
+                out.grown_mb += mb
+                touched.append(lender)
+        c.resize(jid, local_nodes, local_deltas, borrows, alloc=alloc)

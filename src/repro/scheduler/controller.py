@@ -345,8 +345,7 @@ class Controller:
         blocked: Optional[Job] = None
         shadow = float("inf")
         backfill_seen = 0
-        # Blame-enabled passes classify every planning failure; the
-        # disabled path keeps the bare `_try_plan` hot loop.
+        # Blame-enabled passes classify every planning failure.
         reasons: Optional[Dict[int, str]] = (
             {} if self.blame is not None else None
         )
@@ -388,59 +387,41 @@ class Controller:
         if reasons is not None:
             self._attribute_wait(now, reasons)
 
-    def _try_plan(self, job: Job) -> Optional[JobAllocation]:
-        """Cheap feasibility pre-checks, then the policy's planner."""
-        c = self.cluster
-        if self.policy.uses_disaggregation:
-            if c.startable_count < job.n_nodes:
-                return None
-            if job.n_nodes * job.mem_request_mb > c.free_local_total:
-                return None
-        else:
-            if c.fitting_idle_count(job.mem_request_mb) < job.n_nodes:
-                return None
-        return self.policy.plan(job)
-
     def _plan_for(
         self, job: Job, reasons: Optional[Dict[int, str]]
     ) -> Optional[JobAllocation]:
-        if reasons is None:
-            return self._try_plan(job)
-        return self._plan_or_reason(job, reasons)
+        """Cheap feasibility pre-checks, then the policy's planner.
 
-    def _plan_or_reason(
-        self, job: Job, reasons: Dict[int, str]
-    ) -> Optional[JobAllocation]:
-        """:meth:`_try_plan` plus a wait-blame class on failure.
-
-        Mirrors the pre-checks exactly, mapping each to its cause:
-        startable/idle shortfalls split into head-of-line blocking vs
-        the memory-node rule, the local-DRAM totals check is a local
-        shortfall, and a planner failure past the pre-checks means the
-        pool could not assemble the lender set (disaggregated) or no
-        fitting node combination existed (baseline).
+        With ``reasons`` (blame on), a failure also records its
+        wait-blame class: a startable (disaggregated) or fitting-idle
+        (baseline) shortfall is head-of-line blocking when too few nodes
+        are idle, else the memory-node rule or a local shortfall; the
+        local-DRAM totals check is a local shortfall; and a planner
+        failure past the pre-checks means the pool could not assemble
+        the lender set (disaggregated) or no fitting node combination
+        existed (baseline).
         """
         c = self.cluster
-        if self.policy.uses_disaggregation:
-            if c.startable_count < job.n_nodes:
-                reasons[job.jid] = (
-                    WAIT_MEMNODE if c.n_idle() >= job.n_nodes else WAIT_HOL
-                )
-                return None
-            if job.n_nodes * job.mem_request_mb > c.free_local_total:
-                reasons[job.jid] = WAIT_LOCAL
+        n = job.n_nodes
+        disagg = self.policy.uses_disaggregation
+        if disagg:
+            short = c.startable_count < n
+            if not short and n * job.mem_request_mb > c.free_local_total:
+                if reasons is not None:
+                    reasons[job.jid] = WAIT_LOCAL
                 return None
         else:
-            if c.fitting_idle_count(job.mem_request_mb) < job.n_nodes:
+            short = c.fitting_idle_count(job.mem_request_mb) < n
+        if short:
+            if reasons is not None:
                 reasons[job.jid] = (
-                    WAIT_LOCAL if c.n_idle() >= job.n_nodes else WAIT_HOL
+                    WAIT_HOL if c.n_idle() < n
+                    else WAIT_MEMNODE if disagg else WAIT_LOCAL
                 )
-                return None
+            return None
         alloc = self.policy.plan(job)
-        if alloc is None:
-            reasons[job.jid] = (
-                WAIT_LENDER if self.policy.uses_disaggregation else WAIT_LOCAL
-            )
+        if alloc is None and reasons is not None:
+            reasons[job.jid] = WAIT_LENDER if disagg else WAIT_LOCAL
         return alloc
 
     def _attribute_wait(self, now: float, reasons: Dict[int, str]) -> None:
@@ -477,10 +458,11 @@ class Controller:
             job.first_start_time = now
         job.last_progress_time = now
         self.running[job.jid] = job
-        job.slowdown = self.model.slowdown(job, self.cluster, self.jobs)
+        prov = self.prov
+        bd = {} if prov.enabled else None
+        job.slowdown = self.model.slowdown(job, self.cluster, self.jobs, bd)
         self.telemetry.inc("jobs_started")
         self.telemetry.observe_time("job_wait_s", now - job.submit_time)
-        prov = self.prov
         if prov.enabled:
             start_eid = prov.emit(
                 "start", jid=job.jid,
@@ -490,8 +472,7 @@ class Controller:
                 slowdown=job.slowdown,
                 wait_s=now - job.submit_time,
             )
-            bd = self.model.slowdown_breakdown(job, self.cluster, self.jobs)
-            if bd is not None and bd["rf"] > 0.0:
+            if bd and bd["rf"] > 0.0:
                 prov.emit("slowdown", jid=job.jid, parents=(start_eid,), **bd)
         self._schedule_finish(job, now)
         if self.config.enforce_walltime:
@@ -594,21 +575,20 @@ class Controller:
         )
 
     def _reprice(self, jids: Iterable[int], now: float) -> None:
-        cache: Dict[int, float] = {}
+        """Price each job once; under provenance the same walk yields
+        the breakdown, emitted for the jobs whose slowdown changed."""
         prov = self.prov
         for jid in sorted(set(jids)):
             job = self.running.get(jid)
             if job is None or job.state is not JobState.RUNNING:
                 continue
             self._advance(job, now)
-            new_s = self.model.slowdown(job, self.cluster, self.jobs, cache)
+            bd = {} if prov.enabled else None
+            new_s = self.model.slowdown(job, self.cluster, self.jobs, bd)
             if abs(new_s - job.slowdown) > _REPRICE_EPS:
                 if prov.enabled:
                     data = {"old": job.slowdown, "new": new_s}
-                    bd = self.model.slowdown_breakdown(
-                        job, self.cluster, self.jobs
-                    )
-                    if bd is not None:
+                    if bd:
                         data["lenders"] = bd["lenders"]
                         data["contention"] = bd["contention"]
                         data["base_remote"] = bd["base_remote"]

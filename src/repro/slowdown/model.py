@@ -177,103 +177,75 @@ class ContentionModel:
             demand += self.remote_bw_demand(job, alloc) * (mb / total_remote)
         return demand
 
-    def oversubscription(
-        self, cluster: Cluster, jobs: Dict[int, Job], lender: int
-    ) -> float:
-        """How far beyond its link bandwidth a lender is driven (>= 0)."""
-        demand = self.lender_demand(cluster, jobs, lender)
-        return max(demand / self.node_bw_gbps - 1.0, 0.0)
-
     # ------------------------------------------------------------------
     def slowdown(
         self,
         job: Job,
         cluster: Cluster,
         jobs: Dict[int, Job],
-        osub_cache: Optional[Dict[int, float]] = None,
+        breakdown: Optional[Dict[str, object]] = None,
     ) -> float:
         """Current slowdown factor (>= 1) for a running job.
 
-        ``osub_cache`` memoises per-lender oversubscription within one
-        repricing batch (many borrowers share lenders).
+        One walk over the job's lenders reads each lender's demand once.
+        When ``breakdown`` is given, the same walk fills it with the
+        decomposition ``slowdown - 1 = base_remote + Σ lender
+        contributions`` (before the ``MAX_SLOWDOWN`` cap):
+        ``base_remote = rs·rf·d`` is the remote-placement term, and each
+        lender adds ``base_remote · cs · (mb/total_mb) · oversubscription``
+        — its MB-weighted share of the contention term.  ``breakdown``
+        stays empty when the job has no allocation.
         """
         alloc = cluster.allocations.get(job.jid)
         if alloc is None:
             return 1.0
         rf = alloc.remote_fraction()
         if rf <= 0.0:
+            if breakdown is not None:
+                breakdown.update(slowdown=1.0, rf=0.0, base_remote=0.0,
+                                 contention=0.0, lenders=[])
             return 1.0
         prof = self.profiles[job.profile]
-        # MB-weighted mean oversubscription over this job's lenders.
+        # MB-weighted mean oversubscription over this job's lenders: how
+        # far beyond its link bandwidth each lender is driven (>= 0).
+        bw = self.node_bw_gbps
+        shares = [] if breakdown is not None else None
         total_mb = 0
         weighted = 0.0
         for lender, mb in alloc.lenders():
-            if osub_cache is not None and lender in osub_cache:
-                osub = osub_cache[lender]
-            else:
-                osub = self.oversubscription(cluster, jobs, lender)
-                if osub_cache is not None:
-                    osub_cache[lender] = osub
+            osub = max(self.lender_demand(cluster, jobs, lender) / bw - 1.0, 0.0)
+            if shares is not None:
+                shares.append((int(lender), int(mb), osub))
             weighted += mb * osub
             total_mb += mb
         contention = weighted / total_mb if total_mb else 0.0
-        s = 1.0 + prof.remote_sensitivity * rf * (
-            1.0 + prof.contention_sensitivity * contention
-        ) * self._distance_factor(cluster, alloc)
-        return min(s, MAX_SLOWDOWN)
-
-    # ------------------------------------------------------------------
-    def slowdown_breakdown(
-        self, job: Job, cluster: Cluster, jobs: Dict[int, Job]
-    ) -> Optional[Dict[str, object]]:
-        """Decompose the current slowdown into per-lender contributions.
-
-        ``slowdown - 1 = base_remote + Σ lender contributions`` (before
-        the ``MAX_SLOWDOWN`` cap): ``base_remote = rs·rf·d`` is the
-        remote-placement term, and each lender adds
-        ``base_remote · cs · (mb/total_mb) · oversubscription`` — its
-        MB-weighted share of the contention term.  Returns ``None``
-        when the job has no allocation (or the model prices nothing).
-        """
-        alloc = cluster.allocations.get(job.jid)
-        if alloc is None:
-            return None
-        rf = alloc.remote_fraction()
-        if rf <= 0.0:
-            return {"slowdown": 1.0, "rf": 0.0, "base_remote": 0.0,
-                    "contention": 0.0, "lenders": []}
-        prof = self.profiles[job.profile]
-        d = self._distance_factor(cluster, alloc)
-        shares = []
-        total_mb = 0
-        weighted = 0.0
-        for lender, mb in alloc.lenders():
-            osub = self.oversubscription(cluster, jobs, lender)
-            shares.append((int(lender), int(mb), osub))
-            weighted += mb * osub
-            total_mb += mb
-        contention = weighted / total_mb if total_mb else 0.0
-        base = prof.remote_sensitivity * rf * d
+        rs = prof.remote_sensitivity
         cs = prof.contention_sensitivity
-        lenders = [
-            {
-                "lender": lender,
-                "mb": mb,
-                "oversubscription": osub,
-                "contribution": base * cs * (mb / total_mb) * osub,
-            }
-            for lender, mb, osub in shares
-        ]
-        uncapped = 1.0 + base * (1.0 + cs * contention)
-        return {
-            "slowdown": min(uncapped, MAX_SLOWDOWN),
-            "uncapped": uncapped,
-            "rf": rf,
-            "distance_factor": d,
-            "contention": contention,
-            "base_remote": base,
-            "lenders": lenders,
-        }
+        d = self._distance_factor(cluster, alloc)
+        s = 1.0 + rs * rf * (1.0 + cs * contention) * d
+        if shares is not None:
+            # The breakdown groups ``rs·rf·d`` first, which may differ
+            # from ``s`` in the last bit; each keeps its own expression.
+            base = rs * rf * d
+            uncapped = 1.0 + base * (1.0 + cs * contention)
+            breakdown.update(
+                slowdown=min(uncapped, MAX_SLOWDOWN),
+                uncapped=uncapped,
+                rf=rf,
+                distance_factor=d,
+                contention=contention,
+                base_remote=base,
+                lenders=[
+                    {
+                        "lender": lender,
+                        "mb": mb,
+                        "oversubscription": osub,
+                        "contribution": base * cs * (mb / total_mb) * osub,
+                    }
+                    for lender, mb, osub in shares
+                ],
+            )
+        return min(s, MAX_SLOWDOWN)
 
     # ------------------------------------------------------------------
     def affected_jobs(
@@ -309,11 +281,8 @@ class NullContentionModel(ContentionModel):
     def attach(self, cluster) -> None:
         """No ledger to maintain (demand is never read)."""
 
-    def slowdown(self, job, cluster, jobs, osub_cache=None) -> float:
-        return 1.0
-
-    def slowdown_breakdown(self, job, cluster, jobs):
-        return None  # nothing is priced, so there is nothing to split
+    def slowdown(self, job, cluster, jobs, breakdown=None) -> float:
+        return 1.0  # nothing is priced, so ``breakdown`` stays empty
 
     def affected_jobs(self, cluster, touched_nodes):
         return set()

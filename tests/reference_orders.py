@@ -1,5 +1,5 @@
-"""Full-sort references for lender and node selection, and a per-node
-reference Actuator.
+"""Full-sort references for lender and node selection, a per-node
+reference Actuator, and the two-walk slowdown pricing.
 
 The memory pool and the static policy select short prefixes of the
 free-DRAM orders from the live free column (``MemoryPool.most_free_first``
@@ -11,17 +11,21 @@ scratch free column and commits it in one ``Cluster.resize``;
 node by node with the scalar mutators and planning each borrow on the
 live column.  The parity tests compare against them, and :func:`patch_in`
 swaps them into the pool and the policy so a whole campaign can run on
-the references.
+the references.  :func:`slowdown_ref` and :func:`slowdown_breakdown_ref`
+price a job in two separate lender walks, the float order the contention
+model's one walk must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.memorypool import MemoryPool
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
+from repro.slowdown.model import MAX_SLOWDOWN
 
 Plan = List[Tuple[int, int]]
 
@@ -166,11 +170,25 @@ def _grow(policy, jid, alloc, node, deficit, out) -> bool:
     return True
 
 
+@contextmanager
+def coalesced_demand(cluster):
+    """Hold back the cluster's demand notifications and deliver their
+    sorted union once at exit: what one ``Cluster.resize`` sends for the
+    same steps.  Nothing may read lender demand inside the block."""
+    dirty = set()
+    cluster._notify_demand = dirty.update
+    try:
+        yield
+    finally:
+        del cluster._notify_demand
+        cluster._notify_demand(sorted(dirty))
+
+
 def actuate_per_node(policy, jid, alloc, nodes, deltas, out) -> None:
     """The dynamic Actuator node by node: every resize, local-only or
     not, commits each node's change through the scalar mutators before
     the next node plans, each borrow planned on the live free column."""
-    with policy.cluster.defer_demand():
+    with coalesced_demand(policy.cluster):
         for node, delta in zip(nodes.tolist(), deltas.tolist()):
             if delta < 0:
                 _shrink(policy, jid, alloc, node, -delta, out)
@@ -188,3 +206,75 @@ def patch_in(monkeypatch) -> None:
         lambda free, k: best_fit_order(free)[:k]))
     monkeypatch.setattr(DynamicDisaggregatedPolicy, "_actuate",
                         actuate_per_node)
+
+
+def _oversubscription(model, cluster, jobs, lender) -> float:
+    demand = model._lender_demand_brute(cluster, jobs, lender)
+    return max(demand / model.node_bw_gbps - 1.0, 0.0)
+
+
+def slowdown_ref(model, job, cluster, jobs) -> float:
+    """The job's slowdown from its own lender walk:
+    ``1 + rs·rf·(1 + cs·C)·d``, multiplied left to right."""
+    alloc = cluster.allocations.get(job.jid)
+    if alloc is None:
+        return 1.0
+    rf = alloc.remote_fraction()
+    if rf <= 0.0:
+        return 1.0
+    prof = model.profiles[job.profile]
+    total_mb = 0
+    weighted = 0.0
+    for lender, mb in alloc.lenders():
+        osub = _oversubscription(model, cluster, jobs, lender)
+        weighted += mb * osub
+        total_mb += mb
+    contention = weighted / total_mb if total_mb else 0.0
+    s = 1.0 + prof.remote_sensitivity * rf * (
+        1.0 + prof.contention_sensitivity * contention
+    ) * model._distance_factor(cluster, alloc)
+    return min(s, MAX_SLOWDOWN)
+
+
+def slowdown_breakdown_ref(model, job, cluster, jobs) -> Optional[dict]:
+    """The breakdown from a second lender walk, ``base = rs·rf·d``
+    grouped first (``None`` when the job has no allocation)."""
+    alloc = cluster.allocations.get(job.jid)
+    if alloc is None:
+        return None
+    rf = alloc.remote_fraction()
+    if rf <= 0.0:
+        return {"slowdown": 1.0, "rf": 0.0, "base_remote": 0.0,
+                "contention": 0.0, "lenders": []}
+    prof = model.profiles[job.profile]
+    d = model._distance_factor(cluster, alloc)
+    shares = []
+    total_mb = 0
+    weighted = 0.0
+    for lender, mb in alloc.lenders():
+        osub = _oversubscription(model, cluster, jobs, lender)
+        shares.append((int(lender), int(mb), osub))
+        weighted += mb * osub
+        total_mb += mb
+    contention = weighted / total_mb if total_mb else 0.0
+    base = prof.remote_sensitivity * rf * d
+    cs = prof.contention_sensitivity
+    lenders = [
+        {
+            "lender": lender,
+            "mb": mb,
+            "oversubscription": osub,
+            "contribution": base * cs * (mb / total_mb) * osub,
+        }
+        for lender, mb, osub in shares
+    ]
+    uncapped = 1.0 + base * (1.0 + cs * contention)
+    return {
+        "slowdown": min(uncapped, MAX_SLOWDOWN),
+        "uncapped": uncapped,
+        "rf": rf,
+        "distance_factor": d,
+        "contention": contention,
+        "base_remote": base,
+        "lenders": lenders,
+    }

@@ -19,6 +19,7 @@ from repro.obs.provenance import (
 )
 from repro.obs.telemetry import NullTelemetry, Telemetry
 from repro.scheduler.simulator import simulate
+from repro.slowdown.model import ContentionModel
 from repro.traces.pipeline import synthetic_workload
 
 N_NODES = 48
@@ -150,6 +151,23 @@ def test_borrowing_run_provenance_bytes_are_pinned(tmp_path, capsys):
                         ("borrow_split", 12)):
         assert kinds.count(kind) == count, kind
     assert hashlib.sha256(raw).hexdigest() == BORROWING_PROVENANCE_SHA256
+
+
+def test_observed_run_prices_each_job_in_one_walk():
+    """Provenance reads its slowdown breakdowns from the pricing walk
+    itself: the borrowing run makes exactly as many lender-demand reads
+    observed as unobserved."""
+    wl = synthetic_workload(n_jobs=60, frac_large=0.25, n_system_nodes=64,
+                            seed=0)
+    cfg = SystemConfig.from_memory_level(50, n_nodes=64)
+    reads = []
+    for telemetry in (None, Telemetry()):
+        model = ContentionModel(wl.profiles, node_bw_gbps=cfg.node_bw_gbps)
+        simulate(wl.fresh_jobs(), cfg, policy="dynamic", profiles=wl.profiles,
+                 model=model, telemetry=telemetry)
+        reads.append(model.demand_hits + model.demand_misses)
+    assert reads[0] > 0
+    assert reads[1] == reads[0]
 
 
 def test_finish_walks_back_to_submit(workload):

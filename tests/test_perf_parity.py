@@ -271,12 +271,13 @@ _RESIZE_JID = 9
 
 def _resize_cluster(ops):
     """A cluster with a wide job (it borrows, so it has lenders to
-    dirty) under a random history of other jobs, plus a listener log.
-    Copy-on-write is armed with one node per page afterwards, so the
-    dirty pages name exactly the nodes a resize writes."""
+    dirty) under a random history of other jobs, plus a listener log of
+    the lender lists as sent.  Copy-on-write is armed with one node per
+    page afterwards, so the dirty pages name exactly the nodes a resize
+    writes."""
     cluster = _cluster()
     calls = []
-    cluster.add_demand_listener(lambda c, lenders: calls.append(sorted(lenders)))
+    cluster.add_demand_listener(lambda c, lenders: calls.append(list(lenders)))
     cluster.apply(_RESIZE_JID, JobAllocation(
         nodes=[0, 2, 5], local_mb={0: 2048, 2: 1024, 5: 512},
         remote_mb={2: {7: 4096}},
@@ -285,6 +286,13 @@ def _resize_cluster(ops):
     cluster.arm_cow(page_nodes=1)
     del calls[:]
     return cluster, calls
+
+
+def _union(calls):
+    """The notifications one bulk resize must send for the per-step
+    ``calls``: none, or their sorted union once."""
+    dirty = sorted(set().union(*calls))
+    return [dirty] if dirty else []
 
 
 def _state(cluster):
@@ -331,16 +339,15 @@ def test_resize_local_matches_per_node_mutators(ops, data):
     two, two_calls = _resize_cluster(ops)
     assert _state(one) == _state(two)
     nodes, deltas = data.draw(_local_resize(one))
-    with one.defer_demand():
-        one.resize(_RESIZE_JID, nodes, deltas)
-    with two.defer_demand():
-        for node, delta in zip(nodes, deltas):
-            if delta > 0:
-                two.grow_local(_RESIZE_JID, node, delta)
-            else:
-                two.shrink_local(_RESIZE_JID, node, -delta)
+    one.resize(_RESIZE_JID, nodes, deltas)
+    for node, delta in zip(nodes, deltas):
+        if delta > 0:
+            two.grow_local(_RESIZE_JID, node, delta)
+        else:
+            two.shrink_local(_RESIZE_JID, node, -delta)
     assert _state(one) == _state(two)
-    assert one_calls == two_calls and len(one_calls) == 1
+    assert len(two_calls) == len(nodes)
+    assert one_calls == _union(two_calls) == [[7]]
     for cluster in (one, two):
         cluster.allocations[_RESIZE_JID].check_seal()
         cluster.check_invariants()
@@ -427,17 +434,15 @@ def _resize_steps_bulk(cluster, steps):
 def test_resize_matches_scalar_mutators_in_step_order(ops, data):
     """Local deltas and ordered borrows and returns in one resize ==
     the scalar mutators step by step: columns, aggregates, every map
-    with its insertion order, lender_jobs, the dirty COW pages and the
-    coalesced demand notification."""
+    with its insertion order, lender_jobs, the dirty COW pages, and one
+    demand notification that is the sorted union of theirs."""
     one, one_calls = _resize_cluster(ops)
     two, two_calls = _resize_cluster(ops)
     steps = data.draw(_resize_steps(one))
-    with one.defer_demand():
-        _resize_steps_bulk(one, steps)
-    with two.defer_demand():
-        _apply_steps(two, steps)
+    _resize_steps_bulk(one, steps)
+    _apply_steps(two, steps)
     assert _state(one) == _state(two)
-    assert one_calls == two_calls and len(one_calls) <= 1
+    assert one_calls == _union(two_calls)
     for cluster in (one, two):
         cluster.allocations[_RESIZE_JID].check_seal()
         cluster.check_invariants()
@@ -457,12 +462,11 @@ def test_resize_borrows_from_its_own_node_and_returns_in_order():
     ]
     one, one_calls = _resize_cluster([])
     two, two_calls = _resize_cluster([])
-    with one.defer_demand():
-        _resize_steps_bulk(one, steps)
-    with two.defer_demand():
-        _apply_steps(two, steps)
+    _resize_steps_bulk(one, steps)
+    _apply_steps(two, steps)
     assert _state(one) == _state(two)
-    assert one_calls == two_calls == [[0, 6, 7]]
+    assert one_calls == _union(two_calls) == [[0, 6, 7]]
+    assert len(two_calls) == len(steps)
     alloc = one.allocations[_RESIZE_JID]
     assert list(alloc.remote_mb) == [5, 2]
     assert list(alloc.remote_mb[2].items()) == [(6, 512), (7, 256)]
@@ -543,57 +547,6 @@ def test_resize_rejects_without_writing():
         cluster.resize(42, [0], [1])  # job not allocated
     assert calls == []
     cluster.check_invariants()
-
-
-# ----------------------------------------------------------------------
-# Coalesced demand notifications (defer_demand)
-# ----------------------------------------------------------------------
-def test_defer_demand_coalesces_to_the_same_dirty_set():
-    """Deferred notification == union of the per-mutation notifications,
-    delivered once, after the window (never inside it)."""
-
-    def run(deferred: bool):
-        cluster = _cluster()
-        calls = []
-        cluster.add_demand_listener(
-            lambda c, lenders: calls.append(sorted(lenders))
-        )
-        cluster.apply(0, JobAllocation(nodes=[0], local_mb={0: 1024},
-                                       remote_mb={0: {3: 2048}}))
-        del calls[:]  # only compare the resize window itself
-
-        def mutate():
-            cluster.add_remote(0, 0, 4, 512)
-            cluster.grow_local(0, 0, 256)
-            cluster.remove_remote(0, 0, 3, 2048)
-
-        if deferred:
-            with cluster.defer_demand():
-                mutate()
-                in_window = len(calls)
-            return calls, in_window
-        mutate()
-        return calls, None
-
-    immediate, _ = run(deferred=False)
-    deferred, in_window = run(deferred=True)
-    assert in_window == 0  # nothing fires inside the window
-    assert len(deferred) == 1  # one coalesced flush
-    union = sorted(set().union(*immediate))
-    assert deferred[0] == union
-
-
-def test_defer_demand_is_reentrant():
-    cluster = _cluster()
-    calls = []
-    cluster.add_demand_listener(lambda c, lenders: calls.append(list(lenders)))
-    cluster.apply(0, JobAllocation(nodes=[0], local_mb={0: 1024}))
-    del calls[:]
-    with cluster.defer_demand():
-        with cluster.defer_demand():
-            cluster.add_remote(0, 0, 2, 512)
-        assert calls == []  # the inner exit defers to the outer flush
-    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

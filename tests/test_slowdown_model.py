@@ -1,13 +1,19 @@
 """Contention/slowdown model."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.allocation import JobAllocation
 from repro.cluster.cluster import Cluster
 from repro.core.config import SystemConfig
+from repro.core.errors import AllocationError
 from repro.slowdown.model import MAX_SLOWDOWN, ContentionModel, NullContentionModel
-from repro.slowdown.profiles import AppProfile, profile_pool
+from repro.slowdown.profiles import AppProfile
 
+import reference_orders as ref
 from conftest import make_job
 
 LOW_SENS = AppProfile("low", bw_demand_gbps=1.0, remote_sensitivity=0.05,
@@ -92,21 +98,82 @@ def test_affected_jobs_covers_borrowers_and_hosts(cluster):
     assert model.affected_jobs(cluster, [3]) == set()
 
 
-def test_osub_cache_consistency(cluster):
-    model = ContentionModel([HIGH_SENS], node_bw_gbps=10.0)
-    j1 = run_with_remote(cluster, 1, 0, 30000, 30000, node=0, lender=7)
-    j2 = run_with_remote(cluster, 2, 0, 30000, 30000, node=1, lender=7)
-    jobs = {1: j1, 2: j2}
-    cache = {}
-    s_cached = model.slowdown(j1, cluster, jobs, osub_cache=cache)
-    assert 7 in cache
-    assert model.slowdown(j1, cluster, jobs) == pytest.approx(s_cached)
+N_LAYOUT_NODES = 16
+
+
+@st.composite
+def _borrow_layout(draw):
+    """Up to five jobs on disjoint nodes of a 16-node torus, each
+    borrowing from random lenders (other jobs' compute nodes included),
+    priced with random profiles, a distance penalty, and a link
+    bandwidth low enough that shared lenders are oversubscribed."""
+    cluster = Cluster(SystemConfig(n_nodes=N_LAYOUT_NODES, normal_mem_gb=64,
+                                   frac_large_nodes=0.0))
+    profiles = [
+        AppProfile(f"p{i}", bw_demand_gbps=draw(st.floats(0.5, 200.0)),
+                   remote_sensitivity=draw(st.floats(0.01, 2.0)),
+                   contention_sensitivity=draw(st.floats(0.01, 3.0)),
+                   read_write_ratio=1.0, typical_nodes=1,
+                   typical_runtime=100.0)
+        for i in range(3)
+    ]
+    model = ContentionModel(
+        profiles, node_bw_gbps=draw(st.floats(0.5, 20.0)),
+        distance_penalty=draw(st.floats(0.01, 2.0)),
+    )
+    model.attach(cluster)
+    order = draw(st.permutations(range(N_LAYOUT_NODES)))
+    jobs = {}
+    for jid in range(draw(st.integers(1, 5))):
+        nodes = order[3 * jid:3 * jid + draw(st.integers(1, 3))]
+        local = {node: draw(st.integers(1, 16384)) for node in nodes}
+        remote = {}
+        for node in nodes:
+            lenders = draw(st.lists(
+                st.sampled_from([n for n in range(N_LAYOUT_NODES)
+                                 if n != node]),
+                max_size=3, unique=True))
+            if lenders:
+                remote[node] = {lender: draw(st.integers(1, 8192))
+                                for lender in lenders}
+        try:
+            cluster.apply(jid, JobAllocation(nodes=list(nodes),
+                                             local_mb=local, remote_mb=remote))
+        except AllocationError:
+            continue
+        jobs[jid] = make_job(jid=jid, n_nodes=len(nodes),
+                             profile=draw(st.integers(0, 2)))
+    return cluster, model, jobs
+
+
+@given(layout=_borrow_layout())
+@settings(max_examples=150, deadline=None)
+def test_one_walk_matches_two_walk_reference_bit_for_bit(layout):
+    """The slowdown and its breakdown from one lender walk equal the
+    two separate walks of ``reference_orders`` in every bit: the
+    slowdown multiplies ``rs·rf·(1+cs·C)·d`` left to right, the
+    breakdown groups ``base = rs·rf·d`` first, and the two may differ
+    in the last bit when ``d != 1`` and ``C > 0``.  The walk reads each
+    lender's demand once."""
+    cluster, model, jobs = layout
+    for job in jobs.values():
+        n_lenders = len(list(cluster.allocations[job.jid].lenders()))
+        reads = model.demand_hits + model.demand_misses
+        bd = {}
+        s = model.slowdown(job, cluster, jobs, bd)
+        assert model.demand_hits + model.demand_misses == reads + n_lenders
+        assert s.hex() == ref.slowdown_ref(model, job, cluster, jobs).hex()
+        assert model.slowdown(job, cluster, jobs).hex() == s.hex()
+        want = ref.slowdown_breakdown_ref(model, job, cluster, jobs)
+        assert json.dumps(bd) == json.dumps(want)
 
 
 def test_null_model(cluster):
     model = NullContentionModel()
     job = run_with_remote(cluster, 1, 0, 1000, 50000)
-    assert model.slowdown(job, cluster, {1: job}) == 1.0
+    bd = {}
+    assert model.slowdown(job, cluster, {1: job}, bd) == 1.0
+    assert bd == {}  # nothing is priced, so there is nothing to split
     assert model.affected_jobs(cluster, [7]) == set()
 
 
