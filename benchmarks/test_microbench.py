@@ -22,9 +22,9 @@ def test_engine_event_rate(benchmark):
 
     def dispatch_10k():
         engine = Engine()
-        engine.on(EventKind.SAMPLE, lambda e, ev: None)
+        engine.on(EventKind.TELEMETRY, lambda e, ev: None)
         for i in range(10_000):
-            engine.at(float(i), EventKind.SAMPLE)
+            engine.at(float(i), EventKind.TELEMETRY)
         engine.run()
         return engine.events_processed
 

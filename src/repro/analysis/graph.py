@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from .core import ParsedModule
 
@@ -283,9 +283,6 @@ class Project:
         info = self._by_path.get(path)
         return info.parsed if info is not None else None
 
-    def class_of(self, qname: str) -> Optional[ClassInfo]:
-        return self.classes.get(qname)
-
     def function(self, qname: str) -> Optional[FunctionInfo]:
         return self.functions.get(qname)
 
@@ -308,14 +305,6 @@ class Project:
                 if resolved:
                     stack.append(resolved)
         return None
-
-    def methods_named(self, method: str) -> List[FunctionInfo]:
-        """Every project method with this bare name (fallback resolution)."""
-        return [
-            fn
-            for fn in self.functions.values()
-            if fn.cls is not None and fn.name == method
-        ]
 
     # ------------------------------------------------------------------
     # Linking: call + reference edges

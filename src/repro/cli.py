@@ -343,16 +343,20 @@ def _cmd_simulate(args) -> int:
         update_interval=args.update_interval,
     )
     telemetry = None
-    if args.telemetry:
+    if args.telemetry or args.timeline:
         from .obs.telemetry import Telemetry
 
-        telemetry = Telemetry()
+        # The occupancy strip reads the telemetry gauges; without an
+        # export it needs neither the layer table nor provenance.
+        telemetry = (
+            Telemetry() if args.telemetry
+            else Telemetry(trace_spans=False, provenance=False)
+        )
     console.detail(f"simulating {len(jobs)} jobs on {args.nodes} nodes "
                    f"({args.policy}, {args.memory_level}% memory, "
                    f"update interval {args.update_interval:g}s)")
     result = _simulate(
         jobs, config, policy=args.policy, profiles=profiles,
-        sample_interval=300.0 if args.timeline else None,
         telemetry=telemetry,
     )
     rows = [[k, v] for k, v in result.summary().items()]
@@ -364,7 +368,7 @@ def _cmd_simulate(args) -> int:
         from .experiments.timeline import render_run
 
         console.result()
-        console.result(render_run(result))
+        console.result(render_run(result, telemetry.registry))
     if args.out:
         save_result(result, args.out)
         console.status(f"wrote result to {args.out}")
@@ -372,7 +376,7 @@ def _cmd_simulate(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(result_records_csv(result))
         console.status(f"wrote per-job CSV to {args.csv}")
-    if telemetry is not None:
+    if args.telemetry:
         from .obs.provenance import lifecycle_rows
 
         telemetry.export(args.telemetry)

@@ -247,11 +247,6 @@ class Cluster:
         """Total physically free DRAM across all nodes (MB, O(1))."""
         return self._total_capacity - self.local_used_total - self.lent_total
 
-    @property
-    def allocated_total(self) -> int:
-        """Total allocated DRAM, local plus lent (MB, O(1))."""
-        return self.local_used_total + self.lent_total
-
     def n_idle(self) -> int:
         return self.n_nodes - self.busy_count
 
@@ -277,13 +272,6 @@ class Cluster:
         if self.config.normal_mem_mb >= request_mb:
             count += idle_normal
         return count
-
-    def memory_utilization(self) -> float:
-        cap = self.total_capacity_mb()
-        return self.total_allocated_mb() / cap if cap else 0.0
-
-    def cpu_utilization(self) -> float:
-        return float(self.busy_count) / self.n_nodes if self.n_nodes else 0.0
 
     def borrowers_of(self, lender: int) -> Dict[int, int]:
         """Jobs currently borrowing from ``lender`` (job id -> MB)."""
@@ -358,7 +346,7 @@ class Cluster:
         self.local_used_total += int(deltas.sum())
 
     def _touch_lent_many(self, nodes: np.ndarray, deltas: np.ndarray) -> None:
-        """Columnar bulk :meth:`_touch_lent` (``nodes`` must be unique).
+        """Lent-column write funnel for a batch (``nodes`` must be unique).
 
         Net-equivalent to per-node touches, ``deltas`` being each node's
         net change.  Lending need not be monotone across the steps a net
@@ -372,6 +360,17 @@ class Cluster:
         self.lent_mb[nodes] += deltas
         self._free_local[nodes] -= deltas
         self.lent_total += int(deltas.sum())
+        self._reflag_memory_nodes(nodes)
+
+    def _touch_lent(self, node: int, delta: int) -> None:
+        """One-node :meth:`_touch_lent_many`."""
+        self._touch_lent_many(
+            np.array([node], dtype=np.int64), np.array([delta], dtype=np.int64)
+        )
+
+    def _reflag_memory_nodes(self, nodes: np.ndarray) -> None:
+        """Re-derive the memory-node flag of ``nodes`` (unique) after their
+        lent or capacity column changed; the counts follow each flip."""
         new_mem = self.lent_mb[nodes] * 2 > self.capacity_mb[nodes]
         flipped = new_mem != self._memnode[nodes]
         if flipped.any():
@@ -382,19 +381,6 @@ class Cluster:
             idle = ~self.busy[flip_nodes]
             self.startable_count += int((idle & ~now_mem).sum())
             self.startable_count -= int((idle & now_mem).sum())
-
-    def _touch_lent(self, node: int, delta: int) -> None:
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.lent_mb[node] += delta
-        self._free_local[node] -= delta
-        self.lent_total += delta
-        is_mem = self.lent_mb[node] * 2 > self.capacity_mb[node]
-        if is_mem != self._memnode[node]:
-            self._memnode[node] = is_mem
-            self.memory_node_count += 1 if is_mem else -1
-            if not self.busy[node]:
-                self.startable_count += -1 if is_mem else 1
 
     # ------------------------------------------------------------------
     # Whole-allocation apply / release
@@ -774,16 +760,7 @@ class Cluster:
         self.capacity_mb[nodes_arr] += extra_mb
         self._free_local[nodes_arr] += extra_mb
         self._total_capacity += int(extra_mb) * len(nodes_arr)
-        new_mem = self.lent_mb[nodes_arr] * 2 > self.capacity_mb[nodes_arr]
-        flipped = new_mem != self._memnode[nodes_arr]
-        if flipped.any():
-            flip_nodes = nodes_arr[flipped]
-            now_mem = new_mem[flipped]
-            self._memnode[flip_nodes] = now_mem
-            self.memory_node_count += int(now_mem.sum()) - int((~now_mem).sum())
-            idle = ~self.busy[flip_nodes]
-            self.startable_count += int((idle & ~now_mem).sum())
-            self.startable_count -= int((idle & now_mem).sum())
+        self._reflag_memory_nodes(nodes_arr)
 
     # ------------------------------------------------------------------
     # Invariants

@@ -28,10 +28,8 @@ class EventKind(IntEnum):
     MEM_UPDATE = 2
     JOB_SUBMIT = 3
     SCHED_PASS = 4
-    SAMPLE = 5
     #: telemetry gauge sampling; runs after all state changes of the tick
-    TELEMETRY = 6
-    END = 7
+    TELEMETRY = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,18 +68,13 @@ class EventQueue:
     #: copy of the heap is a complete capture
     fork_state = ForkState(
         values=("_seq", "_live"),
-        copies=("_heap", "_dead", "_live_kinds"),
+        copies=("_heap", "_dead"),
     )
 
     _heap: list[tuple[float, int, int, Event]] = field(default_factory=list)
     _seq: int = 0
     _dead: set[int] = field(default_factory=set)
     _live: int = 0
-    #: live events per kind (indexed by EventKind value); lets periodic
-    #: samplers ask "is any real work left?" without scanning the heap
-    _live_kinds: list[int] = field(
-        default_factory=lambda: [0] * len(EventKind)
-    )
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event and return it (its ``seq`` is the cancel handle)."""
@@ -91,7 +84,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, int(kind), ev.seq, ev))
         self._seq += 1
         self._live += 1
-        self._live_kinds[int(kind)] += 1
         return ev
 
     def cancel(self, ev: Event) -> None:
@@ -99,7 +91,6 @@ class EventQueue:
         if ev.seq not in self._dead:
             self._dead.add(ev.seq)
             self._live -= 1
-            self._live_kinds[int(ev.kind)] -= 1
             if (
                 len(self._heap) >= _COMPACT_MIN
                 and len(self._dead) * 2 > len(self._heap)
@@ -130,7 +121,6 @@ class EventQueue:
                 self._dead.discard(seq)
                 continue
             self._live -= 1
-            self._live_kinds[int(ev.kind)] -= 1
             return ev
         return None
 
@@ -144,22 +134,6 @@ class EventQueue:
                 continue
             return t
         return None
-
-    def has_live_excluding(self, *kinds: EventKind) -> bool:
-        """Whether any live event of a kind *not* in ``kinds`` exists.
-
-        The periodic samplers (SAMPLE, TELEMETRY) use this as their
-        keep-running predicate.  The naive ``len(queue) > 0`` deadlocks
-        into a livelock when two sampler chains are active at once:
-        after the workload drains, each chain sees the *other* chain's
-        next event in the queue and they reschedule each other forever.
-        """
-        excluded = {int(k) for k in kinds}
-        return any(
-            count > 0
-            for kind, count in enumerate(self._live_kinds)
-            if kind not in excluded
-        )
 
     def __len__(self) -> int:
         return self._live

@@ -1,56 +1,76 @@
 """ASCII schedule timelines.
 
 Renders what the machine was doing over a run: a cluster-occupancy
-strip chart from the sampled utilisation timeline, and a per-job Gantt
-chart from the job records.  Both are pure text (no plotting
-dependency), used by examples and the CLI for schedule debugging.
+strip chart from the telemetry gauges sampled on the run's cadence, and
+a per-job Gantt chart from the job records.  Both are pure text (no
+plotting dependency), used by examples and the CLI for schedule
+debugging.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..metrics.records import JobRecord, SimulationResult
-from ..metrics.utilization import UtilizationTimeline
+from ..obs.export import series_of
+from ..obs.registry import MetricsRegistry
 
 #: Glyph ramp for occupancy levels (0% .. 100%).
 RAMP = " .:-=+*#%@"
 
 
+def _ramp_row(
+    times: np.ndarray, values: np.ndarray, edges: np.ndarray, scale: float
+) -> str:
+    """Glyphs of one strip row: each column averages the samples that
+    fall in its slice of ``edges`` and shows the mean over ``scale`` on
+    the ramp; a column without samples stays blank."""
+    width = len(edges) - 1
+    idx = np.clip(np.searchsorted(edges, times, side="right") - 1, 0, width - 1)
+    chars = []
+    for col in range(width):
+        mask = idx == col
+        if not mask.any():
+            chars.append(" ")
+            continue
+        level = float(values[mask].mean()) / scale if scale > 0 else 0.0
+        chars.append(RAMP[min(int(level * (len(RAMP) - 1)), len(RAMP) - 1)])
+    return "".join(chars)
+
+
 def occupancy_strip(
-    timeline: UtilizationTimeline,
+    registry: MetricsRegistry,
+    n_nodes: int,
     width: int = 72,
     title: str = "",
 ) -> str:
     """One-line-per-metric strip chart of CPU and memory occupancy.
 
-    Each column aggregates (averages) the samples of one time slice;
-    the glyph encodes the level on a 10-step ramp.
+    Reads the gauges a :class:`~repro.obs.Telemetry` samples: cpu is
+    the busy share of the ``n_nodes`` nodes, and mem the allocated
+    (locally used plus lent) share of the memory pool, whose capacity
+    follows any what-if expansion.  Each column averages the samples of
+    one time slice; the glyph encodes the level on a 10-step ramp.
     """
-    if len(timeline) == 0:
-        raise ValueError("timeline has no samples")
-    times, cpu, mem = timeline.as_arrays()
+    times, busy = series_of(registry, "busy_nodes")
+    if not times:
+        raise ValueError("registry has no sampled occupancy")
+    allocated = (
+        np.asarray(series_of(registry, "pool_local_used_mb")[1])
+        + np.asarray(series_of(registry, "pool_lent_mb")[1])
+    )
+    free = np.asarray(series_of(registry, "pool_free_local_mb")[1])
+    times = np.asarray(times, dtype=float)
+    cpu = np.asarray(busy) / n_nodes
+    mem = allocated / (allocated + free)
     t0, t1 = float(times[0]), float(times[-1])
-    span = max(t1 - t0, 1e-9)
     edges = np.linspace(t0, t1, width + 1)
-    idx = np.clip(np.searchsorted(edges, times, side="right") - 1, 0, width - 1)
-
-    def strip(values: np.ndarray) -> str:
-        chars = []
-        for col in range(width):
-            mask = idx == col
-            if not mask.any():
-                chars.append(" ")
-                continue
-            level = float(values[mask].mean())
-            chars.append(RAMP[min(int(level * (len(RAMP) - 1)), len(RAMP) - 1)])
-        return "".join(chars)
 
     lines = [title] if title else []
-    lines.append(f"cpu |{strip(cpu)}|")
-    lines.append(f"mem |{strip(mem)}|")
+    lines.append(f"cpu |{_ramp_row(times, cpu, edges, 1.0)}|")
+    lines.append(f"mem |{_ramp_row(times, mem, edges, 1.0)}|")
     lines.append(f"     {t0:<10.0f}{'':^{max(width - 20, 0)}}{t1:>10.0f}  (s)")
     lines.append(f"ramp: '{RAMP}' = 0%..100%")
     return "\n".join(lines)
@@ -85,21 +105,9 @@ def series_strips(
     for name in sorted(usable):
         times, values = usable[name]
         peak = float(values.max())
-        idx = np.clip(
-            np.searchsorted(edges, times, side="right") - 1, 0, width - 1
-        )
-        chars = []
-        for col in range(width):
-            mask = idx == col
-            if not mask.any():
-                chars.append(" ")
-                continue
-            level = float(values[mask].mean()) / peak if peak > 0 else 0.0
-            chars.append(
-                RAMP[min(int(level * (len(RAMP) - 1)), len(RAMP) - 1)]
-            )
         lines.append(
-            f"{name.rjust(label_w)} |{''.join(chars)}| max={peak:g}"
+            f"{name.rjust(label_w)} |{_ramp_row(times, values, edges, peak)}|"
+            f" max={peak:g}"
         )
     pad = " " * label_w
     lines.append(
@@ -149,15 +157,16 @@ def gantt(
 
 def render_run(
     result: SimulationResult,
+    registry: Optional[MetricsRegistry] = None,
     width: int = 72,
     max_jobs: int = 25,
 ) -> str:
-    """Combined view: occupancy strips (when sampled) plus a Gantt."""
+    """Combined view: occupancy strips (from the run's telemetry
+    ``registry``, when it sampled any) plus a Gantt."""
     parts: List[str] = []
-    timeline = result.meta.get("timeline")
-    if isinstance(timeline, UtilizationTimeline) and len(timeline):
+    if registry is not None and registry.series:
         parts.append(
-            occupancy_strip(timeline, width=width,
+            occupancy_strip(registry, result.total_nodes, width=width,
                             title=f"{result.policy}: cluster occupancy")
         )
     parts.append(

@@ -15,13 +15,11 @@ from .cost import cluster_cost_usd, cost_benefit_gain, throughput_per_dollar
 from .records import JobRecord, SimulationResult
 from .response import ecdf, median_reduction, quantile, quantile_gap
 from .throughput import normalized_throughput, relative_gain, throughput_table
-from .utilization import UtilizationTimeline
 
 __all__ = [
     "COMPARE_HEADERS",
     "JobRecord",
     "SimulationResult",
-    "UtilizationTimeline",
     "bounded_slowdown",
     "bounded_slowdown_stats",
     "compare_policies",

@@ -24,6 +24,7 @@ __all__ = [
     "parse_prometheus_text",
     "prometheus_text",
     "sanitize_metric_name",
+    "series_of",
 ]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -166,8 +167,3 @@ def series_of(registry: MetricsRegistry, name: str) -> Tuple[List[float], List[f
             times.append(t)
             values.append(v)
     return times, values
-
-
-def series_names(registry: MetricsRegistry) -> List[str]:
-    """Sorted names appearing in the sampled series."""
-    return sorted({n for _, n, _ in registry.series})

@@ -179,9 +179,6 @@ class ProvenanceLog:
             return None
         return self.events[eid - base]
 
-    def for_job(self, jid: int) -> List[ProvenanceEvent]:
-        return [e for e in self.events if e.jid == jid]
-
     def of_kind(self, kind: str) -> List[ProvenanceEvent]:
         return [e for e in self.events if e.kind == kind]
 

@@ -101,8 +101,13 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
     # ------------------------------------------------------------------
     def _request_of(self, job: Job) -> int:
         """Pinned jobs are admitted with the demand that killed them, so
-        the guaranteed allocation actually covers the observed usage."""
-        if job.jid in self._pinned:
+        the guaranteed allocation actually covers the observed usage.
+
+        Keyed on the pinning rule rather than on ``_pinned``, which
+        :meth:`plan` fills only later: the controller checks a requeued
+        job's feasibility before it is planned again.
+        """
+        if job.restarts >= self.max_oom_failures:
             return max(job.mem_request_mb, self._observed_peak.get(job.jid, 0))
         return job.mem_request_mb
 

@@ -24,7 +24,6 @@ from ..core.state import ForkState
 from ..jobs.job import Job
 from ..jobs.states import JobState
 from ..metrics.records import JobRecord, SimulationResult
-from ..metrics.utilization import UtilizationTimeline
 from ..obs.blame import (
     WAIT_HOL,
     WAIT_LENDER,
@@ -74,9 +73,9 @@ class Controller:
                 "_dirty"),
         copies=("running", "finish_events", "wall_events"),
         objects=("engine", "cluster", "policy", "model", "telemetry",
-                 "pending", "result", "timeline"),
+                 "pending", "result"),
         object_maps=("jobs",),
-        fixed=("config", "prov", "blame", "sample_interval"),
+        fixed=("config", "prov", "blame"),
     )
 
     def __init__(
@@ -86,7 +85,6 @@ class Controller:
         policy: AllocationPolicy,
         model: ContentionModel,
         config: SystemConfig,
-        sample_interval: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.engine = engine
@@ -122,8 +120,6 @@ class Controller:
             total_nodes=cluster.n_nodes,
             total_capacity_mb=cluster.total_capacity_mb(),
         )
-        self.timeline = UtilizationTimeline()
-        self.sample_interval = sample_interval
         self._last_account = 0.0
         self._sched_scheduled = False
         self._mem_scheduled = False
@@ -137,7 +133,6 @@ class Controller:
         engine.on(EventKind.JOB_KILL, self._on_wall_kill)
         engine.on(EventKind.SCHED_PASS, self._on_sched)
         engine.on(EventKind.MEM_UPDATE, self._on_mem_update)
-        engine.on(EventKind.SAMPLE, self._on_sample)
         engine.on(EventKind.TELEMETRY, self._on_telemetry)
 
     # ------------------------------------------------------------------
@@ -150,8 +145,6 @@ class Controller:
                 raise ValueError(f"duplicate job id {job.jid}")
             self.jobs[job.jid] = job
             self.engine.at(job.submit_time, EventKind.JOB_SUBMIT, job)
-        if self.sample_interval:
-            self.engine.at(0.0, EventKind.SAMPLE, None)
         if self.telemetry.enabled:
             self.engine.at(0.0, EventKind.TELEMETRY, None)
 
@@ -183,11 +176,7 @@ class Controller:
                 n_nodes=job.n_nodes, mem_request_mb=job.mem_request_mb,
             )
         if not self.policy.can_ever_run(job):
-            job.set_state(JobState.UNRUNNABLE)
-            self.result.unrunnable.append(job.jid)
-            self.telemetry.inc("jobs_unrunnable")
-            if prov.enabled:
-                prov.emit("unrunnable", jid=job.jid)
+            self._mark_unrunnable(job)
             return
         self.pending.add(job)
         if self.blame is not None:
@@ -304,37 +293,19 @@ class Controller:
         if self.running or self.pending:
             self._schedule_mem_update(now)
 
-    def _on_sample(self, engine: Engine, ev: Event) -> None:
-        now = engine.now
-        cap = self.cluster.total_capacity_mb()
-        self.timeline.record(
-            now,
-            self.cluster.cpu_utilization(),
-            self.cluster.total_allocated_mb() / cap if cap else 0.0,
-        )
-        if self.running or self.pending or self._has_work_pending():
-            self.engine.at(now + self.sample_interval, EventKind.SAMPLE, None)
-
     def _on_telemetry(self, engine: Engine, ev: Event) -> None:
-        """Sample the metric gauges on the telemetry cadence."""
+        """Sample the metric gauges on the telemetry cadence.
+
+        This is the run's only periodic event chain, and its own event
+        has just been popped, so any live event left in the queue is
+        other work: the chain ends when the workload has drained.
+        """
         now = engine.now
         self.telemetry.sample_cluster(now, self)
-        if self.running or self.pending or self._has_work_pending():
+        if self.running or self.pending or self.engine.queue:
             self.engine.at(
                 now + self.telemetry.sample_interval, EventKind.TELEMETRY, None
             )
-
-    def _has_work_pending(self) -> bool:
-        """Non-sampler events still queued (future submits, kills, ...).
-
-        The sampler chains must not count *each other* as pending work —
-        with both a SAMPLE and a TELEMETRY chain active, each would see
-        the other's next event and they would reschedule forever after
-        the workload drains.
-        """
-        return self.engine.queue.has_live_excluding(
-            EventKind.SAMPLE, EventKind.TELEMETRY
-        )
 
     # ------------------------------------------------------------------
     # Scheduling pass: FCFS + EASY backfill
@@ -522,6 +493,14 @@ class Controller:
         self._dirty = True
         self._request_sched(now)
 
+    def _mark_unrunnable(self, job: Job) -> None:
+        """Record a pending job that no state of the machine can start."""
+        job.set_state(JobState.UNRUNNABLE)
+        self.result.unrunnable.append(job.jid)
+        self.telemetry.inc("jobs_unrunnable")
+        if self.prov.enabled:
+            self.prov.emit("unrunnable", jid=job.jid)
+
     def _cancel_wall_event(self, job: Job) -> None:
         ev = self.wall_events.pop(job.jid, None)
         if ev is not None:
@@ -546,11 +525,18 @@ class Controller:
         quantum = getattr(self.policy, "checkpoint_interval", None)
         job.reset_for_restart(now, keep_checkpoint=keep, keep_priority=boost,
                               checkpoint_quantum=quantum)
-        self.pending.add(job)
-        if self.blame is not None:
-            # A requeued job opens a fresh wait episode; its components
-            # keep accumulating into the same per-job buckets.
-            self.blame.enqueued(job.jid, now)
+        if not self.policy.can_ever_run(job):
+            # The requeued job's demand (pinned at its observed peak once
+            # it exhausted its OOM retries) exceeds what the machine can
+            # ever serve: it would stay pending forever.
+            self._mark_unrunnable(job)
+            self.policy.on_finish(job)
+        else:
+            self.pending.add(job)
+            if self.blame is not None:
+                # A requeued job opens a fresh wait episode; its components
+                # keep accumulating into the same per-job buckets.
+                self.blame.enqueued(job.jid, now)
         touched = list(alloc.nodes) + list(alloc.lender_ids())
         return self.model.affected_jobs(self.cluster, touched)
 
@@ -655,5 +641,4 @@ class Controller:
         submits = [j.submit_time for j in self.jobs.values()]
         self.result.first_submit = min(submits) if submits else 0.0
         self.result.events_processed = self.engine.events_processed
-        self.result.meta.setdefault("timeline", self.timeline)
         return self.result

@@ -130,7 +130,6 @@ def build_simulation(
     policy: Union[str, AllocationPolicy] = "dynamic",
     profiles: Optional[Sequence[AppProfile]] = None,
     model: Optional[ContentionModel] = None,
-    sample_interval: Optional[float] = None,
     max_events: int = 50_000_000,
     telemetry: Optional[Telemetry] = None,
     **policy_kwargs,
@@ -160,8 +159,7 @@ def build_simulation(
             node_bw_gbps=config.node_bw_gbps,
         )
     controller = Controller(
-        engine, cluster, pol, model, config,
-        sample_interval=sample_interval, telemetry=telemetry,
+        engine, cluster, pol, model, config, telemetry=telemetry,
     )
     controller.load(jobs)
     return SimulationHandle(
@@ -181,7 +179,6 @@ def simulate(
     policy: Union[str, AllocationPolicy] = "dynamic",
     profiles: Optional[Sequence[AppProfile]] = None,
     model: Optional[ContentionModel] = None,
-    sample_interval: Optional[float] = None,
     max_events: int = 50_000_000,
     telemetry: Optional[Telemetry] = None,
     **policy_kwargs,
@@ -201,9 +198,6 @@ def simulate(
         policy instance bound to a cluster of your own making.
     profiles / model:
         Slowdown-model inputs; defaults to the built-in profile pool.
-    sample_interval:
-        If set, record a utilisation timeline sample every so many
-        simulated seconds.
     telemetry:
         A :class:`repro.obs.Telemetry` instance to observe the run —
         metric counters/gauges sampled on its simulated-time cadence and
@@ -216,7 +210,6 @@ def simulate(
     """
     handle = build_simulation(
         jobs, config, policy=policy, profiles=profiles, model=model,
-        sample_interval=sample_interval, max_events=max_events,
-        telemetry=telemetry, **policy_kwargs,
+        max_events=max_events, telemetry=telemetry, **policy_kwargs,
     )
     return handle.finish()

@@ -27,7 +27,6 @@ import numpy as np
 from ..core.config import SystemConfig
 from ..jobs.job import Job
 from ..metrics.records import SimulationResult
-from ..metrics.utilization import UtilizationTimeline
 from ..obs.export import metrics_jsonl
 from ..obs.provenance import lifecycle_jsonl
 from ..scheduler.simulator import SimulationHandle, build_simulation
@@ -61,19 +60,10 @@ def _detach_result(result: SimulationResult) -> SimulationResult:
 
     The live result object is rewound by :meth:`SimSnapshot.restore`, so
     reports keep an independent copy.  Records are frozen dataclasses —
-    sharing them is safe; the timeline and meta containers are copied.
-    Live observability state (telemetry) is rolled back with the
-    simulation; use ``WhatIf(capture_observability=True)`` for
-    serialized dumps.
+    sharing them is safe; the meta container is copied.  Live
+    observability state (telemetry) is rolled back with the simulation;
+    use ``WhatIf(capture_observability=True)`` for serialized dumps.
     """
-    meta = dict(result.meta)
-    timeline = meta.get("timeline")
-    if isinstance(timeline, UtilizationTimeline):
-        meta["timeline"] = UtilizationTimeline(
-            times=list(timeline.times),
-            cpu=list(timeline.cpu),
-            mem_allocated=list(timeline.mem_allocated),
-        )
     return SimulationResult(
         policy=result.policy,
         records=list(result.records),
@@ -88,7 +78,7 @@ def _detach_result(result: SimulationResult) -> SimulationResult:
         total_nodes=result.total_nodes,
         total_capacity_mb=result.total_capacity_mb,
         events_processed=result.events_processed,
-        meta=meta,
+        meta=dict(result.meta),
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_simulate_timeline_flag(capsys):
     out = capsys.readouterr().out
     assert "cluster occupancy" in out
     assert "# running" in out
+
+
+def test_simulate_timeline_stdout_is_pinned(capsys):
+    """The whole stdout of a borrowing dynamic run with ``--timeline``:
+    summary table, occupancy strip (drawn from the telemetry gauges)
+    and Gantt chart, byte for byte."""
+    golden = Path(__file__).parent / "data" / "simulate_timeline_dynamic.txt"
+    rc = main(["simulate", "--jobs", "60", "--nodes", "64",
+               "--frac-large", "0.25", "--memory-level", "50",
+               "--policy", "dynamic", "--timeline"])
+    assert rc == 0
+    assert capsys.readouterr().out == golden.read_text()
 
 
 @pytest.mark.parametrize("number,needle", [

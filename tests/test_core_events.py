@@ -61,20 +61,20 @@ def test_peek_time_skips_cancelled():
 def test_len_and_bool():
     q = EventQueue()
     assert not q
-    q.push(0.0, EventKind.SAMPLE, None)
+    q.push(0.0, EventKind.TELEMETRY, None)
     assert q and len(q) == 1
 
 
 def test_nan_time_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):
-        q.push(float("nan"), EventKind.SAMPLE, None)
+        q.push(float("nan"), EventKind.TELEMETRY, None)
 
 
 def test_drain_yields_in_order():
     q = EventQueue()
     for t in (3.0, 1.0, 2.0):
-        q.push(t, EventKind.SAMPLE, t)
+        q.push(t, EventKind.TELEMETRY, t)
     assert [e.payload for e in q.drain()] == [1.0, 2.0, 3.0]
 
 

@@ -9,7 +9,8 @@ from repro.experiments.timeline import (
     render_run,
     series_strips,
 )
-from repro.metrics.utilization import UtilizationTimeline
+from repro.obs.registry import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 from repro.scheduler.simulator import simulate
 from repro.slowdown.model import NullContentionModel
 
@@ -17,16 +18,22 @@ from conftest import make_job
 
 
 @pytest.fixture
-def result(tiny_config):
+def telemetry():
+    return Telemetry(sample_interval=60.0, trace_spans=False,
+                     provenance=False)
+
+
+@pytest.fixture
+def result(tiny_config, telemetry):
     jobs = [make_job(jid=i, submit=float(i * 50), n_nodes=2, runtime=400.0)
             for i in range(6)]
     return simulate(jobs, tiny_config, policy="static",
-                    model=NullContentionModel(), sample_interval=60.0)
+                    model=NullContentionModel(), telemetry=telemetry)
 
 
-def test_occupancy_strip_renders(result):
-    timeline = result.meta["timeline"]
-    out = occupancy_strip(timeline, width=40, title="occ")
+def test_occupancy_strip_renders(result, telemetry):
+    out = occupancy_strip(telemetry.registry, result.total_nodes, width=40,
+                          title="occ")
     lines = out.splitlines()
     assert lines[0] == "occ"
     assert lines[1].startswith("cpu |") and lines[1].endswith("|")
@@ -37,7 +44,23 @@ def test_occupancy_strip_renders(result):
 
 def test_occupancy_strip_empty_rejected():
     with pytest.raises(ValueError):
-        occupancy_strip(UtilizationTimeline())
+        occupancy_strip(MetricsRegistry(), n_nodes=4)
+
+
+def test_occupancy_strip_reads_gauges():
+    """cpu is busy/n_nodes; mem is (used + lent) over the pool, whose
+    capacity is the gauges' sum (so it follows capacity expansion)."""
+    reg = MetricsRegistry()
+    for t, busy, used, lent, free in ((0.0, 2, 30, 10, 60),
+                                      (100.0, 4, 150, 50, 0)):
+        reg.set_gauge("busy_nodes", busy, t)
+        reg.set_gauge("pool_local_used_mb", used, t)
+        reg.set_gauge("pool_lent_mb", lent, t)
+        reg.set_gauge("pool_free_local_mb", free, t)
+        reg.sample(t)
+    lines = occupancy_strip(reg, n_nodes=4, width=2).splitlines()
+    assert lines[0] == "cpu |=@|"  # 50%, then 100% busy
+    assert lines[1] == "mem |-@|"  # 40%, then 100% allocated
 
 
 def test_gantt_shows_running_and_queued(result):
@@ -78,8 +101,8 @@ def test_gantt_caps_rows(result):
     assert len(rows) == 2
 
 
-def test_render_run_combined(result):
-    out = render_run(result, width=40)
+def test_render_run_combined(result, telemetry):
+    out = render_run(result, telemetry.registry, width=40)
     assert "cluster occupancy" in out
     assert "first 25 jobs" in out
 

@@ -15,7 +15,6 @@ from repro.metrics.throughput import (
     relative_gain,
     throughput_table,
 )
-from repro.metrics.utilization import UtilizationTimeline
 
 from test_metrics_records import record
 
@@ -76,16 +75,3 @@ def test_throughput_table():
     ref = result_with_throughput(100, span=1000.0)
     table = throughput_table({"static": ref}, ref)
     assert table["static"] == pytest.approx(1.0)
-
-
-def test_utilization_timeline():
-    tl = UtilizationTimeline()
-    tl.record(0.0, 0.5, 0.2)
-    tl.record(10.0, 0.7, 0.4)
-    assert len(tl) == 2
-    assert tl.mean_cpu() == pytest.approx(0.6)
-    assert tl.mean_mem_allocated() == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        tl.record(5.0, 0.1, 0.1)  # out of order
-    t, c, m = tl.as_arrays()
-    assert len(t) == len(c) == len(m) == 2

@@ -4,10 +4,13 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.config import SystemConfig
+from repro.experiments import runner
+from repro.experiments.scenarios import Scenario
 from repro.jobs.states import JobState
 from repro.jobs.usage import UsageTrace
+from repro.obs.telemetry import Telemetry
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
-from repro.scheduler.simulator import simulate
+from repro.scheduler.simulator import build_simulation, simulate
 from repro.slowdown.model import NullContentionModel
 
 from conftest import make_job
@@ -126,3 +129,29 @@ def test_monitor_noise_deterministic(tiny_config):
     b = simulate(wl.fresh_jobs(), tiny_config, policy="dynamic",
                  profiles=wl.profiles, monitor_noise=0.2, monitor_seed=9)
     assert a.throughput() == pytest.approx(b.throughput())
+
+
+def test_requeued_job_beyond_the_machine_becomes_unrunnable():
+    """Regression: a job pinned at a peak that no state of the machine
+    can serve used to stay pending forever, and the run spun until
+    ``max_events``.  The requeue checks feasibility again and records
+    the job as unrunnable, as a submit would."""
+    scenario = Scenario(n_nodes=32, n_jobs=30, frac_large=0.25, seed=0)
+    wl = runner.base_workload(scenario)
+    jobs = wl.fresh_jobs()
+    jobs[0].usage = UsageTrace.constant(10**9)
+    tel = Telemetry(trace_spans=False)
+    handle = build_simulation(jobs, scenario.system_config(),
+                              policy="dynamic", profiles=wl.profiles,
+                              max_events=100_000, telemetry=tel)
+    res = handle.finish()
+    policy = handle.policy
+    assert res.unrunnable == [0] and res.n_completed == 29
+    assert jobs[0].state is JobState.UNRUNNABLE
+    assert res.oom_kills == 3 == policy.max_oom_failures
+    assert tel.registry.counters["jobs_unrunnable"].value == 1
+    kinds = [e.kind for e in tel.provenance.events if e.jid == 0]
+    assert kinds.count("oom_kill") == 3 and kinds[-1] == "unrunnable"
+    assert tel.blame.reason_of(0) is None  # no wait episode left open
+    assert not policy.is_pinned(jobs[0])
+    assert 0 not in policy._observed_peak

@@ -161,7 +161,7 @@ def test_rdp_vertical_error_bound(ys, eps):
 def test_event_queue_pops_sorted(times):
     q = EventQueue()
     for t in times:
-        q.push(t, EventKind.SAMPLE, t)
+        q.push(t, EventKind.TELEMETRY, t)
     popped = [e.time for e in q.drain()]
     assert popped == sorted(popped)
     assert len(popped) == len(times)

@@ -5,6 +5,8 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.jobs.states import JobState
 from repro.jobs.usage import UsageTrace
+from repro.obs.export import series_of
+from repro.obs.telemetry import Telemetry
 from repro.scheduler.simulator import simulate
 from repro.slowdown.model import NullContentionModel
 
@@ -125,10 +127,12 @@ def test_utilization_accounting_single_job(config):
 
 def test_sample_timeline(config):
     jobs = [make_job(jid=i, submit=0.0, runtime=500.0) for i in range(2)]
-    res = run(jobs, config, sample_interval=100.0)
-    timeline = res.meta["timeline"]
-    assert len(timeline) >= 5
-    assert max(timeline.cpu) > 0
+    tel = Telemetry(sample_interval=100.0, trace_spans=False,
+                    provenance=False)
+    run(jobs, config, telemetry=tel)
+    times, busy = series_of(tel.registry, "busy_nodes")
+    assert len(times) >= 5
+    assert max(busy) > 0
 
 
 def test_duplicate_job_ids_rejected(config):

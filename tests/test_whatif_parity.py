@@ -24,7 +24,8 @@ from repro.core.events import EventKind, EventQueue
 from repro.core.state import capture, restore
 from repro.jobs.job import Job
 from repro.jobs.usage import UsageTrace
-from repro.obs.export import metrics_jsonl
+from repro.experiments.timeline import render_run
+from repro.obs.export import metrics_jsonl, series_of
 from repro.obs.provenance import lifecycle_jsonl
 from repro.obs.telemetry import Telemetry
 from repro.scheduler.simulator import build_simulation, simulate
@@ -250,42 +251,33 @@ def test_queue_compaction_drops_tombstones_before_snapshot():
     assert not q._dead and len(q._heap) == 5
     state = capture(q)
     assert sorted(ev.payload for *_, ev in q._heap) == [1, 3, 5, 7, 9]
-    # restore round-trips pop order and the live-kind counts
+    # restore round-trips pop order and the live count
     assert [ev.payload for ev in q.drain()] == [1, 3, 5, 7, 9]
-    assert not q.has_live_excluding()
+    assert len(q) == 0
     restore(q, state)
-    assert len(q) == 5 and q.has_live_excluding()
+    assert len(q) == 5
     assert [ev.payload for ev in q.drain()] == [1, 3, 5, 7, 9]
 
 
-def test_queue_live_kind_counts_survive_cancel_and_pop():
-    q = EventQueue()
-    s = q.push(10.0, EventKind.SAMPLE)
-    q.push(20.0, EventKind.TELEMETRY)
-    q.push(5.0, EventKind.JOB_FINISH)
-    assert q.has_live_excluding(EventKind.SAMPLE, EventKind.TELEMETRY)
-    q.pop()  # the JOB_FINISH
-    assert not q.has_live_excluding(EventKind.SAMPLE, EventKind.TELEMETRY)
-    assert q.has_live_excluding(EventKind.SAMPLE)
-    q.cancel(s)
-    assert not q.has_live_excluding(EventKind.TELEMETRY)
+def test_observed_timeline_run_ends_on_its_own():
+    """The telemetry chain is the only periodic sampler, and it stops
+    once the workload has drained.
 
-
-def test_dual_sampler_chains_terminate():
-    """Regression: SAMPLE + TELEMETRY chains used to livelock forever.
-
-    With both periodic chains active, each chain's reschedule predicate
-    (``len(queue) > 0``) saw the *other* chain's next event after the
-    workload drained, so they sustained each other indefinitely.
+    Its reschedule predicate counts any live event as work, so a second
+    periodic chain would keep it alive forever; with one chain, the last
+    sample lands within a cadence of the last other event (a finish, or
+    a memory update at most one update interval later).
     """
     wl = _workload(n_jobs=5, n_nodes=16)
     config = SystemConfig.from_memory_level(100, n_nodes=16)
+    tel = Telemetry(trace_spans=False, provenance=False)
     res = simulate(wl.fresh_jobs(), config, policy="dynamic",
-                   profiles=wl.profiles, sample_interval=300.0,
-                   telemetry=Telemetry(sample_interval=300.0),
-                   max_events=500_000)
-    assert res.events_processed < 500_000  # terminated on its own
+                   profiles=wl.profiles, telemetry=tel, max_events=500_000)
     assert res.all_jobs_ran()
+    times, _ = series_of(tel.registry, "busy_nodes")
+    latest_event = res.makespan + config.update_interval
+    assert times[-1] < latest_event + tel.sample_interval
+    assert "cluster occupancy" in render_run(res, tel.registry)
 
 
 def test_capture_rearms_cow_and_invalidates_prior_snapshot():
