@@ -1,15 +1,16 @@
 # Convenience targets mirroring what CI runs.
 #
-#   make lint      — custom simulation-correctness linter (shallow + deep) + ruff
-#   make lint-deep — whole-program pass only (call graph + dataflow rules)
-#   make test      — tier-1 test suite (includes the lint self-check)
-#   make check     — both
-#   make loc       — src/repro line count per package and in total
+#   make lint         — custom simulation-correctness linter (shallow + deep) + ruff
+#   make lint-deep    — whole-program pass only (call graph + dataflow rules)
+#   make lint-mutants — seeded-mutant table that justifies each lint rule
+#   make test         — tier-1 test suite (includes the lint self-check)
+#   make check        — both
+#   make loc          — src/repro line count per package and in total
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-deep lint-json lint-sarif test check loc \
+.PHONY: lint lint-deep lint-json lint-sarif lint-mutants test check loc \
 	bench-parallel bench-obs obs-smoke bench-sim bench-sim-16k bench-lint \
 	bench-whatif bench-check
 
@@ -22,8 +23,7 @@ lint:
 		echo "ruff not installed; skipped generic lint (see pyproject.toml)"; \
 	fi
 
-# Whole-program flow analysis only (DET1xx/RACE0xx/INV1xx/UNIT1xx),
-# checked against the committed lint-baseline.json.
+# Whole-program flow analysis only (DET101-103, RACE001-003, INV101).
 lint-deep:
 	$(PYTHON) -m repro.cli lint --deep src/repro
 
@@ -38,6 +38,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 check: lint test
+
+# Seeded-mutant table: per mutant, does its lint rule flag it and which
+# tier-1 test (if any) catches it.  About an hour; not run in CI.
+lint-mutants:
+	$(PYTHON) tests/lint_mutants.py
 
 # Lines of *.py under src/repro, per package (subpackages included) and
 # in total: the net src/ line count that ROADMAP.md tracks.

@@ -1,19 +1,19 @@
 """AST-based simulation-correctness linter.
 
 Enforces the conventions the reproduction's credibility rests on —
-deterministic seeded randomness, integer-MB memory accounting, and
-ledger conservation — as mechanical lint rules.  Shallow per-file rules
-run by default; the whole-program families (determinism taint, parallel
-shared-state races, aggregate coherence, units taint) run under
-``--deep`` on a linked import/call-graph project.  See
-``docs/STATIC_ANALYSIS.md`` for the rule catalogue and rationale.
+deterministic runs, integer-MB memory accounting, and ledger writes
+through the cluster's mutators — as mechanical lint rules.  Shallow
+per-file rules run by default; the whole-program families (determinism
+taint, parallel shared-state races, aggregate coherence) run under
+``--deep`` on a linked import/call-graph project.  Each rule is kept
+because it flags a seeded bug the test suite misses; see
+``docs/STATIC_ANALYSIS.md`` for the catalogue and the mutant table.
 
 Importing this package registers the shipped rules as a side effect.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, discover_baseline, write_baseline
 from .core import (
     Finding,
     LintError,
@@ -44,7 +44,6 @@ from . import rules as _rules  # noqa: F401
 from . import flowrules as _flowrules  # noqa: F401
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintError",
     "ParsedModule",
@@ -53,7 +52,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "clear_parse_cache",
-    "discover_baseline",
     "get_rule",
     "iter_python_files",
     "json_report",
@@ -71,5 +69,4 @@ __all__ = [
     "resolve_rules",
     "rule_ids",
     "sarif_report",
-    "write_baseline",
 ]

@@ -5,9 +5,9 @@ pytest self-check, and CI all share one implementation.
 
 Exit codes (identical in shallow and deep modes):
 
-* ``0`` — clean (no findings outside the baseline)
+* ``0`` — clean
 * ``1`` — findings
-* ``2`` — usage or internal error (unknown rule, bad path, bad baseline)
+* ``2`` — usage or internal error (unknown rule, bad path)
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from .baseline import Baseline, discover_baseline, write_baseline
 from .core import LintError, lint_paths, resolve_rules, rule_ids
 from .report import render_json, render_rules, render_text
 from .sarif import render_sarif
@@ -52,21 +51,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--deep", action="store_true",
         help="additionally run the whole-program rule families "
-        "(DET1xx/RACE0xx/INV1xx/UNIT1xx) over the linked project",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline file of accepted findings "
-        "(default: lint-baseline.json discovered above the lint paths)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="write current findings to FILE as a baseline skeleton "
-        "(justifications must be filled in by hand) and exit 0",
+        "(DET101-103, RACE001-003, INV101) over the linked project",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -92,43 +77,17 @@ def run_lint(args: argparse.Namespace) -> int:
         rules = resolve_rules(args.rules, deep=deep)
         paths = [str(p) for p in (args.paths or default_lint_paths())]
         findings = lint_paths(paths, rules, deep=deep)
-
-        if getattr(args, "write_baseline", None):
-            count = write_baseline(findings, Path(args.write_baseline))
-            print(
-                f"repro-lint: wrote {count} baseline entr"
-                f"{'y' if count == 1 else 'ies'} to {args.write_baseline}; "
-                "fill in each justification before committing",
-                file=sys.stderr,
-            )
-            return 0
-
-        baseline_info: Optional[Dict[str, object]] = None
-        if not getattr(args, "no_baseline", False):
-            baseline_path = (
-                Path(args.baseline)
-                if getattr(args, "baseline", None)
-                else discover_baseline(paths)
-            )
-            if baseline_path is not None:
-                baseline = Baseline.load(baseline_path)
-                findings, suppressed, stale = baseline.apply(findings)
-                baseline_info = {
-                    "source": str(baseline_path),
-                    "suppressed": suppressed,
-                    "stale": [e.to_dict() for e in stale],
-                }
     except LintError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
     mode = "deep" if deep else "shallow"
     if args.format == "json":
-        _emit(render_json(findings, mode=mode, baseline=baseline_info), output)
+        _emit(render_json(findings, mode=mode), output)
     elif args.format == "sarif":
         _emit(render_sarif(findings), output)
     else:
-        _emit(render_text(findings, baseline=baseline_info), output)
+        _emit(render_text(findings), output)
     return 1 if findings else 0
 
 

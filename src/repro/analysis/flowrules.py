@@ -1,6 +1,6 @@
 """Whole-program rule families over the call graph and taint engine.
 
-Four deep families (run under ``repro lint --deep`` or by explicit
+Three deep families (run under ``repro lint --deep`` or by explicit
 ``--rule`` selection):
 
 * ``DET1xx`` — determinism taint: iteration-order- and
@@ -8,11 +8,9 @@ Four deep families (run under ``repro lint --deep`` or by explicit
   ordered outputs, or RNG seeds.
 * ``RACE0xx`` — parallel shared state: module-level mutable state and
   unpicklable callables reachable from process-pool workers.
-* ``INV1xx`` — aggregate coherence: the cluster ledger fields may only
-  be written inside the owning mutators, which must maintain the O(1)
+* ``INV101`` — aggregate coherence: the cluster ledger fields may only
+  be written inside the owning mutators, which maintain the O(1)
   aggregates and notify listeners.
-* ``UNIT1xx`` — flow-sensitive integer-mebibyte discipline, extending
-  UNIT001 across assignments and call boundaries.
 
 Analysis artefacts (float summaries, per-function taint runs) are
 memoised on the :class:`~repro.analysis.graph.Project` so the families
@@ -22,7 +20,7 @@ share one pass over each function.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .core import Finding, ProjectRule, register
 from .dataflow import (
@@ -34,13 +32,9 @@ from .dataflow import (
     compute_float_summaries,
 )
 from .graph import FunctionInfo, ModuleInfo, Project, dotted
-from .rules import _float_producer, _mb_named, _target_names
+from .rules import _target_names
 
-__all__ = [
-    "LEDGER_FIELDS",
-    "PROVENANCE_OBSERVED_FIELDS",
-    "PROVENANCE_SINKS",
-]
+__all__ = ["LEDGER_FIELDS"]
 
 
 # ----------------------------------------------------------------------
@@ -324,75 +318,6 @@ class UnorderedMaterializationRule(ProjectRule):
                         "has nondeterministic order; iterate sorted(...)",
                     )
                     break
-
-
-# ----------------------------------------------------------------------
-# UNIT1xx — flow-sensitive integer-mebibyte discipline
-# ----------------------------------------------------------------------
-@register
-class MbFloatFlowRule(ProjectRule):
-    """UNIT101: float-tainted values bound to ``*_mb`` names (flow).
-
-    Extends UNIT001 across assignments and call boundaries: a value is
-    float-tainted if it flows from a float literal/division anywhere
-    upstream, or from a callee whose return annotation (or inferred
-    body) is float.  Syntactically-obvious cases stay UNIT001's; this
-    rule only reports what per-statement matching cannot see.
-    """
-
-    id = "UNIT101"
-    title = "*_mb binding receives a float-tainted value (flow analysis)"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        for fn in project.iter_functions():
-            analysis = _analysis(project, fn)
-            for stmt in _simple_stmts(fn):
-                env = analysis.env_before.get(id(stmt))
-                if env is None:
-                    continue
-                yield from self._check_stmt(fn, analysis, stmt, env)
-
-    def _flag(self, fn, name: str, node: ast.AST) -> Finding:
-        return _finding(
-            self, fn, node,
-            f"'{name}' is a memory quantity (integer MB) but receives a "
-            "float-tainted value through dataflow (e.g. a float-returning "
-            "callee or upstream division); round at the producer with "
-            "int(round(...)) or rename the binding",
-        )
-
-    def _check_stmt(self, fn, analysis, stmt, env) -> Iterator[Finding]:
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            value = stmt.value
-            if _float_producer(value) is None and FLOAT in analysis.taint_of(
-                value, env
-            ):
-                for name, tnode in (
-                    pair for t in targets for pair in _target_names(t)
-                ):
-                    if _mb_named(name):
-                        yield self._flag(fn, name, tnode)
-        elif isinstance(stmt, ast.AugAssign):
-            for name, tnode in _target_names(stmt.target):
-                if (
-                    _mb_named(name)
-                    and _float_producer(stmt.value) is None
-                    and FLOAT in analysis.taint_of(stmt.value, env)
-                ):
-                    yield self._flag(fn, name, tnode)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                for kw in node.keywords:
-                    if (
-                        kw.arg is not None
-                        and _mb_named(kw.arg)
-                        and _float_producer(kw.value) is None
-                        and FLOAT in analysis.taint_of(kw.value, env)
-                    ):
-                        yield self._flag(fn, kw.arg, kw.value)
 
 
 # ----------------------------------------------------------------------
@@ -691,7 +616,7 @@ class UnpicklableDispatchRule(ProjectRule):
 
 
 # ----------------------------------------------------------------------
-# INV1xx — aggregate coherence
+# INV101 — aggregate coherence
 # ----------------------------------------------------------------------
 #: Cluster ledger state: raw vectors, busy bookkeeping and O(1)
 #: aggregates.  Writes outside the owning class (the one defining
@@ -715,22 +640,18 @@ def _owner_classes(project: Project) -> Set[str]:
     }
 
 
-def _attr_store_targets(
-    stmt: ast.stmt,
-) -> Iterator[Tuple[ast.AST, str, bool]]:
-    """Yield (base expr, attr name, is_subscript) for attribute stores,
-    peeling subscript wrappers: ``x.f[i] = ...`` -> (x, f, True)."""
+def _attr_store_targets(stmt: ast.stmt) -> Iterator[Tuple[ast.AST, str]]:
+    """Yield (base expr, attr name) for attribute stores, peeling
+    subscript wrappers: ``x.f[i] = ...`` -> (x, f)."""
     if not isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
         return
     targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
     for target in targets:
         node = target
-        is_subscript = False
         while isinstance(node, ast.Subscript):
             node = node.value
-            is_subscript = True
         if isinstance(node, ast.Attribute):
-            yield node.value, node.attr, is_subscript
+            yield node.value, node.attr
 
 
 def _base_is_owner(
@@ -786,12 +707,12 @@ class LedgerWriteRule(ProjectRule):
                 and f"{fn.module.name}.{fn.cls}" in owners
             )
             if in_owner:
-                continue  # INV103/INV104 govern the mutators themselves
+                continue  # the owning class's methods are the mutators
             local_types = project.local_types(fn.module, fn)
             for stmt in ast.walk(fn.node):
                 if not isinstance(stmt, ast.stmt):
                     continue
-                for base, attr, _sub in _attr_store_targets(stmt):
+                for base, attr in _attr_store_targets(stmt):
                     if attr not in LEDGER_FIELDS:
                         continue
                     is_owner = _base_is_owner(
@@ -808,127 +729,4 @@ class LedgerWriteRule(ProjectRule):
                         "and demand listeners desync — go through "
                         "apply/release/resize/grow_local/shrink_local/"
                         "add_remote/remove_remote",
-                    )
-
-
-@register
-class LenderNotifyRule(ProjectRule):
-    """INV103: lender-ledger mutations must notify demand listeners.
-
-    Inside the owning class, any method that changes lending state
-    (calls ``_touch_lent`` or writes ``lender_jobs`` entries) must
-    (transitively) call ``_notify_demand`` so attached listeners
-    (contention model, telemetry) reprice the affected lenders.
-    """
-
-    id = "INV103"
-    title = "lender mutation without a _notify_demand listener update"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        owners = _owner_classes(project)
-        for qname in sorted(owners):
-            cls = project.classes[qname]
-            for method in cls.methods.values():
-                if method.name in ("_touch_lent", "_notify_demand"):
-                    continue  # the funnel helpers themselves
-                if not self._mutates_lending(method):
-                    continue
-                reach = project.reachable({method.qname})
-                if any(
-                    q.rsplit(".", 1)[-1] == "_notify_demand" for q in reach
-                ):
-                    continue
-                yield _finding(
-                    self, method, method.node,
-                    f"'{method.name}' mutates lending state but never "
-                    "reaches _notify_demand; attached listeners (contention "
-                    "model, telemetry) keep stale demand",
-                )
-
-    def _mutates_lending(self, method: FunctionInfo) -> bool:
-        for node in ast.walk(method.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_touch_lent"
-            ):
-                return True
-            if isinstance(node, ast.stmt):
-                for base, attr, sub in _attr_store_targets(node):
-                    if (
-                        sub
-                        and attr == "lender_jobs"
-                        and isinstance(base, ast.Name)
-                        and base.id == "self"
-                    ):
-                        return True
-        return False
-
-
-#: Ledger state whose mutations the provenance layer must be able to
-#: observe: per-node remote holdings feed the lender-demand pub/sub (the
-#: contention repricer and the ``demand_dirty`` provenance events hang
-#: off it), and the allocations map marks whole-allocation commits (the
-#: ``cluster.apply``/``cluster.release`` tap).  ``lender_jobs`` is
-#: already governed by INV103.
-PROVENANCE_OBSERVED_FIELDS = frozenset({"remote_held_mb", "allocations"})
-#: The observable seam: the demand notifier every tapped mutator
-#: funnels through.  A mutator that never reaches it changes state that
-#: no provenance tap or listener will ever see.
-PROVENANCE_SINKS = frozenset({"_notify_demand"})
-
-
-@register
-class ProvenanceTapRule(ProjectRule):
-    """INV104: ledger mutations invisible to the provenance taps.
-
-    The causal-provenance layer (``repro.obs.provenance``) observes the
-    cluster purely through its notification seam, the demand pub/sub
-    (``_notify_demand``), which the apply/release commits that carry the
-    tap also reach.  A mutator in a ledger-owning class (one defining
-    ``check_invariants``) that writes remote holdings or the allocations
-    map but never (transitively) reaches that seam mutates state that
-    neither the provenance graph, nor the contention repricer, nor
-    ``repro diff`` will ever see — the run's causal record silently
-    diverges from its actual state.  Pool planners don't mutate
-    ledger state and emit their ``borrow_plan`` events directly.
-    """
-
-    id = "INV104"
-    title = "ledger mutation unreachable by any provenance tap seam"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        owners = _owner_classes(project)
-        for qname in sorted(owners):
-            cls = project.classes[qname]
-            for method in cls.methods.values():
-                if (
-                    method.name in PROVENANCE_SINKS
-                    or method.name == "recompute_aggregates"
-                ):
-                    continue
-                writes = [
-                    stmt
-                    for stmt in ast.walk(method.node)
-                    if isinstance(stmt, ast.stmt)
-                    for base, attr, sub in _attr_store_targets(stmt)
-                    if sub
-                    and attr in PROVENANCE_OBSERVED_FIELDS
-                    and isinstance(base, ast.Name)
-                    and base.id == "self"
-                ]
-                if not writes:
-                    continue
-                reach = project.reachable({method.qname})
-                if any(
-                    q.rsplit(".", 1)[-1] in PROVENANCE_SINKS for q in reach
-                ):
-                    continue
-                for stmt in writes:
-                    yield _finding(
-                        self, method, stmt,
-                        f"'{method.name}' mutates provenance-observed "
-                        "ledger state but never reaches _notify_demand; "
-                        "the provenance taps, contention repricer and run "
-                        "diffs go blind to this mutation",
                     )

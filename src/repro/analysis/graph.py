@@ -2,7 +2,7 @@
 
 :class:`Project` links the :class:`~repro.analysis.core.ParsedModule`
 objects of one lint run into a whole-program view the deep rule
-families (``DET1xx``/``RACE0xx``/``INV1xx``/``UNIT1xx``) query:
+families (``DET1xx``/``RACE0xx``/``INV101``) query:
 
 * module naming — ``repro/cluster/cluster.py`` -> ``repro.cluster.cluster``;
 * import resolution — absolute and relative, including aliases, so a
@@ -87,8 +87,6 @@ class ModuleInfo:
         #: function/method qname -> info (methods included, flattened).
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: module-level names bound to mutable values (dict/list/set/call).
-        self.mutable_globals: Dict[str, ast.AST] = {}
         #: all module-level assigned names.
         self.global_names: Set[str] = set()
 
@@ -101,23 +99,6 @@ class ModuleInfo:
         if self.parsed.relpath.endswith("__init__.py"):
             return self.name
         return self.name.rsplit(".", 1)[0] if "." in self.name else ""
-
-
-_MUTABLE_CALLS = {
-    "dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
-    "deque", "LRUCache",
-}
-
-
-def _is_mutable_literal(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = node.func.id if isinstance(node.func, ast.Name) else (
-            node.func.attr if isinstance(node.func, ast.Attribute) else ""
-        )
-        return name in _MUTABLE_CALLS
-    return False
 
 
 def dotted(node: ast.AST) -> Optional[str]:
@@ -191,12 +172,9 @@ class Project:
             targets = (
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             )
-            value = stmt.value
             for target in targets:
                 if isinstance(target, ast.Name):
                     mod.global_names.add(target.id)
-                    if value is not None and _is_mutable_literal(value):
-                        mod.mutable_globals[target.id] = stmt
         elif isinstance(stmt, (ast.If, ast.Try)):
             for inner in ast.iter_child_nodes(stmt):
                 if isinstance(inner, ast.stmt):
@@ -485,10 +463,8 @@ class Project:
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------
-    def reachable(
-        self, roots: Iterable[str], follow_refs: bool = True
-    ) -> Set[str]:
-        """Transitive closure over call (and optionally reference) edges."""
+    def reachable(self, roots: Iterable[str]) -> Set[str]:
+        """Transitive closure over call and reference edges."""
         seen: Set[str] = set()
         stack = [r for r in roots]
         while stack:
@@ -500,14 +476,9 @@ class Project:
             if fn is None:
                 continue
             stack.extend(fn.calls - seen)
-            if follow_refs:
-                stack.extend(fn.refs - seen)
+            stack.extend(fn.refs - seen)
         return seen
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qname in sorted(self.functions):
             yield self.functions[qname]
-
-    def iter_modules(self) -> Iterator[ModuleInfo]:
-        for name in sorted(self.modules):
-            yield self.modules[name]

@@ -1,9 +1,9 @@
-"""Reporters: human-readable text, machine-readable JSON, and SARIF.
+"""Reporters: human-readable text and machine-readable JSON.
 
-The JSON schema (``version`` 1) is stable for CI consumption::
+The JSON schema (``version`` 2) is stable for CI consumption::
 
     {
-      "version": 1,
+      "version": 2,
       "mode": "shallow" | "deep",
       "count": <int>,
       "findings": [
@@ -11,33 +11,27 @@ The JSON schema (``version`` 1) is stable for CI consumption::
          "message": "...", "severity": "error"},
         ...
       ],
-      "summary": {"by_rule": {...}, "by_severity": {...}},
-      "baseline": null | {"source": "...", "suppressed": <int>,
-                          "stale": [<entry>, ...]}
+      "summary": {"by_rule": {...}, "by_severity": {...}}
     }
 
-``mode``/``baseline`` are additive over the original v1 schema; the
-``count``/``findings``/``summary`` contract is unchanged and identical
-between shallow and deep runs.  SARIF rendering lives in
-:mod:`repro.analysis.sarif` and is exposed through ``--format sarif``.
+SARIF rendering lives in :mod:`repro.analysis.sarif` and is exposed
+through ``--format sarif``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .core import Finding, all_rules
 
 __all__ = ["json_report", "render_json", "render_rules", "render_text"]
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def json_report(
-    findings: Sequence[Finding],
-    mode: str = "shallow",
-    baseline: Optional[Dict[str, object]] = None,
+    findings: Sequence[Finding], mode: str = "shallow"
 ) -> Dict[str, object]:
     """Build the JSON-serialisable report dictionary."""
     by_rule: Dict[str, int] = {}
@@ -51,26 +45,16 @@ def json_report(
         "count": len(findings),
         "findings": [f.to_dict() for f in findings],
         "summary": {"by_rule": by_rule, "by_severity": by_severity},
-        "baseline": baseline,
     }
 
 
-def render_json(
-    findings: Sequence[Finding],
-    mode: str = "shallow",
-    baseline: Optional[Dict[str, object]] = None,
-) -> str:
+def render_json(findings: Sequence[Finding], mode: str = "shallow") -> str:
     return json.dumps(
-        json_report(findings, mode=mode, baseline=baseline),
-        indent=2,
-        sort_keys=True,
+        json_report(findings, mode=mode), indent=2, sort_keys=True
     )
 
 
-def render_text(
-    findings: Sequence[Finding],
-    baseline: Optional[Dict[str, object]] = None,
-) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """One line per finding plus a summary tail (empty input -> all clean)."""
     lines: List[str] = []
     if not findings:
@@ -81,18 +65,6 @@ def render_text(
         by_rule = report["summary"]["by_rule"]  # type: ignore[index]
         counts = ", ".join(f"{rule}: {n}" for rule, n in sorted(by_rule.items()))
         lines.append(f"{len(findings)} finding(s) ({counts})")
-    if baseline is not None:
-        suppressed = baseline.get("suppressed", 0)
-        lines.append(
-            f"baseline: {suppressed} finding(s) accepted via "
-            f"{baseline.get('source')}"
-        )
-        stale = baseline.get("stale") or []
-        for entry in stale:
-            lines.append(
-                "  stale baseline entry (no longer matches): "
-                f"{entry['rule']} at {entry['path']}"
-            )
     return "\n".join(lines)
 
 

@@ -2,28 +2,21 @@
 
 Each rule protects one invariant the paper reproduction depends on:
 
-* **DET001 / DET002** — determinism: no wall-clock reads in simulation
-  code, all randomness through the seeded :mod:`repro.core.rng` plumbing.
+* **DET001** — determinism: no wall-clock reads in simulation code.
 * **UNIT001 / UNIT002** — unit safety: memory stays integer mebibytes,
   float comparisons in metrics code use tolerances.
-* **PY001** — no mutable default arguments (shared-state bugs).
-* **INV001** — ledger-like dataclass fields in ``cluster/`` must be
-  covered by a conservation assertion.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .core import Finding, ParsedModule, Rule, register
 
 __all__ = [
-    "LedgerShadowRule",
     "MbFloatRule",
     "MetricsFloatEqualityRule",
-    "MutableDefaultRule",
-    "UnseededRngRule",
     "WallClockRule",
 ]
 
@@ -98,70 +91,6 @@ class WallClockRule(Rule):
                         node,
                         f"importing wall-clock reader(s) {', '.join(bad)} "
                         "from 'time' in simulation code",
-                    )
-
-
-# ----------------------------------------------------------------------
-@register
-class UnseededRngRule(Rule):
-    """DET002: all randomness flows through ``repro.core.rng``.
-
-    Direct ``random.*`` or ``np.random.*`` use (including
-    ``np.random.default_rng``) bypasses the seed plumbing that makes
-    every figure in EXPERIMENTS.md reproducible; call
-    ``ensure_rng``/``spawn`` and thread the generator instead.
-    """
-
-    id = "DET002"
-    title = "all RNG via repro.core.rng (ensure_rng/spawn)"
-    exempt = ("repro/core/rng.py",)
-
-    _NP_PREFIXES = ("np.random.", "numpy.random.")
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield self.finding(
-                            module,
-                            node,
-                            "stdlib 'random' is unseeded module-global state; "
-                            "use repro.core.rng.ensure_rng",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                if mod == "random" or mod.startswith("random."):
-                    yield self.finding(
-                        module,
-                        node,
-                        "stdlib 'random' is unseeded module-global state; "
-                        "use repro.core.rng.ensure_rng",
-                    )
-                elif mod == "numpy.random" or mod.startswith("numpy.random."):
-                    yield self.finding(
-                        module,
-                        node,
-                        "import numpy RNG constructors via repro.core.rng "
-                        "(ensure_rng/spawn), not numpy.random directly",
-                    )
-            elif isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                if name.startswith(self._NP_PREFIXES):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"direct {name}() call; route RNG through "
-                        "repro.core.rng.ensure_rng/spawn so streams stay seeded",
-                    )
-                elif name.startswith("random."):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"stdlib {name}() uses unseeded global state; "
-                        "use a generator from repro.core.rng",
                     )
 
 
@@ -305,117 +234,4 @@ class MetricsFloatEqualityRule(Rule):
                         node,
                         f"float {sym} comparison; use math.isclose with an "
                         "explicit tolerance",
-                    )
-
-
-# ----------------------------------------------------------------------
-@register
-class MutableDefaultRule(Rule):
-    """PY001: no mutable default arguments.
-
-    A mutable default is shared across calls; policies and workloads are
-    long-lived objects, so the aliasing corrupts later simulations.
-    """
-
-    id = "PY001"
-    title = "no mutable default arguments"
-
-    _MUTABLE_CALLS = frozenset(
-        {"list", "dict", "set", "bytearray", "defaultdict",
-         "collections.defaultdict", "collections.OrderedDict", "OrderedDict"}
-    )
-
-    def _is_mutable(self, node: ast.AST) -> bool:
-        if isinstance(
-            node,
-            (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp),
-        ):
-            return True
-        if isinstance(node, ast.Call):
-            return dotted_name(node.func) in self._MUTABLE_CALLS
-        return False
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            a = node.args
-            positional = a.posonlyargs + a.args
-            for arg, default in zip(positional[len(positional) - len(a.defaults):],
-                                    a.defaults):
-                if self._is_mutable(default):
-                    yield self.finding(
-                        module,
-                        default,
-                        f"mutable default for parameter '{arg.arg}' of "
-                        f"{node.name}(); use None and create inside the body",
-                    )
-            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-                if default is not None and self._is_mutable(default):
-                    yield self.finding(
-                        module,
-                        default,
-                        f"mutable default for parameter '{arg.arg}' of "
-                        f"{node.name}(); use None and create inside the body",
-                    )
-
-
-# ----------------------------------------------------------------------
-@register
-class LedgerShadowRule(Rule):
-    """INV001: cluster dataclass ledger fields need conservation checks.
-
-    A ``*_mb`` field on a ``cluster/`` dataclass mirrors memory ledger
-    state; if no assertion-bearing method of the class ever touches it,
-    nothing would catch the ledger drifting out of conservation.
-    """
-
-    id = "INV001"
-    title = "cluster dataclass *_mb fields must appear in a conservation check"
-
-    scope = ("repro/cluster/",)
-
-    def _is_dataclass(self, cls: ast.ClassDef) -> bool:
-        for deco in cls.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            name = dotted_name(target)
-            if name in ("dataclass", "dataclasses.dataclass"):
-                return True
-        return False
-
-    def _asserted_attrs(self, cls: ast.ClassDef) -> Set[str]:
-        """Self-attributes referenced in methods containing assert/raise."""
-        out: Set[str] = set()
-        for item in cls.body:
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            has_assertion = any(
-                isinstance(n, (ast.Assert, ast.Raise)) for n in ast.walk(item)
-            )
-            if not has_assertion:
-                continue
-            for n in ast.walk(item):
-                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
-                    if n.value.id == "self":
-                        out.add(n.attr)
-        return out
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef) or not self._is_dataclass(node):
-                continue
-            covered = self._asserted_attrs(node)
-            for item in node.body:
-                if not isinstance(item, ast.AnnAssign):
-                    continue
-                if not isinstance(item.target, ast.Name):
-                    continue
-                name = item.target.id
-                if _mb_named(name) and name not in covered:
-                    yield self.finding(
-                        module,
-                        item,
-                        f"dataclass field '{name}' of {node.name} shadows "
-                        "ledger state but no assertion-bearing method of the "
-                        "class references it; add it to a conservation check",
                     )

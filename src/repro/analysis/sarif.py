@@ -2,8 +2,8 @@
 
 Emits the minimal valid subset GitHub code scanning consumes: one run,
 the tool driver with per-rule metadata, and one result per finding with
-a physical location.  Paths are package-relative (same normalisation as
-the baseline) so uploads are stable across checkout locations.
+a physical location.  Paths are package-relative so uploads are stable
+across checkout locations.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .runner import (
     repeat_scenarios,
     repeat_seed,
     run,
-    set_cache_limits,
 )
 from .validate import ValidationReport, validate_workload
 from .scenarios import (
@@ -93,7 +92,6 @@ __all__ = [
     "run",
     "scenario_for_scale",
     "scenario_key",
-    "set_cache_limits",
     "table1_trace_summary",
     "commons_table",
     "export",

@@ -127,33 +127,25 @@ def _normalize(raw: Dict, ref_raw: Dict) -> Optional[float]:
 
 
 def make_chunks(
-    scenarios: Sequence[Scenario],
-    workers: int,
-    chunk_size: Optional[int] = None,
+    scenarios: Sequence[Scenario], workers: int
 ) -> List[List[Scenario]]:
     """Split ``scenarios`` into pool tasks, never mixing base workloads.
 
     Scenarios are grouped by :meth:`Scenario.workload_key` (request
     order preserved); a chunk regenerates its trace when no cached copy
-    survives, so the default sizing splits a group only as far as load
-    balance demands — into at most ``workers`` chunks, and not at all
-    when there are already enough groups to occupy the pool.
+    survives, so a group is split only as far as load balance demands —
+    into at most ``workers`` chunks, and not at all when there are
+    already enough groups to occupy the pool.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     groups: Dict[tuple, List[Scenario]] = {}
     for sc in scenarios:
         groups.setdefault(sc.workload_key(), []).append(sc)
     chunks: List[List[Scenario]] = []
     for group in groups.values():
-        if chunk_size is None:
-            n_chunks = min(
-                len(group),
-                max(1, math.ceil(max(1, workers) / len(groups))),
-            )
-            size = math.ceil(len(group) / n_chunks)
-        else:
-            size = chunk_size
+        n_chunks = min(
+            len(group), max(1, math.ceil(max(1, workers) / len(groups)))
+        )
+        size = math.ceil(len(group) / n_chunks)
         for i in range(0, len(group), size):
             chunks.append(group[i : i + size])
     return chunks
@@ -163,13 +155,12 @@ def _map_chunks(
     pool: ProcessPoolExecutor,
     scenarios: Sequence[Scenario],
     workers: int,
-    chunk_size: Optional[int],
     collect_telemetry: bool = False,
 ) -> Iterator[Tuple[List[Scenario], List[Dict]]]:
     """Yield ``(chunk, raw results)`` pairs in completion order."""
     futures = {
         pool.submit(_run_chunk, chunk, collect_telemetry): chunk
-        for chunk in make_chunks(scenarios, workers, chunk_size)
+        for chunk in make_chunks(scenarios, workers)
     }
     for fut in as_completed(futures):
         yield futures[fut], fut.result()
@@ -180,7 +171,6 @@ def run_grid(
     workers: int = 1,
     progress: Optional[ProgressFn] = None,
     on_result: Optional[ResultFn] = None,
-    chunk_size: Optional[int] = None,
     collect_telemetry: bool = False,
 ) -> Dict[str, Dict]:
     """Run every unique scenario of a grid, optionally across processes.
@@ -266,7 +256,7 @@ def run_grid(
     ) as pool:
         # Phase 1: every distinct normalisation reference, exactly once.
         for _chunk, results in _map_chunks(
-            pool, list(refs.values()), workers, chunk_size, collect_telemetry
+            pool, list(refs.values()), workers, collect_telemetry
         ):
             for raw in results:
                 raw_by_key[raw["key"]] = raw
@@ -281,7 +271,7 @@ def run_grid(
         # Phase 2: the remaining grid, chunked by base workload.
         rest = [sc for key, sc in unique.items() if key not in raw_by_key]
         for chunk, results in _map_chunks(
-            pool, rest, workers, chunk_size, collect_telemetry
+            pool, rest, workers, collect_telemetry
         ):
             for sc, raw in zip(chunk, results):
                 raw_by_key[raw["key"]] = raw

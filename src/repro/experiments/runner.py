@@ -11,7 +11,7 @@ Both caches are LRU-bounded: a full-scale campaign walks hundreds of
 scenarios whose workloads hold per-job usage traces, so unbounded
 memoisation would grow without limit over the run.  ``clear_caches()``
 remains the hard reset (used by the :mod:`repro.experiments.parallel`
-pool workers); :func:`set_cache_limits` resizes the bounds.
+pool workers).
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ class LRUCache:
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
-    def resize(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
     def clear(self) -> None:
         self._data.clear()
 
@@ -91,16 +84,6 @@ _result_cache = LRUCache(RESULT_CACHE_SIZE)
 def clear_caches() -> None:
     _workload_cache.clear()
     _result_cache.clear()
-
-
-def set_cache_limits(
-    workloads: Optional[int] = None, results: Optional[int] = None
-) -> None:
-    """Resize the module caches (evicting LRU entries as needed)."""
-    if workloads is not None:
-        _workload_cache.resize(workloads)
-    if results is not None:
-        _result_cache.resize(results)
 
 
 def base_workload(scenario: Scenario) -> Workload:

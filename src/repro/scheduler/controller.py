@@ -528,9 +528,11 @@ class Controller:
         if not self.policy.can_ever_run(job):
             # The requeued job's demand (pinned at its observed peak once
             # it exhausted its OOM retries) exceeds what the machine can
-            # ever serve: it would stay pending forever.
+            # ever serve: it would stay pending forever.  It ran, so it
+            # gets a record, finished at this kill.
             self._mark_unrunnable(job)
             self.policy.on_finish(job)
+            self.result.records.append(self._record_of(job, now))
         else:
             self.pending.add(job)
             if self.blame is not None:

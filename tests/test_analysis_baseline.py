@@ -1,106 +1,16 @@
-"""Baseline suppression, SARIF output, and CLI exit-code tests."""
+"""SARIF output and CLI exit-code tests."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Baseline,
-    Finding,
-    LintError,
-    discover_baseline,
-    render_sarif,
-    rule_ids,
-    sarif_report,
-    write_baseline,
-)
+from repro.analysis import Finding, render_sarif, rule_ids, sarif_report
 from repro.analysis.cli import main as lint_main
 
 
 def make_finding(rule="DET101", path="src/repro/x.py", line=3, message="boom"):
     return Finding(rule=rule, path=path, line=line, col=1, message=message)
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-def write_baseline_file(tmp_path, entries):
-    p = tmp_path / "lint-baseline.json"
-    p.write_text(json.dumps({"version": 1, "entries": entries}))
-    return p
-
-
-def test_baseline_requires_justification(tmp_path):
-    p = write_baseline_file(
-        tmp_path,
-        [{"rule": "DET101", "path": "src/repro/x.py", "justification": ""}],
-    )
-    with pytest.raises(LintError):
-        Baseline.load(p)
-
-
-def test_baseline_suppresses_matching_finding(tmp_path):
-    p = write_baseline_file(
-        tmp_path,
-        [
-            {
-                "rule": "DET101",
-                "path": "repro/x.py",
-                "contains": "boom",
-                "justification": "known-iteration hazard, tracked",
-            }
-        ],
-    )
-    baseline = Baseline.load(p)
-    kept, suppressed, stale = baseline.apply(
-        [make_finding(), make_finding(rule="RACE001", message="other")]
-    )
-    assert [f.rule for f in kept] == ["RACE001"]
-    assert suppressed == 1
-    assert stale == []
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    p = write_baseline_file(
-        tmp_path,
-        [
-            {
-                "rule": "INV101",
-                "path": "src/repro/gone.py",
-                "justification": "was fixed long ago",
-            }
-        ],
-    )
-    baseline = Baseline.load(p)
-    kept, suppressed, stale = baseline.apply([make_finding()])
-    assert len(kept) == 1 and suppressed == 0
-    assert len(stale) == 1
-
-
-def test_discover_baseline_walks_ancestors(tmp_path):
-    (tmp_path / "lint-baseline.json").write_text(
-        json.dumps({"version": 1, "entries": []})
-    )
-    sub = tmp_path / "src" / "repro"
-    sub.mkdir(parents=True)
-    (sub / "m.py").write_text("x = 1\n")
-    found = discover_baseline([str(sub / "m.py")])
-    assert found == tmp_path / "lint-baseline.json"
-
-
-def test_write_baseline_round_trip(tmp_path):
-    out = tmp_path / "lint-baseline.json"
-    n = write_baseline([make_finding(), make_finding()], out)
-    assert n == 1  # deduplicated
-    data = json.loads(out.read_text())
-    assert data["version"] == 1
-    assert data["entries"][0]["rule"] == "DET101"
-    # Skeleton entries ship without justification and must be rejected
-    # until a human fills them in.
-    with pytest.raises(LintError):
-        Baseline.load(out)
 
 
 # ----------------------------------------------------------------------
@@ -146,31 +56,31 @@ def tree(tmp_path):
 def test_cli_exit_zero_on_clean(tree, capsys):
     root, pkg = tree
     (pkg / "m.py").write_text(CLEAN)
-    assert lint_main(["--no-baseline", str(pkg)]) == 0
-    assert lint_main(["--deep", "--no-baseline", str(pkg)]) == 0
+    assert lint_main([str(pkg)]) == 0
+    assert lint_main(["--deep", str(pkg)]) == 0
 
 
 def test_cli_exit_one_on_findings(tree):
     root, pkg = tree
     (pkg / "m.py").write_text(DIRTY)
-    assert lint_main(["--no-baseline", str(pkg)]) == 1
-    assert lint_main(["--deep", "--no-baseline", str(pkg)]) == 1
+    assert lint_main([str(pkg)]) == 1
+    assert lint_main(["--deep", str(pkg)]) == 1
 
 
 def test_cli_exit_two_on_usage_error(tmp_path):
-    assert lint_main(["--no-baseline", str(tmp_path / "missing.py")]) == 2
+    assert lint_main([str(tmp_path / "missing.py")]) == 2
     assert lint_main(["--rule", "NOPE999", str(tmp_path)]) == 2
 
 
 def test_cli_json_mode_field(tree, capsys):
     root, pkg = tree
     (pkg / "m.py").write_text(CLEAN)
-    lint_main(["--format", "json", "--no-baseline", str(pkg)])
+    lint_main(["--format", "json", str(pkg)])
     shallow = json.loads(capsys.readouterr().out)
-    assert shallow["version"] == 1
+    assert shallow["version"] == 2
     assert shallow["mode"] == "shallow"
-    assert shallow["baseline"] is None
-    lint_main(["--format", "json", "--deep", "--no-baseline", str(pkg)])
+    assert "baseline" not in shallow
+    lint_main(["--format", "json", "--deep", str(pkg)])
     deep = json.loads(capsys.readouterr().out)
     assert deep["mode"] == "deep"
 
@@ -180,47 +90,11 @@ def test_cli_sarif_output_file(tree, tmp_path):
     (pkg / "m.py").write_text(DIRTY)
     out = tmp_path / "lint.sarif"
     code = lint_main(
-        ["--deep", "--no-baseline", "--format", "sarif", "--output", str(out), str(pkg)]
+        ["--deep", "--format", "sarif", "--output", str(out), str(pkg)]
     )
     assert code == 1
     report = json.loads(out.read_text())
     assert report["runs"][0]["results"][0]["ruleId"] == "UNIT001"
-
-
-def test_cli_baseline_suppression_and_exit_code(tree, capsys):
-    root, pkg = tree
-    (pkg / "m.py").write_text(DIRTY)
-    baseline = root / "lint-baseline.json"
-    baseline.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "entries": [
-                    {
-                        "rule": "UNIT001",
-                        "path": "repro/core/m.py",
-                        "justification": "golden baseline-excluded case",
-                    }
-                ],
-            }
-        )
-    )
-    code = lint_main(["--deep", "--baseline", str(baseline), str(pkg)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "baseline" in out
-
-
-def test_cli_write_baseline_skeleton(tree, tmp_path):
-    root, pkg = tree
-    (pkg / "m.py").write_text(DIRTY)
-    out = tmp_path / "new-baseline.json"
-    code = lint_main(
-        ["--deep", "--no-baseline", "--write-baseline", str(out), str(pkg)]
-    )
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["entries"] and data["entries"][0]["rule"] == "UNIT001"
 
 
 def test_cli_explicit_deep_rule_without_deep_flag(tree):
@@ -232,5 +106,5 @@ def test_cli_explicit_deep_rule_without_deep_flag(tree):
         "        acc += it * 0.5\n"
         "    return acc\n"
     )
-    assert lint_main(["--rule", "DET101", "--no-baseline", str(pkg)]) == 1
-    assert lint_main(["--rule", "UNIT002", "--no-baseline", str(pkg)]) == 0
+    assert lint_main(["--rule", "DET101", str(pkg)]) == 1
+    assert lint_main(["--rule", "UNIT002", str(pkg)]) == 0

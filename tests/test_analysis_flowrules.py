@@ -90,41 +90,6 @@ def test_det102_literal_seed_is_clean():
 
 
 # ----------------------------------------------------------------------
-# UNIT101 — float flowing into *_mb names
-# ----------------------------------------------------------------------
-
-def test_unit101_cross_module_float_return():
-    sources = {
-        "repro/cluster/sizing.py": (
-            "def overhead(n) -> float:\n"
-            "    return n * 1.5\n"
-        ),
-        "repro/cluster/req.py": (
-            "from repro.cluster.sizing import overhead\n"
-            "\n"
-            "def build(n):\n"
-            "    extra = overhead(n)\n"
-            "    request_mb = extra\n"
-            "    return request_mb\n"
-        ),
-    }
-    hits = findings_for(sources, "UNIT101")
-    assert len(hits) == 1
-    assert hits[0].path == "repro/cluster/req.py"
-
-
-def test_unit101_int_rounded_is_clean():
-    sources = {
-        "repro/cluster/req.py": (
-            "def build(n):\n"
-            "    request_mb = int(round(n * 1.5))\n"
-            "    return request_mb\n"
-        ),
-    }
-    assert findings_for(sources, "UNIT101") == []
-
-
-# ----------------------------------------------------------------------
 # RACE001 — worker writes to shared module state
 # ----------------------------------------------------------------------
 
@@ -245,86 +210,6 @@ def test_inv101_flags_columnar_remote_held_poke():
     hits = findings_for(sources, "INV101")
     assert len(hits) == 1
     assert hits[0].path == "repro/policies/poke.py"
-
-
-def test_inv103_silent_lender_write():
-    sources = {
-        "repro/cluster/led.py": (
-            "class Led:\n"
-            "    def __init__(self, n):\n"
-            "        self.lender_jobs = [dict() for _ in range(n)]\n"
-            "\n"
-            "    def _notify_demand(self, lenders):\n"
-            "        pass\n"
-            "\n"
-            "    def silent(self, lender, jid, mb):\n"
-            "        self.lender_jobs[lender][jid] = mb\n"
-            "\n"
-            "    def check_invariants(self):\n"
-            "        pass\n"
-        ),
-    }
-    assert len(findings_for(sources, "INV103")) == 1
-
-
-def test_inv104_untapped_remote_write_fires():
-    sources = {
-        "repro/cluster/led.py": (
-            "class Led:\n"
-            "    def __init__(self, n):\n"
-            "        self.remote_held_mb = [0] * n\n"
-            "\n"
-            "    def _notify_demand(self, lenders):\n"
-            "        pass\n"
-            "\n"
-            "    def silent(self, node, mb):\n"
-            "        self.remote_held_mb[node] += mb\n"
-            "\n"
-            "    def check_invariants(self):\n"
-            "        pass\n"
-        ),
-    }
-    assert len(findings_for(sources, "INV104")) == 1
-
-
-def test_inv104_transitive_notify_is_clean():
-    sources = {
-        "repro/cluster/led.py": (
-            "class Led:\n"
-            "    def __init__(self, n):\n"
-            "        self.remote_held_mb = [0] * n\n"
-            "        self.allocations = {}\n"
-            "\n"
-            "    def _notify_demand(self, lenders):\n"
-            "        pass\n"
-            "\n"
-            "    def _touch(self, node):\n"
-            "        self._notify_demand([node])\n"
-            "\n"
-            "    def add_remote(self, jid, node, mb, alloc):\n"
-            "        self.remote_held_mb[node] += mb\n"
-            "        self.allocations[jid] = alloc\n"
-            "        self._touch(node)\n"
-            "\n"
-            "    def check_invariants(self):\n"
-            "        pass\n"
-        ),
-    }
-    assert findings_for(sources, "INV104") == []
-
-
-def test_inv104_ignores_non_owner_classes():
-    sources = {
-        "repro/cluster/other.py": (
-            "class NotALedger:\n"
-            "    def __init__(self, n):\n"
-            "        self.remote_held_mb = [0] * n\n"
-            "\n"
-            "    def poke(self, node, mb):\n"
-            "        self.remote_held_mb[node] += mb\n"
-        ),
-    }
-    assert findings_for(sources, "INV104") == []
 
 
 def test_shallow_rules_still_run_in_project_mode():

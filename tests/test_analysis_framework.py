@@ -88,25 +88,25 @@ def test_register_rejects_malformed_id_and_severity():
 # noqa suppression
 # ----------------------------------------------------------------------
 def test_bare_noqa_suppresses_every_rule():
-    src = "import random  # repro: noqa\n"
+    src = "x_mb = 1.5  # repro: noqa\n"
     assert lint_source(src, relpath="repro/traces/x.py") == []
 
 
 def test_noqa_with_other_rule_does_not_suppress():
-    src = "import random  # repro: noqa[DET001]\n"
+    src = "x_mb = 1.5  # repro: noqa[DET001]\n"
     findings = lint_source(src, relpath="repro/traces/x.py")
-    assert [f.rule for f in findings] == ["DET002"]
+    assert [f.rule for f in findings] == ["UNIT001"]
 
 
 def test_noqa_accepts_comma_list_and_any_case():
-    src = "import random  # repro: NOQA[det001, det002]\n"
+    src = "x_mb = 1.5  # repro: NOQA[det001, unit001]\n"
     assert lint_source(src, relpath="repro/traces/x.py") == []
 
 
 def test_noqa_only_affects_its_own_line():
     src = (
-        "import random  # repro: noqa[DET002]\n"
-        "import random\n"
+        "x_mb = 1.5  # repro: noqa[UNIT001]\n"
+        "x_mb = 1.5\n"
     )
     findings = lint_source(src, relpath="repro/traces/x.py")
     assert [f.line for f in findings] == [2]
@@ -124,20 +124,21 @@ def test_parsed_module_relativizes_paths():
 # ----------------------------------------------------------------------
 def _sample_findings():
     return [
-        Finding("DET002", "a.py", 3, 0, "direct RNG"),
+        Finding("DET001", "a.py", 3, 0, "wall clock"),
         Finding("UNIT001", "a.py", 9, 4, "float mb", severity="error"),
-        Finding("DET002", "b.py", 1, 0, "direct RNG"),
+        Finding("DET001", "b.py", 1, 0, "wall clock"),
     ]
 
 
 def test_json_report_schema():
     report = json_report(_sample_findings())
-    assert report["version"] == 1
+    assert report["version"] == 2
+    assert set(report) == {"version", "mode", "count", "findings", "summary"}
     assert report["count"] == 3
     assert {"rule", "path", "line", "col", "message", "severity"} == set(
         report["findings"][0]
     )
-    assert report["summary"]["by_rule"] == {"DET002": 2, "UNIT001": 1}
+    assert report["summary"]["by_rule"] == {"DET001": 2, "UNIT001": 1}
     assert report["summary"]["by_severity"] == {"error": 3}
     # Must round-trip through json.
     assert json.loads(render_json(_sample_findings())) == report
@@ -145,7 +146,7 @@ def test_json_report_schema():
 
 def test_render_text_lists_findings_and_summary():
     text = render_text(_sample_findings())
-    assert "a.py:3:1: DET002" in text
+    assert "a.py:3:1: DET001" in text
     assert "3 finding(s)" in text
     assert render_text([]) == "all clean: no findings"
 
@@ -161,15 +162,17 @@ def test_render_rules_mentions_every_rule():
 # ----------------------------------------------------------------------
 def test_findings_sorted_by_location():
     src = (
-        "import random\n"
+        "import time\n"
         "x_mb = 1.5\n"
+        "t = time.time()\n"
     )
     findings = lint_source(src, relpath="repro/traces/x.py")
+    assert len(findings) == 2
     assert [f.line for f in findings] == sorted(f.line for f in findings)
 
 
 def test_rule_subset_runs_only_selected(tmp_path):
-    src = "import random\nx_mb = 1.5\n"
+    src = "import time\nx_mb = 1.5\nt = time.time()\n"
     only_unit = lint_source(
         src, relpath="repro/traces/x.py", rules=resolve_rules(["UNIT001"])
     )

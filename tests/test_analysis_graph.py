@@ -157,8 +157,6 @@ def test_reachable_transitive_closure_and_refs():
     )
     names = project.reachable(["pkg.b.root"])
     assert {"pkg.b.root", "pkg.a.mid", "pkg.a.leaf", "pkg.b.cb"} <= names
-    no_refs = project.reachable(["pkg.b.root"], follow_refs=False)
-    assert "pkg.b.cb" not in no_refs
 
 
 def test_lookup_method_walks_bases():
@@ -176,21 +174,3 @@ def test_lookup_method_walks_bases():
     )
     fn = project.lookup_method("pkg.c.Child", "shared")
     assert fn is not None and fn.qname == "pkg.c.Base.shared"
-
-
-def test_mutable_globals_detected():
-    project = build_project(
-        {
-            "pkg/m.py": (
-                "CACHE = {}\n"
-                "ITEMS = []\n"
-                "LIMIT = 4\n"
-                "NAME = 'x'\n"
-            ),
-        }
-    )
-    mod = next(m for m in project.iter_modules() if m.name == "pkg.m")
-    assert "CACHE" in mod.mutable_globals
-    assert "ITEMS" in mod.mutable_globals
-    assert "LIMIT" not in mod.mutable_globals
-    assert "NAME" not in mod.mutable_globals

@@ -11,19 +11,16 @@ from repro.analysis import lint_paths, render_text, rule_ids
 
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
-EXPECTED_RULES = ["DET001", "DET002", "INV001", "PY001", "UNIT001", "UNIT002"]
+EXPECTED_RULES = ["DET001", "UNIT001", "UNIT002"]
 
 EXPECTED_DEEP_RULES = EXPECTED_RULES + [
     "DET101",
     "DET102",
     "DET103",
     "INV101",
-    "INV103",
-    "INV104",
     "RACE001",
     "RACE002",
     "RACE003",
-    "UNIT101",
 ]
 
 
@@ -65,7 +62,7 @@ def test_obs_subpackage_is_lint_clean():
 
 def test_examples_and_benchmarks_are_lint_clean():
     # Determinism rules are path-scoped to the package, but the generic
-    # rules (PY001/UNIT001) hold for the driver scripts too.
+    # rule (UNIT001) holds for the driver scripts too.
     repo_root = PACKAGE_DIR.parent.parent.parent
     findings = []
     for sub in ("examples", "benchmarks"):

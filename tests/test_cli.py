@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import rule_ids
 from repro.cli import build_parser, main
 
 
@@ -190,17 +191,17 @@ def test_lint_command_clean_tree(capsys):
 
 def test_lint_command_json_on_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("import random\npeak_mb = 1.5\n")
+    bad.write_text("peak_mb = 1.5\nfree_mb = 3 / 2\n")
     rc = main(["lint", "--format", "json", str(bad)])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 1
-    assert payload["summary"]["by_rule"] == {"DET002": 1, "UNIT001": 1}
+    assert payload["version"] == 2
+    assert payload["summary"]["by_rule"] == {"UNIT001": 2}
 
 
 def test_lint_command_rule_selection(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("import random\npeak_mb = 1.5\n")
+    bad.write_text("def f(acc=[]):\n    peak_mb = 1.5\n")
     rc = main(["lint", "--rule", "UNIT001", "--format", "json", str(bad)])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
@@ -211,7 +212,7 @@ def test_lint_command_list_rules(capsys):
     rc = main(["lint", "--list-rules"])
     assert rc == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "UNIT001", "UNIT002", "PY001", "INV001"):
+    for rule_id in rule_ids():
         assert rule_id in out
 
 

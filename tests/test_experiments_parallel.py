@@ -37,7 +37,8 @@ def tiny_grid(seed=2):
 # ----------------------------------------------------------------------
 def test_chunks_never_mix_base_workloads():
     grid = tiny_grid(seed=2) + tiny_grid(seed=3)
-    chunks = make_chunks(grid, workers=2, chunk_size=3)
+    chunks = make_chunks(grid, workers=4)
+    assert len(chunks) == 4  # each workload's group split in two
     for chunk in chunks:
         assert len({sc.workload_key() for sc in chunk}) == 1
     # every scenario appears exactly once
@@ -49,13 +50,8 @@ def test_chunk_size_default_scales_with_workers():
     grid = tiny_grid()
     many = make_chunks(grid, workers=4)
     assert all(chunk for chunk in many)
-    one = make_chunks(grid, workers=1, chunk_size=len(grid))
+    one = make_chunks(grid, workers=1)
     assert len(one) == 1
-
-
-def test_chunk_size_validation():
-    with pytest.raises(ValueError):
-        make_chunks(tiny_grid(), workers=2, chunk_size=0)
 
 
 # ----------------------------------------------------------------------

@@ -114,31 +114,18 @@ def test_lru_cache_evicts_least_recently_used():
     assert len(cache) == 2
 
 
-def test_lru_cache_resize_evicts():
-    cache = runner.LRUCache(4)
-    for i in range(4):
-        cache.put(i, i)
-    cache.resize(2)
-    assert cache.keys() == [2, 3]
-    with pytest.raises(ValueError):
-        cache.resize(0)
+def test_lru_cache_rejects_zero_size():
     with pytest.raises(ValueError):
         runner.LRUCache(0)
 
 
-def test_result_cache_bounded_over_campaign():
-    runner.set_cache_limits(workloads=2, results=2)
-    try:
-        for level in (37, 50, 75, 100):
-            runner.run(Scenario(memory_level=level, **SMALL))
-        assert len(runner._result_cache) <= 2
-        assert len(runner._workload_cache) <= 2
-    finally:
-        runner.set_cache_limits(
-            workloads=runner.WORKLOAD_CACHE_SIZE,
-            results=runner.RESULT_CACHE_SIZE,
-        )
-        runner.clear_caches()
+def test_result_cache_bounded_over_campaign(monkeypatch):
+    monkeypatch.setattr(runner, "_workload_cache", runner.LRUCache(2))
+    monkeypatch.setattr(runner, "_result_cache", runner.LRUCache(2))
+    for level in (37, 50, 75, 100):
+        runner.run(Scenario(memory_level=level, **SMALL))
+    assert len(runner._result_cache) <= 2
+    assert len(runner._workload_cache) <= 2
 
 
 def test_overestimated_run_uses_scaled_requests():

@@ -149,6 +149,16 @@ def test_requeued_job_beyond_the_machine_becomes_unrunnable():
     assert res.unrunnable == [0] and res.n_completed == 29
     assert jobs[0].state is JobState.UNRUNNABLE
     assert res.oom_kills == 3 == policy.max_oom_failures
+    # The job ran before it became unrunnable, so it has a record.
+    assert len(res.records) == 30
+    assert res.oom_kill_fraction() == 1 / 30
+    (rec,) = [r for r in res.records if r.jid == 0]
+    assert rec.state is JobState.UNRUNNABLE and rec.restarts == 3
+    assert rec.start_time == jobs[0].first_start_time is not None
+    assert rec.finish_time == max(
+        e.t for e in tel.provenance.events
+        if e.jid == 0 and e.kind == "oom_kill"
+    )
     assert tel.registry.counters["jobs_unrunnable"].value == 1
     kinds = [e.kind for e in tel.provenance.events if e.jid == 0]
     assert kinds.count("oom_kill") == 3 and kinds[-1] == "unrunnable"
