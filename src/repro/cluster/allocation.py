@@ -66,6 +66,11 @@ class JobAllocation:
     _nodes_arr: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: :meth:`lenders` as ``(ids, mb)`` int64 arrays, same order (``None``
+    #: after a borrow change until the next :meth:`lender_arrays` read)
+    _lender_arrs: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: Monitor reading (MB) the dynamic policy last sized every node
     #: to (``None`` = unknown).  Every cluster mutation of the record
     #: clears it through :meth:`_bump_local` / :meth:`_bump_remote`, so
@@ -78,11 +83,12 @@ class JobAllocation:
     #: mark included: the cached ``_lender_mb`` key order is maintenance
     #: order, which ``Cluster.release`` makes visible downstream, so it is
     #: copied rather than re-sealed.  ``nodes`` never changes after
-    #: construction; the node set and array are replaced, never written.
+    #: construction; the node set and the node and lender arrays are
+    #: replaced, never written.
     fork_state = ForkState(
         values=(
             "_total_local", "_total_remote", "_node_set", "_nodes_arr",
-            "sized_for_mb",
+            "_lender_arrs", "sized_for_mb",
         ),
         copies=("local_mb", "_remote_on", "_lender_mb"),
         nested=("remote_mb",),
@@ -92,20 +98,27 @@ class JobAllocation:
     # ------------------------------------------------------------------
     # Seal maintenance (called by Cluster only)
     # ------------------------------------------------------------------
-    def _seal(self) -> None:
-        """Cache the totals; the cluster keeps them current from here on."""
+    def _seal(self, nodes_arr: np.ndarray, node_set: FrozenSet[int],
+              remote_on: Dict[int, int], lender_mb: Dict[int, int]) -> None:
+        """Cache the totals; the cluster keeps them current from here on.
+
+        ``Cluster.apply`` passes what its validation pass already built:
+        the node array and set, each compute node's remote total and the
+        per-lender totals in first-appearance order (the order of
+        :meth:`lenders`, so they also give the cached lender arrays).
+        The record takes ownership of both dicts.
+        """
         self._total_local = sum(self.local_mb.values())
-        self._total_remote = sum(sum(m.values()) for m in self.remote_mb.values())
-        self._remote_on = {
-            node: sum(m.values()) for node, m in self.remote_mb.items()
-        }
-        lender_mb: Dict[int, int] = {}
-        for m in self.remote_mb.values():
-            for lender, mb in m.items():
-                lender_mb[lender] = lender_mb.get(lender, 0) + mb
+        self._total_remote = sum(remote_on.values())
+        self._remote_on = remote_on
         self._lender_mb = lender_mb
-        self._node_set = frozenset(self.nodes)
-        self._nodes_arr = np.asarray(self.nodes, dtype=np.int64)
+        k = len(lender_mb)
+        self._lender_arrs = (
+            np.fromiter(lender_mb.keys(), np.int64, k),
+            np.fromiter(lender_mb.values(), np.int64, k),
+        )
+        self._node_set = node_set
+        self._nodes_arr = nodes_arr
 
     def _bump_local(self, delta: int) -> None:
         self.sized_for_mb = None
@@ -114,6 +127,7 @@ class JobAllocation:
 
     def _bump_remote(self, node: int, lender: int, delta: int) -> None:
         self.sized_for_mb = None
+        self._lender_arrs = None
         if self._total_remote is not None:
             self._total_remote += delta
             self._remote_on[node] = self._remote_on.get(node, 0) + delta
@@ -149,6 +163,14 @@ class JobAllocation:
             raise ValueError(
                 f"sealed lender_mb {cached_lenders} != {brute_lenders}"
             )
+        if self._lender_arrs is not None:
+            ids, mb = self._lender_arrs
+            cached_order = list(zip(ids.tolist(), mb.tolist()))
+            if cached_order != list(brute_lenders.items()):
+                raise ValueError(
+                    f"cached lender arrays {cached_order} != "
+                    f"{list(brute_lenders.items())}"
+                )
         if self._node_set is not None and self._node_set != set(self.nodes):
             raise ValueError(
                 f"sealed node set {set(self._node_set)} != {set(self.nodes)}"
@@ -189,18 +211,37 @@ class JobAllocation:
     def lenders(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(lender node, MB)`` aggregated over compute nodes.
 
-        Deliberately brute-force: the aggregation order (first appearance
-        across ``remote_mb``) fixes the float summation order of
-        :meth:`repro.slowdown.ContentionModel.slowdown`, which the
-        byte-identical campaign records depend on.  Order-insensitive
-        consumers should use :meth:`lender_ids` instead, which reads the
-        sealed cache in O(lenders).
+        Deliberately brute-force: this is the reference order, first
+        appearance across ``remote_mb``, which fixes the float summation
+        order of :meth:`repro.slowdown.ContentionModel.slowdown` that the
+        byte-identical campaign records depend on.  Pricing reads the
+        same pairs from :meth:`lender_arrays`; order-insensitive
+        consumers should use :meth:`lender_ids`, which reads the sealed
+        cache in O(lenders).
         """
         agg: Dict[int, int] = {}
         for m in self.remote_mb.values():
             for lender, mb in m.items():
                 agg[lender] = agg.get(lender, 0) + mb
         yield from agg.items()
+
+    def lender_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`lenders` as ``(ids, mb)`` int64 arrays, in its order.
+
+        A sealed record caches them (do not mutate): ``_seal`` builds
+        them from ``apply``'s lender totals and a borrow change drops
+        them, so the next read rebuilds them from :meth:`lenders`.  An
+        unsealed record pays the aggregation on each call.
+        """
+        arrs = self._lender_arrs
+        if arrs is None:
+            agg = dict(self.lenders())
+            k = len(agg)
+            arrs = (np.fromiter(agg.keys(), np.int64, k),
+                    np.fromiter(agg.values(), np.int64, k))
+            if self._total_remote is not None:
+                self._lender_arrs = arrs
+        return arrs
 
     def lender_ids(self) -> Iterable[int]:
         """Lender node ids, **unordered** — sealed cache when available.

@@ -390,7 +390,7 @@ class Cluster:
         if jid in self.allocations:
             raise AllocationError(f"job {jid} already has an allocation")
         nodes_arr = np.asarray(alloc.nodes, dtype=np.int64)
-        node_set = set(alloc.nodes)
+        node_set = frozenset(alloc.nodes)
         # Validate before mutating anything (vectorised happy path; the
         # scalar loops only re-run to name the offending node).
         if self.busy[nodes_arr].any():
@@ -418,10 +418,15 @@ class Cluster:
                             f"node {node} has {free[node]}MB free, "
                             f"need {mb}MB (job {jid})"
                         )
+        # One pass over the remote maps validates them and totals them per
+        # compute node and per lender, the lenders in first-appearance
+        # order (that of ``alloc.lenders()``); both become sealed caches.
+        remote_on: Dict[int, int] = {}
         borrow_totals: Dict[int, int] = {}
         for node, lender_map in alloc.remote_mb.items():
             if node not in node_set:
                 raise AllocationError(f"remote map for non-compute node {node}")
+            held = 0
             for lender, mb in lender_map.items():
                 if mb <= 0:
                     raise AllocationError(f"non-positive borrow {mb}MB from {lender}")
@@ -430,6 +435,8 @@ class Cluster:
                         f"node {node} cannot lend remote memory to itself"
                     )
                 borrow_totals[lender] = borrow_totals.get(lender, 0) + mb
+                held += mb
+            remote_on[node] = held
         for lender, mb in borrow_totals.items():
             # A lender that is also a compute node of this job must cover
             # both its planned local allocation and the lent memory.
@@ -459,10 +466,11 @@ class Cluster:
                 self.lender_jobs[lender][jid] = (
                     self.lender_jobs[lender].get(jid, 0) + mb
                 )
-        for node, lender_map in alloc.remote_mb.items():
-            self.remote_held_mb[node] += sum(lender_map.values())
+            k = len(remote_on)
+            self.remote_held_mb[np.fromiter(remote_on.keys(), np.int64, k)] += (
+                np.fromiter(remote_on.values(), np.int64, k))
         self.allocations[jid] = alloc
-        alloc._seal()
+        alloc._seal(nodes_arr, node_set, remote_on, borrow_totals)
         self._notify_demand(list(borrow_totals))
         if self._prov_tap is not None:
             self._prov_tap("apply", jid, alloc)
@@ -502,8 +510,13 @@ class Cluster:
                 if rec[jid] <= 0:
                     del rec[jid]
             released_lenders = list(lender_totals)
-            for node, lender_map in alloc.remote_mb.items():
-                self.remote_held_mb[node] -= sum(lender_map.values())
+            remote_on = alloc._remote_on
+            if remote_on is None:  # unsealed: total brute-force
+                remote_on = {node: sum(m.values())
+                             for node, m in alloc.remote_mb.items()}
+            k = len(remote_on)
+            self.remote_held_mb[np.fromiter(remote_on.keys(), np.int64, k)] -= (
+                np.fromiter(remote_on.values(), np.int64, k))
         self._notify_demand(released_lenders)
         if self._prov_tap is not None:
             self._prov_tap("release", jid, alloc)

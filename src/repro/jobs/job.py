@@ -101,6 +101,10 @@ class Job:
             raise TraceError(f"job {self.jid}: base_runtime must be positive")
         if self.mem_request_mb < 0:
             raise TraceError(f"job {self.jid}: negative memory request")
+        if self.profile < 0:
+            raise TraceError(
+                f"job {self.jid}: negative profile index {self.profile}"
+            )
         if self.walltime_limit < self.base_runtime:
             # Users may under-estimate in reality, but the simulator kills
             # jobs at their wall limit; traces must be self-consistent.

@@ -64,21 +64,23 @@ class StaticDisaggregatedPolicy(AllocationPolicy):
             # remainder from the pool.
             cand, first = np.flatnonzero(startable), self.pool.most_free_first
         chosen = cand[first(free_all[cand], job.n_nodes)]
-        alloc = JobAllocation(nodes=[int(n) for n in chosen])
-        deficits = {}
-        for n in alloc.nodes:
-            local = min(int(free_all[n]), request)
-            alloc.local_mb[n] = local
-            if local < request:
-                deficits[n] = request - local
-        if deficits:
+        nodes = chosen.tolist()
+        # Each node serves what it can of the request locally; the rest
+        # is its deficit, borrowed from the pool.
+        local = np.minimum(free_all[chosen], request)
+        alloc = JobAllocation(nodes=nodes,
+                              local_mb=dict(zip(nodes, local.tolist())))
+        short = local < request
+        if short.any():
+            deficits = dict(zip(chosen[short].tolist(),
+                                (request - local[short]).tolist()))
             # Lenders may include the job's own (larger) nodes, but every
             # node's planned local allocation is reserved first.
             plans = self.pool.split_borrow(
-                deficits, reduce_free=dict(alloc.local_mb)
+                deficits, reduce_free=alloc.local_mb
             )
             if plans is None:
                 return None
             for n, plan in plans.items():
-                alloc.remote_mb[n] = {lender: mb for lender, mb in plan}
+                alloc.remote_mb[n] = dict(plan)
         return alloc

@@ -32,7 +32,7 @@ from ..obs.blame import (
 )
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..policies.base import AllocationPolicy
-from ..slowdown.model import ContentionModel
+from ..slowdown.model import ContentionModel, lender_rows
 from .backfill import can_backfill, shadow_time
 from .queue import PendingQueue
 
@@ -444,6 +444,7 @@ class Controller:
                 wait_s=now - job.submit_time,
             )
             if bd and bd["rf"] > 0.0:
+                bd["lenders"] = lender_rows(bd["lenders"])
                 prov.emit("slowdown", jid=job.jid, parents=(start_eid,), **bd)
         self._schedule_finish(job, now)
         if self.config.enforce_walltime:
@@ -564,7 +565,8 @@ class Controller:
 
     def _reprice(self, jids: Iterable[int], now: float) -> None:
         """Price each job once; under provenance the same walk yields
-        the breakdown, emitted for the jobs whose slowdown changed."""
+        the breakdown, whose per-lender rows are built only for the jobs
+        whose slowdown changed (the ones it is emitted for)."""
         prov = self.prov
         for jid in sorted(set(jids)):
             job = self.running.get(jid)
@@ -577,7 +579,7 @@ class Controller:
                 if prov.enabled:
                     data = {"old": job.slowdown, "new": new_s}
                     if bd:
-                        data["lenders"] = bd["lenders"]
+                        data["lenders"] = lender_rows(bd["lenders"])
                         data["contention"] = bd["contention"]
                         data["base_remote"] = bd["base_remote"]
                     prov.emit("slowdown", jid=jid, **data)

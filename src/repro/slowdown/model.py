@@ -25,7 +25,7 @@ coefficients from :mod:`repro.slowdown.profiles`.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set
 
 import numpy as np
 
@@ -39,6 +39,43 @@ from .profiles import AppProfile
 MAX_SLOWDOWN = 4.0
 
 
+class LenderShares(NamedTuple):
+    """One pricing walk's per-lender arrays, kept for :func:`lender_rows`.
+
+    ``ids``/``mb`` are the job's lenders in :meth:`JobAllocation.lenders`
+    order, ``osub`` their oversubscriptions; ``scale`` is ``base_remote ·
+    contention_sensitivity`` and ``total_mb`` the job's borrowed total.
+    """
+
+    ids: np.ndarray
+    mb: np.ndarray
+    osub: np.ndarray
+    scale: float
+    total_mb: int
+
+
+#: The shares of a job that borrows nothing.
+_NO_SHARES = LenderShares(np.zeros(0, dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), np.zeros(0), 0.0, 0)
+
+
+def lender_rows(shares: LenderShares) -> List[Dict[str, object]]:
+    """The per-lender rows of a breakdown: ``lender``, ``mb``,
+    ``oversubscription`` and ``contribution = base_remote · cs ·
+    (mb/total_mb) · oversubscription``, each lender's MB-weighted share of
+    the contention term (multiplied left to right, as a scalar would)."""
+    if not len(shares.ids):
+        return []
+    contribution = shares.scale * (shares.mb / shares.total_mb) * shares.osub
+    return [
+        {"lender": lender, "mb": mb, "oversubscription": osub,
+         "contribution": part}
+        for lender, mb, osub, part in zip(
+            shares.ids.tolist(), shares.mb.tolist(), shares.osub.tolist(),
+            contribution.tolist())
+    ]
+
+
 class ContentionModel:
     """Computes per-job slowdown from the current memory layout.
 
@@ -47,13 +84,14 @@ class ContentionModel:
     torus relative to the machine's mean hop distance — the extension
     that pairs with the pool's ``nearest`` lender strategy.
 
-    A fork captures the demand cache together with the cluster, so a
-    restore needs no invalidation; the hit/miss counters are
-    diagnostics that keep counting across forks.
+    Lender demand is kept as a column over the attached cluster's nodes
+    with a stale mask (:meth:`attach`).  A fork captures both with the
+    cluster, so a restore needs no invalidation; the hit/miss counters
+    are diagnostics that keep counting across forks.
     """
 
     fork_state = ForkState(
-        copies=("_demand_cache",),
+        copies=("_demand", "_stale"),
         fixed=("profiles", "node_bw_gbps", "distance_penalty",
                "_demand_cluster"),
         survive=("demand_hits", "demand_misses"),
@@ -74,7 +112,8 @@ class ContentionModel:
         self.distance_penalty = distance_penalty
         #: incremental per-lender demand ledger (see :meth:`attach`)
         self._demand_cluster: Optional[Cluster] = None
-        self._demand_cache: Dict[int, float] = {}
+        self._demand = np.zeros(0)
+        self._stale = np.ones(0, dtype=bool)
         #: diagnostics: ledger effectiveness within repricing batches
         self.demand_hits = 0
         self.demand_misses = 0
@@ -83,32 +122,56 @@ class ContentionModel:
     # Incremental lender-demand ledger
     # ------------------------------------------------------------------
     def attach(self, cluster: Cluster) -> None:
-        """Maintain a per-lender demand cache against ``cluster``.
+        """Maintain a per-lender demand column against ``cluster``.
 
-        The cluster's mutators report which lenders' borrow layouts (or
-        borrower totals — ``remote_fraction`` depends on a job's *total*
-        allocation, so local grow/shrink dirties its lenders too) changed;
-        those entries are invalidated and recomputed lazily on the next
-        :meth:`lender_demand` read.  The recomputation runs the exact
-        brute-force expression over borrowers in ledger order, so cached
-        demands are bit-identical to the unledgered path.
+        ``_demand[lender]`` holds the lender's demand unless
+        ``_stale[lender]`` is set.  The cluster's mutators report which
+        lenders' borrow layouts (or borrower totals — ``remote_fraction``
+        depends on a job's *total* allocation, so local grow/shrink
+        dirties its lenders too) changed; those entries are marked stale
+        and recomputed lazily on the next read.  The recomputation runs
+        the exact brute-force expression over borrowers in ledger order,
+        so column entries are bit-identical to the unledgered path.
         """
         if self._demand_cluster is cluster:
             return
         self.detach()
         self._demand_cluster = cluster
+        self._demand = np.zeros(cluster.n_nodes)
+        self._stale = np.ones(cluster.n_nodes, dtype=bool)
         cluster.add_demand_listener(self._on_demand_change)
 
     def detach(self) -> None:
-        """Stop maintaining the demand ledger (drops the cache)."""
+        """Stop maintaining the demand ledger (drops the column)."""
         if self._demand_cluster is not None:
             self._demand_cluster.remove_demand_listener(self._on_demand_change)
         self._demand_cluster = None
-        self._demand_cache.clear()
+        self._demand = np.zeros(0)
+        self._stale = np.ones(0, dtype=bool)
 
     def _on_demand_change(self, cluster: Cluster, lenders: Sequence[int]) -> None:
-        for lender in lenders:
-            self._demand_cache.pop(lender, None)
+        self._stale[lenders] = True
+
+    def _demand_of(
+        self, cluster: Cluster, jobs: Dict[int, Job], ids: np.ndarray
+    ) -> np.ndarray:
+        """Demand of each lender in ``ids`` (unique), as a fresh array.
+
+        Attached: only the stale entries are recomputed, and each read
+        counts as a hit or a miss.  Otherwise every entry is recomputed.
+        """
+        brute = self._lender_demand_brute
+        if cluster is not self._demand_cluster:
+            return np.array([brute(cluster, jobs, lender)
+                             for lender in ids.tolist()], dtype=np.float64)
+        stale = ids[self._stale[ids]]
+        if len(stale):
+            self._demand[stale] = [brute(cluster, jobs, lender)
+                                   for lender in stale.tolist()]
+            self._stale[stale] = False
+        self.demand_misses += len(stale)
+        self.demand_hits += len(ids) - len(stale)
+        return self._demand[ids]
 
     # ------------------------------------------------------------------
     def _distance_factor(self, cluster: Cluster, alloc: JobAllocation) -> float:
@@ -149,16 +212,8 @@ class ContentionModel:
         Served from the incremental ledger when :meth:`attach` bound this
         model to ``cluster``; otherwise recomputed from all borrowers.
         """
-        if cluster is self._demand_cluster:
-            cached = self._demand_cache.get(lender)
-            if cached is not None:
-                self.demand_hits += 1
-                return cached
-            demand = self._lender_demand_brute(cluster, jobs, lender)
-            self._demand_cache[lender] = demand
-            self.demand_misses += 1
-            return demand
-        return self._lender_demand_brute(cluster, jobs, lender)
+        ids = np.array([lender], dtype=np.int64)
+        return float(self._demand_of(cluster, jobs, ids)[0])
 
     def _lender_demand_brute(
         self, cluster: Cluster, jobs: Dict[int, Job], lender: int
@@ -187,14 +242,15 @@ class ContentionModel:
     ) -> float:
         """Current slowdown factor (>= 1) for a running job.
 
-        One walk over the job's lenders reads each lender's demand once.
-        When ``breakdown`` is given, the same walk fills it with the
-        decomposition ``slowdown - 1 = base_remote + Σ lender
+        One pass over the job's cached lender arrays reads each lender's
+        demand once.  When ``breakdown`` is given, the same pass fills it
+        with the decomposition ``slowdown - 1 = base_remote + Σ lender
         contributions`` (before the ``MAX_SLOWDOWN`` cap):
-        ``base_remote = rs·rf·d`` is the remote-placement term, and each
-        lender adds ``base_remote · cs · (mb/total_mb) · oversubscription``
-        — its MB-weighted share of the contention term.  ``breakdown``
-        stays empty when the job has no allocation.
+        ``base_remote = rs·rf·d`` is the remote-placement term, and
+        ``lenders`` holds the pass's :class:`LenderShares`, which
+        :func:`lender_rows` turns into each lender's share of the
+        contention term.  ``breakdown`` stays empty when the job has no
+        allocation.
         """
         alloc = cluster.allocations.get(job.jid)
         if alloc is None:
@@ -203,27 +259,23 @@ class ContentionModel:
         if rf <= 0.0:
             if breakdown is not None:
                 breakdown.update(slowdown=1.0, rf=0.0, base_remote=0.0,
-                                 contention=0.0, lenders=[])
+                                 contention=0.0, lenders=_NO_SHARES)
             return 1.0
         prof = self.profiles[job.profile]
-        # MB-weighted mean oversubscription over this job's lenders: how
-        # far beyond its link bandwidth each lender is driven (>= 0).
-        bw = self.node_bw_gbps
-        shares = [] if breakdown is not None else None
-        total_mb = 0
-        weighted = 0.0
-        for lender, mb in alloc.lenders():
-            osub = max(self.lender_demand(cluster, jobs, lender) / bw - 1.0, 0.0)
-            if shares is not None:
-                shares.append((int(lender), int(mb), osub))
-            weighted += mb * osub
-            total_mb += mb
-        contention = weighted / total_mb if total_mb else 0.0
+        ids, mb = alloc.lender_arrays()
+        # How far beyond its link bandwidth each lender is driven (>= 0),
+        # and the MB-weighted mean over the job's lenders; the cumulative
+        # sum adds the terms left to right, as a scalar loop would.
+        osub = np.maximum(
+            self._demand_of(cluster, jobs, ids) / self.node_bw_gbps - 1.0, 0.0
+        )
+        total_mb = alloc.total_remote()
+        contention = float(np.cumsum(mb * osub)[-1]) / total_mb
         rs = prof.remote_sensitivity
         cs = prof.contention_sensitivity
         d = self._distance_factor(cluster, alloc)
         s = 1.0 + rs * rf * (1.0 + cs * contention) * d
-        if shares is not None:
+        if breakdown is not None:
             # The breakdown groups ``rs·rf·d`` first, which may differ
             # from ``s`` in the last bit; each keeps its own expression.
             base = rs * rf * d
@@ -235,15 +287,7 @@ class ContentionModel:
                 distance_factor=d,
                 contention=contention,
                 base_remote=base,
-                lenders=[
-                    {
-                        "lender": lender,
-                        "mb": mb,
-                        "oversubscription": osub,
-                        "contribution": base * cs * (mb / total_mb) * osub,
-                    }
-                    for lender, mb, osub in shares
-                ],
+                lenders=LenderShares(ids, mb, osub, base * cs, total_mb),
             )
         return min(s, MAX_SLOWDOWN)
 

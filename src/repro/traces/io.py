@@ -96,6 +96,12 @@ def workload_from_dict(data: Dict) -> Workload:
     profiles = [AppProfile(**p) for p in data["profiles"]]
     jobs: List[Job] = []
     for rec in data["jobs"]:
+        profile = rec.get("profile", 0)
+        if profile >= len(profiles):
+            raise TraceError(
+                f"job {rec['jid']}: field 'profile' = {profile} is out of "
+                f"range for {len(profiles)} profiles"
+            )
         jobs.append(
             Job(
                 jid=rec["jid"],
@@ -104,7 +110,7 @@ def workload_from_dict(data: Dict) -> Workload:
                 base_runtime=rec["base_runtime"],
                 walltime_limit=rec["walltime_limit"],
                 mem_request_mb=rec["mem_request_mb"],
-                profile=rec.get("profile", 0),
+                profile=profile,
                 user=rec.get("user", 0),
                 usage=UsageTrace(rec["usage_times"], rec["usage_mem_mb"]),
                 node_scale=(

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,38 @@ from repro.core.config import SystemConfig
 from repro.jobs.job import Job
 from repro.jobs.usage import UsageTrace
 from repro.traces.pipeline import synthetic_workload
+
+
+#: Wall-clock bound on one test (s).  The slowest tier-1 test takes a
+#: few seconds, so only a hang reaches it.
+TEST_TIME_LIMIT_S = 120
+
+#: A copy of the terminal's stderr for hang tracebacks: test output is
+#: captured, and a capture file is lost when the process exits.
+_TRACEBACK_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output is not captured while pytest configures its plugins.
+    config.stash[_TRACEBACK_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_TRACEBACK_FD])
+
+
+@pytest.fixture(autouse=True)
+def _bounded_wall_time(pytestconfig):
+    """Fail the run when a test hangs instead of letting it run on.
+
+    Past the bound, :mod:`faulthandler` prints every thread's traceback
+    to the terminal and exits the process.
+    """
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT_S, exit=True, file=pytestconfig.stash[_TRACEBACK_FD]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

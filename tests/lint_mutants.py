@@ -243,8 +243,12 @@ MUTANTS: Tuple[Mutant, ...] = (
     # ------------------------------------------------------------ DET101
     Mutant(
         "DET101", "slowdown/model.py",
-        "        for lender, mb in alloc.lenders():\n",
-        "        for lender, mb in set(alloc.lenders()):\n",
+        "        contention = float(np.cumsum(mb * osub)[-1]) / total_mb\n",
+        "        terms = set(zip(ids.tolist(), (mb * osub).tolist()))\n"
+        "        weighted = 0.0\n"
+        "        for _lender, term in terms:\n"
+        "            weighted += term\n"
+        "        contention = weighted / total_mb\n",
         "the contention mean sums lender terms in set order, so slowdowns "
         "change in the last bits",
     ),
@@ -415,9 +419,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     # ------------------------------------------------------------ INV103
     Mutant(
         "INV103", "cluster/cluster.py",
-        "        alloc._seal()\n"
+        "        alloc._seal(nodes_arr, node_set, remote_on, borrow_totals)\n"
         "        self._notify_demand(list(borrow_totals))\n",
-        "        alloc._seal()\n",
+        "        alloc._seal(nodes_arr, node_set, remote_on, borrow_totals)\n",
         "a started job's lenders keep their cached demand, so contention "
         "on them is underpriced",
     ),
@@ -431,9 +435,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     # ------------------------------------------------------------ INV104
     Mutant(
         "INV104", "cluster/cluster.py",
-        "                self.remote_held_mb[node] -= sum(lender_map.values())\n"
+        "                np.fromiter(remote_on.values(), np.int64, k))\n"
         "        self._notify_demand(released_lenders)\n",
-        "                self.remote_held_mb[node] -= sum(lender_map.values())\n",
+        "                np.fromiter(remote_on.values(), np.int64, k))\n",
         "a finished job's lenders keep its demand, so the jobs still "
         "borrowing from them stay overpriced",
     ),

@@ -20,6 +20,13 @@ def test_validation():
             walltime_limit=20, mem_request_mb=-1, usage=UsageTrace.constant(1))
 
 
+def test_negative_profile_index_rejected():
+    # A negative index would silently price the job with the pool's
+    # last profile.
+    with pytest.raises(TraceError, match=r"job 7: negative profile index -1"):
+        make_job(jid=7, profile=-1)
+
+
 def test_walltime_clamped_to_runtime():
     job = make_job(runtime=1000, walltime=10)
     assert job.walltime_limit == 1000

@@ -721,6 +721,10 @@ def test_demand_ledger_bit_identical_to_brute_force(ops):
     jobs = {jid: _job(jid) for jid in range(6)}
     for op_chunk in ops:
         _drive(cluster, [op_chunk])
+        # Every entry the op left unmarked must still hold its demand.
+        for lender in np.flatnonzero(~model._stale).tolist():
+            brute = model._lender_demand_brute(cluster, jobs, lender)
+            assert model._demand[lender] == brute
         for lender in range(N_NODES):
             cached = model.lender_demand(cluster, jobs, lender)
             brute = model._lender_demand_brute(cluster, jobs, lender)
@@ -749,9 +753,11 @@ def test_detach_stops_ledger_maintenance():
     cluster = _cluster()
     model = ContentionModel(profiles=[_profile()])
     model.attach(cluster)
+    assert len(model._demand) == len(model._stale) == N_NODES
+    assert model._stale.all()
     model.detach()
     assert not cluster._demand_listeners
-    assert model._demand_cache == {}
+    assert len(model._demand) == len(model._stale) == 0
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,19 @@ def test_workload_schema_validation(shared_workload):
         workload_from_dict(bad_schema)
 
 
+def test_workload_profile_index_out_of_range_rejected(shared_workload):
+    # Such a workload used to load and then fail mid-run with a bare
+    # IndexError once the job borrowed remote memory.
+    data = workload_to_dict(shared_workload)
+    n_profiles = len(data["profiles"])
+    jid = data["jobs"][3]["jid"]
+    data["jobs"][3]["profile"] = n_profiles
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'profile'"):
+        workload_from_dict(data)
+    data["jobs"][3]["profile"] = n_profiles - 1
+    assert workload_from_dict(data).jobs[3].profile == n_profiles - 1
+
+
 def test_load_workload_rejects_non_finite_usage_time(tmp_path, shared_workload):
     # Python's json reads and writes NaN, so a hand-edited or foreign
     # file can carry one; it must fail to load, not simulate wrongly.
