@@ -17,7 +17,7 @@ Quickstart
 >>> dynamic = simulate(wl.fresh_jobs(), cfg, policy="dynamic")
 """
 
-from .cluster import Cluster, JobAllocation, MemoryPool, Node, Torus
+from .cluster import Cluster, JobAllocation, MemoryPool, Torus
 from .core import (
     Engine,
     EventKind,
@@ -67,7 +67,6 @@ __all__ = [
     "LARGE_NODE_FRACTIONS",
     "MEMORY_LEVELS",
     "MemoryPool",
-    "Node",
     "POLICIES",
     "ReproError",
     "SWFTrace",

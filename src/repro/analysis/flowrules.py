@@ -618,14 +618,15 @@ class UnpicklableDispatchRule(ProjectRule):
 # ----------------------------------------------------------------------
 # INV101 — aggregate coherence
 # ----------------------------------------------------------------------
-#: Cluster ledger state: raw vectors, busy bookkeeping and O(1)
-#: aggregates.  Writes outside the owning class (the one defining
+#: Cluster ledger state: raw vectors, capacity, busy bookkeeping and
+#: O(1) aggregates.  Writes outside the owning class (the one defining
 #: ``check_invariants``) bypass aggregate maintenance.
 LEDGER_FIELDS = frozenset(
     {"local_used_mb", "lent_mb", "remote_held_mb", "busy", "job_on_node",
      "lender_jobs", "busy_count", "busy_large_count", "local_used_total",
      "lent_total", "memory_node_count", "startable_count", "_free_local",
-     "_memnode", "allocations", "columns"}
+     "_memnode", "allocations", "columns", "capacity_mb",
+     "_total_capacity"}
 )
 #: Generic names also used outside ledger classes; only flagged when the
 #: written object's type resolves to a ledger-owning class.
@@ -686,12 +687,12 @@ def _base_is_owner(
 class LedgerWriteRule(ProjectRule):
     """INV101: ledger fields written outside the owning mutators.
 
-    Direct pokes like ``cluster.lent_mb[n] -= mb`` from policies or
-    experiments desync the O(1) aggregates and the demand listeners; all
-    mutations go through the owning class's methods
-    (``apply``/``release``/``resize`` and the scalar
-    ``grow_local``/``shrink_local``/``add_remote``/``remove_remote``),
-    which maintain both.
+    Direct pokes like ``cluster.lent_mb[n] -= mb`` or
+    ``cluster.capacity_mb[n] += mb`` from policies, experiments or
+    what-if desync the O(1) aggregates and the demand listeners; all
+    mutations go through the owning class's mutators
+    (``apply``/``release``/``resize``, and ``expand_capacity`` for
+    capacity), which maintain both.
     """
 
     id = "INV101"
@@ -727,6 +728,5 @@ class LedgerWriteRule(ProjectRule):
                         f"direct write to ledger field '{attr}' outside "
                         "the owning cluster mutators; the O(1) aggregates "
                         "and demand listeners desync — go through "
-                        "apply/release/resize/grow_local/shrink_local/"
-                        "add_remote/remove_remote",
+                        "apply/release/resize/expand_capacity",
                     )

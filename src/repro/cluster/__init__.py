@@ -4,14 +4,12 @@ from .allocation import JobAllocation
 from .cluster import Cluster
 from .interconnect import Torus, torus_dimensions
 from .memorypool import MOST_FREE, ROUND_ROBIN, STRATEGIES, MemoryPool
-from .node import Node
 
 __all__ = [
     "Cluster",
     "JobAllocation",
     "MOST_FREE",
     "MemoryPool",
-    "Node",
     "ROUND_ROBIN",
     "STRATEGIES",
     "Torus",

@@ -255,12 +255,6 @@ class JobAllocation:
             return self._lender_mb.keys()
         return {lender for m in self.remote_mb.values() for lender in m}
 
-    def has_node(self, node: int) -> bool:
-        """O(1) compute-node membership (sealed); list scan otherwise."""
-        if self._node_set is not None:
-            return node in self._node_set
-        return node in self.nodes
-
     def nodes_array(self) -> np.ndarray:
         """Compute nodes as an ``int64`` array for vectorised consumers.
 

@@ -2,8 +2,8 @@
 
 All memory book-keeping is integer MB.  Per-node state lives in parallel
 numpy arrays owned by a :class:`~repro.cluster.columns.NodeColumns`
-struct-of-arrays store; :class:`~repro.cluster.node.Node` is a thin
-index-backed view over it.  Three ledgers describe the memory state:
+struct-of-arrays store, whose columns :class:`Cluster` aliases as
+attributes.  Three ledgers describe the memory state:
 
 * ``local_used_mb`` — DRAM consumed by the job running *on* that node,
 * ``lent_mb``       — DRAM lent to jobs running on *other* nodes,
@@ -19,10 +19,8 @@ property-tested):
 
 Incremental aggregates (this module's hot-path contract): every mutator
 (:meth:`Cluster.apply` / :meth:`~Cluster.release` /
-:meth:`~Cluster.resize` and its scalar per-step twins
-:meth:`~Cluster.grow_local` / :meth:`~Cluster.shrink_local` /
-:meth:`~Cluster.add_remote` / :meth:`~Cluster.remove_remote`) updates
-running scalar aggregates (``busy_count``, ``lent_total``,
+:meth:`~Cluster.resize`, and :meth:`~Cluster.expand_capacity` for
+what-if) updates running scalar aggregates (``busy_count``, ``lent_total``,
 ``local_used_total``, ``memory_node_count``, ``startable_count``) and the
 derived ``free_local`` / ``memnode`` columns in place, so per-event
 accounting, scheduling pre-checks, backfill shadow estimation and
@@ -47,7 +45,6 @@ from ..core.errors import AllocationError
 from ..core.state import ForkState
 from .allocation import JobAllocation
 from .columns import ColumnPageStore, NodeColumns
-from .node import Node
 
 
 class Cluster:
@@ -190,46 +187,6 @@ class Cluster:
     def n_nodes(self) -> int:
         return self.config.n_nodes
 
-    def node(self, index: int) -> Node:
-        return Node(self, index)
-
-    # ------------------------------------------------------------------
-    # Node-view write funnels (scenario setup / what-if scaffolding).
-    # These keep the columns, aggregates and demand listeners coherent,
-    # but bypass the per-job allocation records, so they are for
-    # standalone column state only: `check_invariants` cross-checks
-    # ledgers against live allocations and will reject funnel-written
-    # state that no allocation backs.
-    # ------------------------------------------------------------------
-    def set_local_used(self, node: int, mb: int) -> None:
-        """Set ``local_used_mb[node]`` absolutely, keeping columns coherent."""
-        mb = int(mb)
-        if mb < 0:
-            raise AllocationError(f"negative local_used {mb}MB on node {node}")
-        if mb + int(self.lent_mb[node]) > int(self.capacity_mb[node]):
-            raise AllocationError(
-                f"node {node}: local_used {mb}MB + lent "
-                f"{int(self.lent_mb[node])}MB exceeds capacity"
-            )
-        delta = mb - int(self.local_used_mb[node])
-        if delta:
-            self._touch_local(node, delta)
-
-    def set_lent(self, node: int, mb: int) -> None:
-        """Set ``lent_mb[node]`` absolutely, keeping columns coherent."""
-        mb = int(mb)
-        if mb < 0:
-            raise AllocationError(f"negative lent {mb}MB on node {node}")
-        if mb + int(self.local_used_mb[node]) > int(self.capacity_mb[node]):
-            raise AllocationError(
-                f"node {node}: lent {mb}MB + local_used "
-                f"{int(self.local_used_mb[node])}MB exceeds capacity"
-            )
-        delta = mb - int(self.lent_mb[node])
-        if delta:
-            self._touch_lent(node, delta)
-            self._notify_demand([node])
-
     def free_local(self) -> np.ndarray:
         """Physically free DRAM per node (maintained read-only vector)."""
         return self._free_view
@@ -330,15 +287,8 @@ class Cluster:
     # ------------------------------------------------------------------
     # Incremental ledger maintenance (every mutation funnels through here)
     # ------------------------------------------------------------------
-    def _touch_local(self, node: int, delta: int) -> None:
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.local_used_mb[node] += delta
-        self._free_local[node] -= delta
-        self.local_used_total += delta
-
     def _touch_local_many(self, nodes: np.ndarray, deltas: np.ndarray) -> None:
-        """Columnar bulk :meth:`_touch_local` (``nodes`` must be unique)."""
+        """Local-column write funnel for a batch (``nodes`` must be unique)."""
         if self._cow is not None:
             self._cow.touch_many(nodes)
         self.local_used_mb[nodes] += deltas
@@ -361,12 +311,6 @@ class Cluster:
         self._free_local[nodes] -= deltas
         self.lent_total += int(deltas.sum())
         self._reflag_memory_nodes(nodes)
-
-    def _touch_lent(self, node: int, delta: int) -> None:
-        """One-node :meth:`_touch_lent_many`."""
-        self._touch_lent_many(
-            np.array([node], dtype=np.int64), np.array([delta], dtype=np.int64)
-        )
 
     def _reflag_memory_nodes(self, nodes: np.ndarray) -> None:
         """Re-derive the memory-node flag of ``nodes`` (unique) after their
@@ -497,8 +441,6 @@ class Cluster:
         released_lenders: List[int] = []
         if alloc.remote_mb:
             lender_totals = alloc._lender_mb
-            if lender_totals is None:  # unsealed: aggregate brute-force
-                lender_totals = dict(alloc.lenders())
             k = len(lender_totals)
             self._touch_lent_many(
                 np.fromiter(lender_totals.keys(), np.int64, k),
@@ -511,9 +453,6 @@ class Cluster:
                     del rec[jid]
             released_lenders = list(lender_totals)
             remote_on = alloc._remote_on
-            if remote_on is None:  # unsealed: total brute-force
-                remote_on = {node: sum(m.values())
-                             for node, m in alloc.remote_mb.items()}
             k = len(remote_on)
             self.remote_held_mb[np.fromiter(remote_on.keys(), np.int64, k)] -= (
                 np.fromiter(remote_on.values(), np.int64, k))
@@ -525,39 +464,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Incremental resizing (dynamic policy)
     # ------------------------------------------------------------------
-    def grow_local(self, jid: int, node: int, mb: int,
-        alloc: Optional[JobAllocation] = None) -> None:
-        """Give job ``jid`` ``mb`` more local DRAM on ``node``."""
-        if alloc is None:
-            alloc = self._alloc_of(jid, node)
-        if mb <= 0:
-            raise AllocationError(f"grow_local needs positive MB, got {mb}")
-        free = int(self._free_local[node])
-        if mb > free:
-            raise AllocationError(f"node {node}: {free}MB free, need {mb}MB")
-        self._touch_local(node, mb)
-        alloc.local_mb[node] = alloc.local_mb.get(node, 0) + mb
-        alloc._bump_local(mb)
-        # The job's total allocation changed, so its remote fraction —
-        # and with it the demand it places on every one of its lenders —
-        # changed too.
-        self._notify_job_demand(alloc)
-
-    def shrink_local(self, jid: int, node: int, mb: int,
-        alloc: Optional[JobAllocation] = None) -> None:
-        """Take ``mb`` of local DRAM on ``node`` back from job ``jid``."""
-        if alloc is None:
-            alloc = self._alloc_of(jid, node)
-        have = alloc.local_mb.get(node, 0)
-        if mb <= 0 or mb > have:
-            raise AllocationError(
-                f"shrink_local {mb}MB invalid; job {jid} holds {have}MB on {node}"
-            )
-        self._touch_local(node, -mb)
-        alloc.local_mb[node] = have - mb
-        alloc._bump_local(-mb)
-        self._notify_job_demand(alloc)
-
     def resize(self, jid: int, nodes: Sequence[int], deltas: Sequence[int],
                borrows: Sequence[Tuple[int, int, int]] = (),
                alloc: Optional[JobAllocation] = None) -> None:
@@ -569,9 +475,9 @@ class Cluster:
         borrows from ``lender`` on behalf of compute node ``node``,
         ``mb < 0`` returns.  The result — ledgers, aggregates, allocation
         maps with their insertion orders and ``lender_jobs`` — is that of
-        :meth:`grow_local` / :meth:`shrink_local` per local delta and
-        :meth:`add_remote` / :meth:`remove_remote` per borrow step, in
-        order; its one demand notification is the sorted union of theirs.
+        applying each local delta and then each borrow step on its own,
+        in order (the per-step writes of ``tests/reference_orders.py``);
+        its one demand notification is the sorted union of theirs.
 
         The net effect is validated before anything is written: every
         node is a compute node of the job and every delta non-zero, no
@@ -596,8 +502,6 @@ class Cluster:
         if not n and not borrows:
             return
         node_set = alloc._node_set
-        if node_set is None:
-            node_set = frozenset(alloc.nodes)
         local = alloc.local_mb
         new_local = [local.get(node, 0) + delta
                      for node, delta in zip(node_list, delta_list)]
@@ -688,64 +592,40 @@ class Cluster:
         # Returned lenders may have left the job's lender set.
         self._notify_job_demand(alloc, extra=returned)
 
+    # ------------------------------------------------------------------
+    # One-step resizes.  No simulation calls these; they stay (like the
+    # zero ``free_log_overflows`` and ``MemoryPool.free_index`` /
+    # ``bestfit_index``) because ``perfbench/spans.py`` wraps or reads
+    # them by name (ROADMAP item 8).  The per-step reference that
+    # ``resize`` is tested against is ``tests/reference_orders.py``.
+    # ------------------------------------------------------------------
+    def grow_local(self, jid: int, node: int, mb: int,
+                   alloc: Optional[JobAllocation] = None) -> None:
+        """Give job ``jid`` ``mb`` more local DRAM on ``node``."""
+        if mb <= 0:
+            raise AllocationError(f"grow_local needs positive MB, got {mb}")
+        self.resize(jid, [node], [mb], alloc=alloc)
+
+    def shrink_local(self, jid: int, node: int, mb: int,
+                     alloc: Optional[JobAllocation] = None) -> None:
+        """Take ``mb`` of local DRAM on ``node`` back from job ``jid``."""
+        if mb <= 0:
+            raise AllocationError(f"shrink_local needs positive MB, got {mb}")
+        self.resize(jid, [node], [-mb], alloc=alloc)
+
     def add_remote(self, jid: int, node: int, lender: int, mb: int,
-        alloc: Optional[JobAllocation] = None) -> None:
+                   alloc: Optional[JobAllocation] = None) -> None:
         """Borrow ``mb`` from ``lender`` on behalf of compute node ``node``."""
-        if alloc is None:
-            alloc = self._alloc_of(jid, node)
         if mb <= 0:
             raise AllocationError(f"add_remote needs positive MB, got {mb}")
-        if lender == node:
-            raise AllocationError(f"node {node} cannot lend remote memory to itself")
-        free = int(self._free_local[lender])
-        if mb > free:
-            raise AllocationError(f"lender {lender}: {free}MB free, need {mb}MB")
-        self._touch_lent(lender, mb)
-        self.lender_jobs[lender][jid] = self.lender_jobs[lender].get(jid, 0) + mb
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.remote_held_mb[node] += mb
-        node_map = alloc.remote_mb.setdefault(node, {})
-        node_map[lender] = node_map.get(lender, 0) + mb
-        alloc._bump_remote(node, lender, mb)
-        self._notify_job_demand(alloc)
+        self.resize(jid, (), (), [(node, lender, mb)], alloc=alloc)
 
     def remove_remote(self, jid: int, node: int, lender: int, mb: int,
-        alloc: Optional[JobAllocation] = None) -> None:
+                      alloc: Optional[JobAllocation] = None) -> None:
         """Return ``mb`` borrowed from ``lender`` for compute node ``node``."""
-        if alloc is None:
-            alloc = self._alloc_of(jid, node)
-        node_map = alloc.remote_mb.get(node, {})
-        have = node_map.get(lender, 0)
-        if mb <= 0 or mb > have:
-            raise AllocationError(
-                f"remove_remote {mb}MB invalid; borrowing {have}MB from {lender}"
-            )
-        self._touch_lent(lender, -mb)
-        rec = self.lender_jobs[lender]
-        rec[jid] -= mb
-        if rec[jid] <= 0:
-            del rec[jid]
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.remote_held_mb[node] -= mb
-        node_map[lender] = have - mb
-        if node_map[lender] == 0:
-            del node_map[lender]
-        if not node_map and node in alloc.remote_mb:
-            del alloc.remote_mb[node]
-        alloc._bump_remote(node, lender, -mb)
-        # ``lender`` may no longer appear in the job's lender set; include
-        # it explicitly so its demand entry is invalidated.
-        self._notify_job_demand(alloc, extra=(lender,))
-
-    def _alloc_of(self, jid: int, node: int) -> JobAllocation:
-        alloc = self.allocations.get(jid)
-        if alloc is None:
-            raise AllocationError(f"job {jid} is not allocated")
-        if not alloc.has_node(node):
-            raise AllocationError(f"node {node} is not a compute node of job {jid}")
-        return alloc
+        if mb <= 0:
+            raise AllocationError(f"remove_remote needs positive MB, got {mb}")
+        self.resize(jid, (), (), [(node, lender, -mb)], alloc=alloc)
 
     # ------------------------------------------------------------------
     # Capacity expansion (what-if: attach disaggregated memory modules)

@@ -2,16 +2,16 @@
 
 :class:`NodeColumns` owns one numpy array per node attribute — the
 *columnar core* the rest of :mod:`repro.cluster` is built on.  The
-authoritative write path stays in :class:`~repro.cluster.cluster.Cluster`
-(whose mutators keep the O(1) aggregates and demand listeners
-coherent); this module only provides the storage layout plus
-whole-state operations that are natural on arrays:
+one write path is :class:`~repro.cluster.cluster.Cluster`'s mutators
+(``apply``/``release``/``resize``, and ``expand_capacity`` for what-if),
+which keep the O(1) aggregates and demand listeners coherent; this
+module only provides the storage layout plus whole-state operations
+that are natural on arrays:
 
 * :class:`ColumnPageStore` — the page-granular copy-on-write store
   behind what-if forks (:mod:`repro.whatif`).  Its rollback writes
   **in place**, so every alias and read-only view held by ``Cluster``
-  (and any :class:`~repro.cluster.node.Node` view) stays valid across
-  it.
+  stays valid across it.
 * :meth:`NodeColumns.content_hash` — a stable digest of the per-node
   state (the fork cache's dedupe key).
 * :meth:`NodeColumns.validate` — brute-force coherence check of the
@@ -23,7 +23,7 @@ Array layout (all length ``n_nodes``, fixed dtypes):
 ==================  =========  ===============================================
 column              dtype      meaning
 ==================  =========  ===============================================
-``capacity_mb``     int64      DRAM capacity (immutable after construction)
+``capacity_mb``     int64      DRAM capacity (only ``expand_capacity`` grows it)
 ``is_large``        bool       large-capacity node class (immutable)
 ``local_used_mb``   int64      DRAM used by the job running *on* the node
 ``lent_mb``         int64      DRAM lent to jobs on *other* nodes
@@ -147,8 +147,8 @@ class ColumnPageStore:
 
     The store divides the node axis into fixed :data:`PAGE_NODES`-sized
     pages.  While armed (``Cluster._cow`` points at it), every columnar
-    write first calls :meth:`touch` / :meth:`touch_many` on the nodes it
-    is about to modify; the *first* touch of a page since the last
+    write first calls :meth:`touch_many` on the nodes it is about to
+    modify; the *first* touch of a page since the last
     :meth:`rollback` copies that page's slice of every
     :data:`COW_COLUMNS` column into the store.  :meth:`rollback` then
     writes only the dirtied pages back — O(changed pages), not
@@ -197,17 +197,8 @@ class ColumnPageStore:
         self.pages_copied += 1
         self.bytes_copied += sum(s.nbytes for s in slices)
 
-    def touch(self, node: int) -> None:
-        """Preserve the page holding ``node`` before it is written."""
-        page = node // self.page_nodes
-        if self._dirty[page]:
-            return
-        if page not in self._pages:
-            self._copy_page(page)
-        self._dirty[page] = True
-
     def touch_many(self, nodes) -> None:
-        """Vector form of :meth:`touch` for bulk mutators."""
+        """Preserve the pages holding ``nodes`` before they are written."""
         pages = np.unique(np.asarray(nodes, dtype=np.int64) // self.page_nodes)
         for page in pages:
             p = int(page)

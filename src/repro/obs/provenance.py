@@ -87,11 +87,6 @@ class ProvenanceEvent:
             row["data"] = self.data
         return row
 
-    def render(self) -> str:
-        jid = f" job {self.jid}" if self.jid is not None else ""
-        data = f"  {json.dumps(self.data, sort_keys=True)}" if self.data else ""
-        return f"#{self.eid} [{self.t:12.1f}s] {self.kind:<16}{jid}{data}"
-
 
 class ProvenanceLog:
     """Ring-buffered causal event log for one simulation run.
@@ -171,42 +166,6 @@ class ProvenanceLog:
 
     def __iter__(self) -> Iterator[ProvenanceEvent]:
         return iter(self.events)
-
-    def get(self, eid: int) -> Optional[ProvenanceEvent]:
-        """The surviving event with id ``eid`` (O(1); None if evicted)."""
-        base = self.next_eid - len(self.events)
-        if eid < base or eid >= self.next_eid:
-            return None
-        return self.events[eid - base]
-
-    def of_kind(self, kind: str) -> List[ProvenanceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def walk_back(
-        self, eid: int, limit: int = 50
-    ) -> Tuple[List[ProvenanceEvent], int]:
-        """The causal ancestry of ``eid``, newest-first.
-
-        Returns ``(events, missing)`` where ``missing`` counts parent
-        ids that were evicted from the ring (the walk stops there).
-        """
-        seen = set()
-        frontier = [eid]
-        found: List[ProvenanceEvent] = []
-        missing = 0
-        while frontier and len(found) < limit:
-            cur = frontier.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            ev = self.get(cur)
-            if ev is None:
-                missing += 1
-                continue
-            found.append(ev)
-            frontier.extend(ev.parents)
-        found.sort(key=lambda e: -e.eid)
-        return found, missing
 
     # ------------------------------------------------------------------
     def to_rows(self) -> List[Dict[str, object]]:
@@ -306,7 +265,11 @@ def load_provenance(directory: Union[str, Path]) -> List[Dict]:
 def causal_chain(
     rows: Sequence[Dict], eid: int, limit: int = 50
 ) -> Tuple[List[Dict], int]:
-    """Offline :meth:`ProvenanceLog.walk_back` over loaded rows."""
+    """The causal ancestry of ``eid`` over provenance rows, newest-first.
+
+    Returns ``(rows, missing)`` where ``missing`` counts parent ids with
+    no row (evicted from the ring; the walk stops there).
+    """
     by_eid = {row["eid"]: row for row in rows}
     seen = set()
     frontier = [eid]

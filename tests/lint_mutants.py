@@ -427,10 +427,13 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "INV103", "cluster/cluster.py",
-        "        alloc._bump_remote(node, lender, mb)\n"
-        "        self._notify_job_demand(alloc)\n",
-        "        alloc._bump_remote(node, lender, mb)\n",
-        "a scalar borrow leaves the lender's cached demand stale",
+        "        # Returned lenders may have left the job's lender set.\n"
+        "        self._notify_job_demand(alloc, extra=returned)\n",
+        "        # Returned lenders may have left the job's lender set.\n"
+        "        if n or returned:\n"
+        "            self._notify_job_demand(alloc, extra=returned)\n",
+        "a resize that only borrows sends no demand notification, so a "
+        "borrow leaves its lender's cached demand stale",
     ),
     # ------------------------------------------------------------ INV104
     Mutant(

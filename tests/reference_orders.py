@@ -1,15 +1,21 @@
-"""Full-sort references for lender and node selection, a per-node
-reference Actuator, and the two-walk slowdown pricing.
+"""Full-sort references for lender and node selection, the per-step
+cluster writes with a per-node reference Actuator on them, and the
+two-walk slowdown pricing.
 
 The memory pool and the static policy select short prefixes of the
 free-DRAM orders from the live free column (``MemoryPool.most_free_first``
 / ``least_free_first``).  These are the orders they must reproduce, built
 the slow way with a stable ``argsort``, plus the plans the pool builds on
-them.  The dynamic policy's Actuator plans a whole resize against one
-scratch free column and commits it in one ``Cluster.resize``;
-:func:`actuate_per_node` is the Actuator it must reproduce, committing
-node by node with the scalar mutators and planning each borrow on the
-live column.  The parity tests compare against them, and :func:`patch_in`
+them.  ``Cluster.resize`` commits local deltas and ordered borrow
+changes in one write; :func:`grow_local`, :func:`shrink_local`,
+:func:`add_remote` and :func:`remove_remote` are the per-step writes it
+must reproduce, each validating and committing one step through the
+cluster's column funnels without going through ``resize``.  The dynamic
+policy's Actuator plans a whole resize against one scratch free column
+and commits it in one ``Cluster.resize``; :func:`actuate_per_node` is
+the Actuator it must reproduce, committing node by node with the
+per-step writes and planning each borrow on the live column.  The
+parity tests compare against them, and :func:`patch_in`
 swaps them into the pool and the policy so a whole campaign can run on
 the references.  :func:`slowdown_ref` and :func:`slowdown_breakdown_ref`
 price a job in two separate lender walks, the float order the contention
@@ -23,7 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.allocation import JobAllocation
 from repro.cluster.memorypool import MemoryPool
+from repro.core.errors import AllocationError
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
 from repro.slowdown.model import MAX_SLOWDOWN
 
@@ -118,6 +126,105 @@ def split_borrow_ref(
     return result
 
 
+def _alloc_of(c, jid: int, node: int) -> JobAllocation:
+    alloc = c.allocations.get(jid)
+    if alloc is None:
+        raise AllocationError(f"job {jid} is not allocated")
+    if node not in alloc.nodes:
+        raise AllocationError(f"node {node} is not a compute node of job {jid}")
+    return alloc
+
+
+def _one(node: int, delta: int):
+    """One node and its delta, as the column funnels take them."""
+    return np.array([node], dtype=np.int64), np.array([delta], dtype=np.int64)
+
+
+def grow_local(c, jid: int, node: int, mb: int, alloc=None) -> None:
+    """Give job ``jid`` ``mb`` more local DRAM on ``node``."""
+    if alloc is None:
+        alloc = _alloc_of(c, jid, node)
+    if mb <= 0:
+        raise AllocationError(f"grow_local needs positive MB, got {mb}")
+    free = int(c.free_local()[node])
+    if mb > free:
+        raise AllocationError(f"node {node}: {free}MB free, need {mb}MB")
+    c._touch_local_many(*_one(node, mb))
+    alloc.local_mb[node] = alloc.local_mb.get(node, 0) + mb
+    alloc._bump_local(mb)
+    # The job's total allocation changed, so its remote fraction — and
+    # with it the demand it places on every one of its lenders — too.
+    c._notify_job_demand(alloc)
+
+
+def shrink_local(c, jid: int, node: int, mb: int, alloc=None) -> None:
+    """Take ``mb`` of local DRAM on ``node`` back from job ``jid``."""
+    if alloc is None:
+        alloc = _alloc_of(c, jid, node)
+    have = alloc.local_mb.get(node, 0)
+    if mb <= 0 or mb > have:
+        raise AllocationError(
+            f"shrink_local {mb}MB invalid; job {jid} holds {have}MB on {node}"
+        )
+    c._touch_local_many(*_one(node, -mb))
+    alloc.local_mb[node] = have - mb
+    alloc._bump_local(-mb)
+    c._notify_job_demand(alloc)
+
+
+def add_remote(c, jid: int, node: int, lender: int, mb: int,
+               alloc=None) -> None:
+    """Borrow ``mb`` from ``lender`` on behalf of compute node ``node``."""
+    if alloc is None:
+        alloc = _alloc_of(c, jid, node)
+    if mb <= 0:
+        raise AllocationError(f"add_remote needs positive MB, got {mb}")
+    if lender == node:
+        raise AllocationError(f"node {node} cannot lend remote memory to itself")
+    free = int(c.free_local()[lender])
+    if mb > free:
+        raise AllocationError(f"lender {lender}: {free}MB free, need {mb}MB")
+    c._touch_lent_many(*_one(lender, mb))
+    c.lender_jobs[lender][jid] = c.lender_jobs[lender].get(jid, 0) + mb
+    if c._cow is not None:
+        c._cow.touch_many([node])
+    c.remote_held_mb[node] += mb
+    node_map = alloc.remote_mb.setdefault(node, {})
+    node_map[lender] = node_map.get(lender, 0) + mb
+    alloc._bump_remote(node, lender, mb)
+    c._notify_job_demand(alloc)
+
+
+def remove_remote(c, jid: int, node: int, lender: int, mb: int,
+                  alloc=None) -> None:
+    """Return ``mb`` borrowed from ``lender`` for compute node ``node``."""
+    if alloc is None:
+        alloc = _alloc_of(c, jid, node)
+    node_map = alloc.remote_mb.get(node, {})
+    have = node_map.get(lender, 0)
+    if mb <= 0 or mb > have:
+        raise AllocationError(
+            f"remove_remote {mb}MB invalid; borrowing {have}MB from {lender}"
+        )
+    c._touch_lent_many(*_one(lender, -mb))
+    rec = c.lender_jobs[lender]
+    rec[jid] -= mb
+    if rec[jid] <= 0:
+        del rec[jid]
+    if c._cow is not None:
+        c._cow.touch_many([node])
+    c.remote_held_mb[node] -= mb
+    node_map[lender] = have - mb
+    if node_map[lender] == 0:
+        del node_map[lender]
+    if not node_map and node in alloc.remote_mb:
+        del alloc.remote_mb[node]
+    alloc._bump_remote(node, lender, -mb)
+    # ``lender`` may no longer appear in the job's lender set; include it
+    # explicitly so its demand entry is invalidated.
+    c._notify_job_demand(alloc, extra=(lender,))
+
+
 def _shrink(policy, jid, alloc, node, excess, out) -> None:
     """Release ``excess`` MB on ``node``: remote first, then local."""
     c = policy.cluster
@@ -129,7 +236,7 @@ def _shrink(policy, jid, alloc, node, excess, out) -> None:
             if excess <= 0:
                 break
             give = min(remote_map[lender], excess)
-            c.remove_remote(jid, node, lender, give, alloc=alloc)
+            remove_remote(c, jid, node, lender, give, alloc=alloc)
             out.freed_mb += give
             out.touched_nodes.append(lender)
             excess -= give
@@ -137,7 +244,7 @@ def _shrink(policy, jid, alloc, node, excess, out) -> None:
         local = alloc.local_mb.get(node, 0)
         give = min(local, excess)
         if give > 0:
-            c.shrink_local(jid, node, give, alloc=alloc)
+            shrink_local(c, jid, node, give, alloc=alloc)
             out.freed_mb += give
             out.touched_nodes.append(node)
 
@@ -153,7 +260,7 @@ def _grow(policy, jid, alloc, node, deficit, out) -> bool:
     )
     take = min(free_local, deficit)
     if take > 0:
-        c.grow_local(jid, node, take, alloc=alloc)
+        grow_local(c, jid, node, take, alloc=alloc)
         out.grown_mb += take
         out.touched_nodes.append(node)
         deficit -= take
@@ -164,7 +271,7 @@ def _grow(policy, jid, alloc, node, deficit, out) -> bool:
     if plan is None:
         return False
     for lender, mb in plan:
-        c.add_remote(jid, node, lender, mb, alloc=alloc)
+        add_remote(c, jid, node, lender, mb, alloc=alloc)
         out.grown_mb += mb
         out.touched_nodes.append(lender)
     return True
@@ -186,7 +293,7 @@ def coalesced_demand(cluster):
 
 def actuate_per_node(policy, jid, alloc, nodes, deltas, out) -> None:
     """The dynamic Actuator node by node: every resize, local-only or
-    not, commits each node's change through the scalar mutators before
+    not, commits each node's change through the per-step writes before
     the next node plans, each borrow planned on the live free column."""
     with coalesced_demand(policy.cluster):
         for node, delta in zip(nodes.tolist(), deltas.tolist()):

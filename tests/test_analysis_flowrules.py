@@ -212,6 +212,28 @@ def test_inv101_flags_columnar_remote_held_poke():
     assert hits[0].path == "repro/policies/poke.py"
 
 
+def test_inv101_flags_capacity_poke():
+    """An add-memnodes edit that bumps the capacity column and total
+    instead of calling ``expand_capacity``: one finding per write."""
+    sources = {
+        "repro/cluster/led.py": _OWNER_MODULE.replace(
+            "self.lent_mb = [0] * n",
+            "self.lent_mb = [0] * n\n        self.capacity_mb = [0] * n\n"
+            "        self._total_capacity = 0",
+        ),
+        "repro/whatif/poke.py": (
+            "from repro.cluster.led import Led\n"
+            "\n"
+            "def add_memnodes(led: Led, idle, mb):\n"
+            "    led.capacity_mb[idle] += mb\n"
+            "    led._total_capacity += mb * len(idle)\n"
+        ),
+    }
+    hits = findings_for(sources, "INV101")
+    assert [(h.path, h.line) for h in hits] == [
+        ("repro/whatif/poke.py", 4), ("repro/whatif/poke.py", 5)]
+
+
 def test_shallow_rules_still_run_in_project_mode():
     sources = {
         "repro/core/x.py": "def f(total, n):\n    share_mb = total / n\n    return share_mb\n",

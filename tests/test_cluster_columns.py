@@ -59,16 +59,21 @@ def test_snapshot_restore_round_trip(cluster):
     cluster.columns.validate()
 
 
+def _use_local(cluster, used):
+    """Write ``{node: MB}`` to the local-used column through its funnel."""
+    cluster._touch_local_many(np.array(list(used), dtype=np.int64),
+                              np.array(list(used.values()), dtype=np.int64))
+
+
 def test_snapshot_is_a_copy_not_a_view(cluster):
     """Saved pages are copies: a second fork over the same pages copies
     nothing new and still rolls back to the armed state."""
     before = cluster.columns.content_hash()
     store = cluster.arm_cow(page_nodes=8)
-    cluster.set_local_used(0, 999)
+    _use_local(cluster, {0: 999})
     assert store.rollback() == 1
     copied = store.pages_copied
-    cluster.set_local_used(0, 555)
-    cluster.set_local_used(1, 333)
+    _use_local(cluster, {0: 555, 1: 333})
     assert store.pages_copied == copied == 1
     assert store.rollback() == 1
     assert cluster.columns.content_hash() == before
@@ -76,15 +81,15 @@ def test_snapshot_is_a_copy_not_a_view(cluster):
 
 def test_restore_writes_in_place_so_aliases_survive(cluster):
     local_alias = cluster.local_used_mb
-    node_view = cluster.node(0)
+    free_view = cluster.free_local()
     store = cluster.arm_cow()
-    cluster.set_local_used(0, 777)
-    assert node_view.local_used_mb == 777
+    _use_local(cluster, {0: 777})
+    assert int(free_view[0]) == int(cluster.capacity_mb[0]) - 777
     store.rollback()
     assert cluster.local_used_mb is local_alias
     assert local_alias is cluster.columns.local_used_mb
     assert int(local_alias[0]) == 0
-    assert node_view.local_used_mb == 0
+    assert int(free_view[0]) == int(cluster.capacity_mb[0])
 
 
 # ----------------------------------------------------------------------

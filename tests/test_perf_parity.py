@@ -69,9 +69,25 @@ op_strategy = st.lists(
 )
 
 
+def _borrower(cluster: Cluster, jid: int, node: int):
+    """The drawn job and node selectors aimed at a live allocation: the
+    job among the allocated jobs, the node among that job's nodes (as
+    drawn while nothing is allocated)."""
+    if not cluster.allocations:
+        return jid, node
+    jids = list(cluster.allocations)
+    jid = jids[jid % len(jids)]
+    nodes = cluster.allocations[jid].nodes
+    return jid, nodes[node % len(nodes)]
+
+
 def _drive(cluster: Cluster, ops) -> None:
-    """Apply one random op stream, ignoring rejected operations."""
+    """Apply one random op stream, ignoring rejected operations.  The
+    borrow ops change the borrows of sealed records, so the stream is
+    ``resize``'s random coverage of borrow writes."""
     for op, jid, node, mb in ops:
+        if op in ("resize_r", "add_r", "rem_r"):
+            jid, node = _borrower(cluster, jid, node)
         lender = (node + 1) % N_NODES
         try:
             if op == "apply":
@@ -121,6 +137,12 @@ def _drive(cluster: Cluster, ops) -> None:
             elif op == "add_r":
                 cluster.add_remote(jid, node, lender, mb)
             elif op == "rem_r":
+                # Return part of one of the node's borrows, if it has any.
+                alloc = cluster.allocations.get(jid)
+                held = alloc.remote_mb.get(node) if alloc else None
+                if held:
+                    lender = list(held)[mb % len(held)]
+                    mb = 1 + (mb - 1) % held[lender]
                 cluster.remove_remote(jid, node, lender, mb)
         except AllocationError:
             pass  # rejected ops must leave state untouched
@@ -263,7 +285,7 @@ def test_borrow_from_own_node_released_once():
 
 
 # ----------------------------------------------------------------------
-# One bulk resize == the scalar mutators step by step
+# One bulk resize == the per-step reference writes, step by step
 # ----------------------------------------------------------------------
 _RESIZE_JID = 9
 
@@ -341,12 +363,15 @@ def test_resize_local_matches_per_node_mutators(ops, data):
     one.resize(_RESIZE_JID, nodes, deltas)
     for node, delta in zip(nodes, deltas):
         if delta > 0:
-            two.grow_local(_RESIZE_JID, node, delta)
+            ref.grow_local(two, _RESIZE_JID, node, delta)
         else:
-            two.shrink_local(_RESIZE_JID, node, -delta)
+            ref.shrink_local(two, _RESIZE_JID, node, -delta)
     assert _state(one) == _state(two)
     assert len(two_calls) == len(nodes)
-    assert one_calls == _union(two_calls) == [[7]]
+    # A local resize dirties exactly the job's lenders: node 7, plus what
+    # the op stream borrowed for the job, less what it returned.
+    lenders = sorted(one.allocations[_RESIZE_JID].lender_ids())
+    assert one_calls == _union(two_calls) == ([lenders] if lenders else [])
     for cluster in (one, two):
         cluster.allocations[_RESIZE_JID].check_seal()
         cluster.check_invariants()
@@ -404,20 +429,20 @@ def _resize_steps(draw, cluster):
 
 
 def _apply_steps(cluster, steps):
-    """``steps`` through the scalar mutators, one call per step."""
+    """``steps`` through the per-step reference writes, one per step."""
     for step in steps:
         if step[0] == "local":
             _, node, delta = step
             if delta > 0:
-                cluster.grow_local(_RESIZE_JID, node, delta)
+                ref.grow_local(cluster, _RESIZE_JID, node, delta)
             else:
-                cluster.shrink_local(_RESIZE_JID, node, -delta)
+                ref.shrink_local(cluster, _RESIZE_JID, node, -delta)
         else:
             _, node, lender, mb = step
             if mb > 0:
-                cluster.add_remote(_RESIZE_JID, node, lender, mb)
+                ref.add_remote(cluster, _RESIZE_JID, node, lender, mb)
             else:
-                cluster.remove_remote(_RESIZE_JID, node, lender, -mb)
+                ref.remove_remote(cluster, _RESIZE_JID, node, lender, -mb)
 
 
 def _resize_steps_bulk(cluster, steps):
@@ -432,9 +457,9 @@ def _resize_steps_bulk(cluster, steps):
 @settings(max_examples=80, deadline=None)
 def test_resize_matches_scalar_mutators_in_step_order(ops, data):
     """Local deltas and ordered borrows and returns in one resize ==
-    the scalar mutators step by step: columns, aggregates, every map
-    with its insertion order, lender_jobs, the dirty COW pages, and one
-    demand notification that is the sorted union of theirs."""
+    the per-step reference writes one by one: columns, aggregates, every
+    map with its insertion order, lender_jobs, the dirty COW pages, and
+    one demand notification that is the sorted union of theirs."""
     one, one_calls = _resize_cluster(ops)
     two, two_calls = _resize_cluster(ops)
     steps = data.draw(_resize_steps(one))
@@ -450,7 +475,7 @@ def test_resize_matches_scalar_mutators_in_step_order(ops, data):
 def test_resize_borrows_from_its_own_node_and_returns_in_order():
     """A return, a borrow from one of the job's own compute nodes and a
     borrow that re-creates an emptied pair, in one resize: every map
-    keeps the order the scalar mutators give it."""
+    keeps the order the per-step writes give it."""
     steps = [
         ("borrow", 2, 7, -4096),     # empties node 2's only pair
         ("borrow", 5, 0, 1024),      # lender 0 is a node of the job
@@ -499,9 +524,9 @@ def test_resize_lender_crosses_memnode_threshold_and_back(lent_before):
         else:
             for node, lender, mb in borrows:
                 if mb > 0:
-                    cluster.add_remote(0, node, lender, mb)
+                    ref.add_remote(cluster, 0, node, lender, mb)
                 else:
-                    cluster.remove_remote(0, node, lender, -mb)
+                    ref.remove_remote(cluster, 0, node, lender, -mb)
         assert bool(cluster.is_memory_node()[6]) == memnode
         brute = cluster.recompute_aggregates()
         assert cluster.memory_node_count == brute["memory_node_count"]
@@ -601,7 +626,8 @@ def _wide_cluster(used, lent) -> Cluster:
 
     ``used[node]`` runs a one-node job holding that many 16 GB blocks
     (0 leaves the node idle); ``lent[node]`` lends that many 16 GB blocks
-    through the standalone funnel, which makes memory nodes.
+    where the node has them free, written through the bulk lending
+    funnel with no borrower behind it, which makes memory nodes.
     """
     cluster = Cluster(SystemConfig(n_nodes=WIDE_NODES, normal_mem_gb=64,
                                    large_mem_gb=128, frac_large_nodes=0.25))
@@ -609,9 +635,11 @@ def _wide_cluster(used, lent) -> Cluster:
         if blocks:
             cluster.apply(node, JobAllocation(
                 nodes=[node], local_mb={node: blocks * 16 * GB}))
-    for node, blocks in lent.items():
-        if int(cluster.free_local()[node]) >= blocks * 16 * GB:
-            cluster.set_lent(node, blocks * 16 * GB)
+    free = cluster.free_local()
+    lends = {node: blocks * 16 * GB for node, blocks in lent.items()
+             if int(free[node]) >= blocks * 16 * GB}
+    cluster._touch_lent_many(np.array(list(lends), dtype=np.int64),
+                             np.array(list(lends.values()), dtype=np.int64))
     return cluster
 
 
@@ -770,8 +798,8 @@ def _campaign_records(tmp_path, monkeypatch, brute: bool):
 
     if brute:
         # Select every lender and node prefix from a full stable argsort,
-        # actuate node by node with the scalar mutators and recompute
-        # every demand read: the pre-optimisation behaviour.
+        # actuate node by node with the per-step reference writes and
+        # recompute every demand read: the pre-optimisation behaviour.
         ref.patch_in(monkeypatch)
         monkeypatch.setattr(ContentionModel, "attach",
                             lambda self, cluster: None)
@@ -804,5 +832,5 @@ def test_campaign_records_byte_identical_to_brute_path(tmp_path, monkeypatch):
     assert sum(1 for steps in resizes if steps) > 100
     with monkeypatch.context() as mp:
         brute, resizes = _campaign_records(tmp_path, mp, brute=True)
-    assert resizes == []  # the reference Actuator uses scalar mutators
+    assert resizes == []  # the reference Actuator never calls resize
     assert json.dumps(fast, sort_keys=True) == json.dumps(brute, sort_keys=True)

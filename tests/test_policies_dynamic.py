@@ -248,8 +248,7 @@ def _spy_touches(cluster, monkeypatch):
     update that writes and then reverts leaves the ledgers equal, but
     not this list."""
     calls = []
-    for name in ("_touch_local", "_touch_lent", "_touch_local_many",
-                 "_touch_lent_many"):
+    for name in ("_touch_local_many", "_touch_lent_many"):
         def spy(*args, _real=getattr(cluster, name), _name=name):
             calls.append(_name)
             return _real(*args)
@@ -337,7 +336,7 @@ def test_direct_cluster_mutation_clears_mark(policy, cluster, mutation,
         lender = next(iter(alloc.remote_mb[node]))
         cluster.remove_remote(job.jid, node, lender, 512)
     elif mutation == "add_remote":
-        lender = next(n for n in range(cluster.n_nodes) if not alloc.has_node(n))
+        lender = next(n for n in range(cluster.n_nodes) if n not in alloc.nodes)
         cluster.add_remote(job.jid, node, lender, 512)
     else:
         getattr(cluster, mutation)(job.jid, node, 512)
