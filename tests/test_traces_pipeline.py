@@ -89,6 +89,36 @@ class TestSyntheticWorkload:
             "bbfe620124892561c73b481359cc8b1d843bff675193aef4a245aff5f88cf23c"
         )
 
+    def test_generated_fields_pinned(self):
+        """Everything else generation emits is pinned too: the synthetic
+        jobs' scalar fields, a ``node_imbalance`` workload's per-rank
+        scales, the donors' descriptions and a scaled Grizzly workload.
+        Fields enter the digest by ``repr``, so a value that changes type
+        (``int`` to ``np.int64``, say) changes the digest as well."""
+        h = hashlib.sha256()
+
+        def add(value):
+            h.update(repr(value).encode())
+
+        def add_jobs(wl):
+            for j in wl.jobs:
+                add((j.jid, j.submit_time, j.n_nodes, j.base_runtime,
+                     j.walltime_limit, j.mem_request_mb, j.profile, j.user,
+                     j.node_scale))
+                h.update(j.usage.times.astype("<f8").tobytes())
+                h.update(j.usage.mem_mb.astype("<i8").tobytes())
+
+        add_jobs(synthetic_workload(n_jobs=80, n_system_nodes=64, seed=11))
+        add_jobs(synthetic_workload(n_jobs=60, n_system_nodes=64,
+                                    node_imbalance=0.2, seed=13))
+        for d in google.generate(300, seed=5):
+            add((d.job_id, d.tier.value, d.scheduling_class, d.n_tasks,
+                 d.runtime, d.end_status.value))
+        add_jobs(grizzly_workload(n_system_nodes=128, scale_jobs=150, seed=4))
+        assert h.hexdigest() == (
+            "b9c077b3285cea9e55d8437f4a9baf4e40b407ef6b09410e04da045ff33f595f"
+        )
+
     def test_validation(self):
         with pytest.raises(TraceError):
             synthetic_workload(n_jobs=0)
