@@ -10,8 +10,11 @@ converts wall time to progress at rate ``1/s`` (see
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from ..core.errors import TraceError
 from ..core.state import ForkState
@@ -95,6 +98,18 @@ class Job:
     )
 
     def __post_init__(self) -> None:
+        if isinstance(self.n_nodes, (bool, np.bool_)):
+            raise TraceError(
+                f"job {self.jid}: field 'n_nodes' = {self.n_nodes!r} is not "
+                "a node count"
+            )
+        request = self.mem_request_mb
+        if not (isinstance(request, numbers.Integral)
+                or isinstance(request, float) and request.is_integer()):
+            raise TraceError(
+                f"job {self.jid}: field 'mem_request_mb' = {request!r} is "
+                "not a whole number of MB"
+            )
         if self.n_nodes <= 0:
             raise TraceError(f"job {self.jid}: n_nodes must be positive")
         if self.base_runtime <= 0:

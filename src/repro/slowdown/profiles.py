@@ -105,18 +105,28 @@ def profile_pool(
     return pool
 
 
-def match_profile(
-    profiles: Sequence[AppProfile], n_nodes: int, runtime: float
-) -> int:
-    """Index of the profile nearest in (log-size, log-runtime) distance.
+def match_profiles(
+    profiles: Sequence[AppProfile], n_nodes: Sequence[int], runtimes: Sequence[float]
+) -> np.ndarray:
+    """Index of the profile nearest to each job in (log-size, log-runtime)
+    distance, for job ``k`` of ``n_nodes[k]`` nodes running ``runtimes[k]``
+    seconds.
 
     The paper matches jobs to profiled applications "by minimizing the
     Euclidean distance of the size and runtime" (§3.2.1).  Log-space
     normalisation keeps the two axes comparable across orders of
-    magnitude.
+    magnitude.  One ``argmin`` over the (jobs x profiles) distances; ties
+    go to the first profile.
     """
     sizes = np.log2([max(p.typical_nodes, 1) for p in profiles])
-    runtimes = np.log10([max(p.typical_runtime, 1.0) for p in profiles])
-    ds = sizes - np.log2(max(n_nodes, 1))
-    dr = runtimes - np.log10(max(runtime, 1.0))
-    return int(np.argmin(ds * ds + dr * dr))
+    typical = np.log10([max(p.typical_runtime, 1.0) for p in profiles])
+    ds = sizes - np.log2(np.maximum(np.asarray(n_nodes), 1))[:, None]
+    dr = typical - np.log10(np.maximum(np.asarray(runtimes, dtype=np.float64), 1.0))[:, None]
+    return np.argmin(ds * ds + dr * dr, axis=1)
+
+
+def match_profile(
+    profiles: Sequence[AppProfile], n_nodes: int, runtime: float
+) -> int:
+    """:func:`match_profiles` for one job."""
+    return int(match_profiles(profiles, [n_nodes], [runtime])[0])

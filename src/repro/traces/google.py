@@ -25,8 +25,8 @@ import numpy as np
 from ..core.errors import TraceError
 from ..core.rng import SeedLike, ensure_rng
 from ..core.units import HOUR, MB_PER_GB
-from ..jobs.usage import UsageTrace
-from .shapes import phased_usage
+from ..jobs.usage import TraceBatch, UsageTrace, segment_offsets
+from .shapes import draw_phases, phased_curves
 
 #: Window length of the Borg usage table (paper: 5-minute windows).
 WINDOW_S = 300.0
@@ -78,13 +78,26 @@ class GoogleJob:
     def usage_trace(self) -> UsageTrace:
         """Denormalised usage curve: each window's **maximum** defines the
         usage level for that period (paper §3.2.2)."""
-        if self.max_usage is None or len(self.max_usage) == 0:
-            raise TraceError(f"google job {self.job_id} has no usage windows")
-        times = np.arange(len(self.max_usage), dtype=np.float64) * WINDOW_S
-        mem = np.round(self.max_usage * DENORM_CAPACITY_MB).astype(np.int64)
-        # Merge equal consecutive windows for compactness.
-        keep = np.concatenate([[True], np.diff(mem) != 0])
-        return UsageTrace(times[keep], mem[keep])
+        return usage_traces([self])[0]
+
+
+def usage_traces(jobs: Sequence[GoogleJob]) -> TraceBatch:
+    """:meth:`GoogleJob.usage_trace` of every job, in one pass: window
+    ``k`` starts at ``k * WINDOW_S``, and equal consecutive windows merge
+    for compactness."""
+    for j in jobs:
+        if j.max_usage is None or len(j.max_usage) == 0:
+            raise TraceError(f"google job {j.job_id} has no usage windows")
+    n_windows = [len(j.max_usage) for j in jobs]
+    offsets = segment_offsets(n_windows)
+    window = np.arange(offsets[-1]) - np.repeat(offsets[:-1], n_windows)
+    maxima = np.concatenate([j.max_usage for j in jobs] or [np.empty(0)])
+    mem = np.round(maxima * DENORM_CAPACITY_MB).astype(np.int64)
+    keep = np.ones(len(mem), dtype=bool)
+    keep[1:] = np.diff(mem) != 0
+    keep[offsets[:-1]] = True
+    batch = TraceBatch(offsets, window * WINDOW_S, mem, [j.job_id for j in jobs])
+    return batch.select(keep)
 
 
 _TIER_WEIGHTS = {
@@ -112,56 +125,78 @@ def generate(
     peak_sigma: float = 1.6,
     max_tasks: int = 512,
 ) -> List[GoogleJob]:
-    """Generate a Borg-like job population with usage windows."""
+    """Generate a Borg-like job population with usage windows.
+
+    One loop makes each job's random draws in a fixed order; everything
+    else is one array pass over all jobs.  Tier and end status are
+    ``Generator.choice(p=...)`` spelled out: one uniform draw, looked up
+    in the normalised CDF.
+    """
     if n_jobs <= 0:
         raise TraceError(f"n_jobs must be positive, got {n_jobs}")
     rng = ensure_rng(seed)
+    mu_runtime = np.log(median_runtime_s)
+    mu_tasks = np.log(8)
+    mu_peak = np.log(median_peak_gb * MB_PER_GB)
+    draws = []
+    phases = []
+    for _ in range(n_jobs):
+        draws.append((
+            rng.random(),  # tier
+            rng.random(),  # end status
+            rng.integers(0, 4),  # scheduling class
+            rng.lognormal(mu_runtime, runtime_sigma),
+            rng.lognormal(mu_tasks, 1.2),  # task count
+            rng.lognormal(mu_peak, peak_sigma),  # peak MB
+        ))
+        phases.append(draw_phases(rng))
+    u_tier, u_end, sched, runtime, n_tasks, peak = np.array(draws).T
+    runtime = np.clip(runtime, WINDOW_S, 14 * 24 * HOUR)
+    n_tasks = np.clip(np.round(n_tasks), 1, max_tasks).astype(np.int64)
+    peak_mb = np.clip(peak, 64, 130 * MB_PER_GB).astype(np.int64)
+    curves = phased_curves(phases, peak_mb, runtime, ids=range(n_jobs))
+
+    # Window k of job i covers [k, k + 1) * WINDOW_S, cut at the runtime.
+    n_windows = np.maximum(np.ceil(runtime / WINDOW_S).astype(np.int64), 1)
+    offsets = segment_offsets(n_windows)
+    owner = np.repeat(np.arange(n_jobs), n_windows)
+    t0 = (np.arange(offsets[-1]) - offsets[owner]) * WINDOW_S
+    t1 = np.minimum(t0 + WINDOW_S, runtime[owner])
+    maxima = curves.window_max(owner, t0, t1).astype(np.float64)
+    # Window averages: sample the curve mid-window (cheap, adequate).
+    avgs = np.minimum(
+        curves.usage_at_many(owner, (t0 + t1) / 2).astype(np.float64), maxima
+    )
+    avg_usage = avgs / DENORM_CAPACITY_MB
+    max_usage = maxima / DENORM_CAPACITY_MB
+
     tiers = list(_TIER_WEIGHTS)
-    tier_p = np.array(list(_TIER_WEIGHTS.values()))
     ends = list(_END_WEIGHTS)
-    end_p = np.array(list(_END_WEIGHTS.values()))
-    jobs: List[GoogleJob] = []
-    for jid in range(n_jobs):
-        tier = tiers[rng.choice(len(tiers), p=tier_p)]
-        end = ends[rng.choice(len(ends), p=end_p)]
-        sched_class = int(rng.integers(0, 4))
-        runtime = float(
-            np.clip(
-                rng.lognormal(np.log(median_runtime_s), runtime_sigma),
-                WINDOW_S,
-                14 * 24 * HOUR,
-            )
+    tier = _cdf(_TIER_WEIGHTS).searchsorted(u_tier, side="right").tolist()
+    end = _cdf(_END_WEIGHTS).searchsorted(u_end, side="right").tolist()
+    bounds = offsets.tolist()
+    return [
+        GoogleJob(
+            job_id=jid,
+            tier=tiers[tier[jid]],
+            scheduling_class=c,
+            n_tasks=tasks,
+            runtime=rt,
+            end_status=ends[end[jid]],
+            avg_usage=avg_usage[bounds[jid]:bounds[jid + 1]],
+            max_usage=max_usage[bounds[jid]:bounds[jid + 1]],
         )
-        n_tasks = int(np.clip(np.round(rng.lognormal(np.log(8), 1.2)), 1, max_tasks))
-        peak_mb = int(
-            np.clip(
-                rng.lognormal(np.log(median_peak_gb * MB_PER_GB), peak_sigma),
-                64,
-                130 * MB_PER_GB,
-            )
-        )
-        curve = phased_usage(rng, peak_mb, runtime)
-        n_windows = max(int(np.ceil(runtime / WINDOW_S)), 1)
-        t0 = np.arange(n_windows) * WINDOW_S
-        t1 = np.minimum(t0 + WINDOW_S, runtime)
-        maxima = curve.window_max(t0, t1).astype(np.float64)
-        # Window averages: sample the curve mid-window (cheap, adequate).
-        avgs = np.minimum(
-            curve.usage_at_many((t0 + t1) / 2).astype(np.float64), maxima
-        )
-        jobs.append(
-            GoogleJob(
-                job_id=jid,
-                tier=tier,
-                scheduling_class=sched_class,
-                n_tasks=n_tasks,
-                runtime=runtime,
-                end_status=end,
-                avg_usage=avgs / DENORM_CAPACITY_MB,
-                max_usage=maxima / DENORM_CAPACITY_MB,
-            )
-        )
-    return jobs
+        for jid, (c, tasks, rt) in enumerate(zip(
+            sched.astype(np.int64).tolist(), n_tasks.tolist(), runtime.tolist()
+        ))
+    ]
+
+
+def _cdf(weights: dict) -> np.ndarray:
+    """The normalised CDF ``Generator.choice`` searches for ``p=weights``."""
+    cdf = np.array(list(weights.values())).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def filter_batch(jobs: Sequence[GoogleJob]) -> List[GoogleJob]:

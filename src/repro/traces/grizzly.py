@@ -27,7 +27,7 @@ from ..core.rng import SeedLike, ensure_rng
 from ..core.units import DAY, HOUR, MB_PER_GB, WEEK
 from ..jobs.usage import UsageTrace
 from .archer import DISTRIBUTIONS
-from .shapes import phased_usage
+from .shapes import draw_phases, phased_curves
 
 #: LDMS sampling period on Grizzly (paper: every ten seconds).
 LDMS_INTERVAL_S = 10.0
@@ -167,7 +167,9 @@ def generate_dataset(
             * rng.beta(2.2, 1.2)
         )
         target_node_seconds = util * n_nodes * WEEK
-        jobs: List[GrizzlyJob] = []
+        # (size, duration, peak, phase draws, start) per job, drawn in
+        # order; the usage curves are built once the week is full.
+        drawn: List[tuple] = []
         acc = 0.0
         while acc < target_node_seconds:
             size = int(_sample_job_sizes(rng, 1, min(n_nodes, 1024))[0])
@@ -176,19 +178,19 @@ def generate_dataset(
             )
             dist = small_dist if size <= 32 else large_dist
             peak = int(min(dist.sample_mb(rng, 1)[0], node_mem_mb))
-            usage = phased_usage(rng, peak, duration)
-            start = float(rng.uniform(0.0, WEEK))
-            jobs.append(
-                GrizzlyJob(
-                    job_id=jid,
-                    n_nodes=size,
-                    duration=duration,
-                    start_offset=start,
-                    usage=usage,
-                )
-            )
-            jid += 1
+            phases = draw_phases(rng) if peak > 0 else None
+            drawn.append((size, duration, peak, phases, float(rng.uniform(0.0, WEEK))))
             acc += size * duration
+        usage = phased_curves(
+            [d[3] for d in drawn], [d[2] for d in drawn], [d[1] for d in drawn],
+            ids=range(jid, jid + len(drawn)),
+        ).traces()
+        jobs = [
+            GrizzlyJob(job_id=jid + i, n_nodes=size, duration=duration,
+                       start_offset=start, usage=usage[i])
+            for i, (size, duration, _, _, start) in enumerate(drawn)
+        ]
+        jid += len(drawn)
         weeks.append(GrizzlyWeek(index=w, jobs=jobs, n_nodes=n_nodes))
     return weeks_to_dataset(weeks)
 

@@ -21,8 +21,8 @@ import numpy as np
 from ..core.errors import TraceError
 from ..core.rng import SeedLike, ensure_rng, spawn
 from ..jobs.job import Job
-from ..jobs.usage import UsageTrace
-from ..slowdown.profiles import AppProfile, match_profile, profile_pool
+from ..jobs.usage import TraceBatch
+from ..slowdown.profiles import AppProfile, match_profiles, profile_pool
 from . import cirne, google
 from .archer import sample_large_memory_peak, sample_normal_memory_peak
 from .grizzly import GrizzlyWeek, generate_dataset
@@ -33,31 +33,39 @@ from .workload import Workload
 RDP_EPSILON_FRAC = 0.02
 
 
-def _with_peak(trace: UsageTrace, peak_mb: int) -> UsageTrace:
-    """Rescale the memory axis so the trace's maximum is ``peak_mb``."""
-    old_peak = trace.peak()
-    if old_peak <= 0:
-        return UsageTrace.constant(peak_mb)
-    scaled = trace.scaled_mem(peak_mb / old_peak)
+def _with_peak(usage: TraceBatch, peaks_mb: np.ndarray) -> TraceBatch:
+    """Rescale each trace's memory axis so its maximum is ``peaks_mb[i]``;
+    a trace that peaks at zero becomes flat at ``peaks_mb[i]``."""
+    old = usage.peaks()
+    flat = old <= 0
+    scaled = usage.scaled_mem(peaks_mb / np.where(flat, 1, old))
     # Rounding can knock the maximum off by a few MB; pin it exactly.
     mem = scaled.mem_mb.copy()
-    mem[int(np.argmax(mem))] = peak_mb
-    return UsageTrace(scaled.times, mem)
+    mem[scaled.peak_points()] = peaks_mb
+    keep = ~np.repeat(flat, np.diff(usage.offsets))
+    keep[usage.offsets[:-1]] = True
+    return TraceBatch(usage.offsets, scaled.times, mem, usage.ids).select(keep)
 
 
 def _graft_usage(
-    donor_trace: UsageTrace,
-    donor_runtime: float,
-    runtime: float,
-    peak_mb: int,
-) -> UsageTrace:
-    """Adapt a donor curve: stretch to the job's runtime, RDP-compress,
-    then pin the peak (paper §3.2.2).  Pinning last keeps the trace's
-    maximum exactly equal to the sampled peak (Fig. 4b note: max usage
-    equals the request at 0% overestimation)."""
-    t = donor_trace.rescaled(donor_runtime, runtime)
-    t = t.compressed(max(RDP_EPSILON_FRAC * t.peak(), 1.0))
-    return _with_peak(t, peak_mb)
+    donors: Sequence[google.GoogleJob],
+    donor_idx: np.ndarray,
+    runtimes: np.ndarray,
+    peaks_mb: np.ndarray,
+) -> TraceBatch:
+    """Adapt donor ``donor_idx[i]``'s curve for job ``i``: stretch to the
+    job's runtime, RDP-compress, then pin the peak (paper §3.2.2).
+    Pinning last keeps the trace's maximum exactly equal to the sampled
+    peak (Fig. 4b note: max usage equals the request at 0%
+    overestimation).  Each distinct donor's curve is built once."""
+    used, donor_of_job = np.unique(donor_idx, return_inverse=True)
+    curves = google.usage_traces([donors[d] for d in used.tolist()])
+    donor_runtimes = np.array([donors[d].runtime for d in used.tolist()])
+    t = curves.take(donor_of_job, ids=range(len(donor_idx))).rescaled(
+        donor_runtimes[donor_of_job], runtimes
+    )
+    t = t.compressed(np.maximum(RDP_EPSILON_FRAC * t.peaks(), 1.0))
+    return _with_peak(t, peaks_mb)
 
 
 def _sample_memory_peaks(
@@ -122,7 +130,9 @@ def synthetic_workload(
 
     # Steps 2-4: match each job to a profiled application.
     pool = profiles if profiles is not None else profile_pool()
-    prof_idx = [match_profile(pool, g.n_nodes, g.runtime) for g in geometry]
+    sizes = [g.n_nodes for g in geometry]
+    runtimes = np.array([g.runtime for g in geometry])
+    prof_idx = match_profiles(pool, sizes, runtimes).tolist()
 
     # Steps 5 & 7: memory peaks with the scenario's large-memory mix.
     peaks = _sample_memory_peaks(r_mem, n_jobs, frac_large)
@@ -139,20 +149,13 @@ def synthetic_workload(
         [d.runtime for d in donors],
         [max(d.peak_memory_mb, 1) for d in donors],
     )
-    query_features = log_features(
-        [g.n_nodes for g in geometry],
-        [g.runtime for g in geometry],
-        peaks,
-    )
+    query_features = log_features(sizes, runtimes, peaks)
     donor_idx = match_nearest(donor_features, query_features)
+    usage = _graft_usage(donors, donor_idx, runtimes, peaks).traces()
 
     # Steps 8-9: emit simulator jobs.
     jobs: List[Job] = []
     for i, g in enumerate(geometry):
-        donor = donors[int(donor_idx[i])]
-        usage = _graft_usage(
-            donor.usage_trace(), donor.runtime, g.runtime, int(peaks[i])
-        )
         request = int(round(int(peaks[i]) * (1.0 + overestimation)))
         node_scale = None
         if node_imbalance > 0 and g.n_nodes > 1:
@@ -168,7 +171,7 @@ def synthetic_workload(
                 base_runtime=g.runtime,
                 walltime_limit=g.estimate,
                 mem_request_mb=request,
-                usage=usage,
+                usage=usage[i],
                 profile=prof_idx[i],
                 node_scale=node_scale,
                 user=g.user,
@@ -228,14 +231,18 @@ def grizzly_workload(
 
     pool = profiles if profiles is not None else profile_pool()
     factors = np.clip(r_est.lognormal(np.log(2.0), 0.6, len(gjobs)), 1.0, 20.0)
+    ranked = [gjobs[int(gi)] for gi in order]
+    usage = TraceBatch.of([gj.usage for gj in ranked], ids=range(len(ranked)))
+    usage = usage.compressed(np.maximum(RDP_EPSILON_FRAC * usage.peaks(), 1.0))
+    peaks = usage.peaks().tolist()
+    prof_idx = match_profiles(
+        pool, [gj.n_nodes for gj in ranked], [gj.duration for gj in ranked]
+    ).tolist()
+    traces = usage.traces()
     jobs: List[Job] = []
-    for rank, gi in enumerate(order):
-        gj = gjobs[int(gi)]
-        usage = gj.usage.compressed(
-            max(RDP_EPSILON_FRAC * gj.usage.peak(), 1.0)
-        )
+    for rank, gj in enumerate(ranked):
         # The request derives from the trace the simulator will monitor.
-        request = int(round(usage.peak() * (1.0 + overestimation)))
+        request = int(round(peaks[rank] * (1.0 + overestimation)))
         jobs.append(
             Job(
                 jid=rank,
@@ -244,8 +251,8 @@ def grizzly_workload(
                 base_runtime=gj.duration,
                 walltime_limit=gj.duration * float(factors[rank]),
                 mem_request_mb=request,
-                usage=usage,
-                profile=match_profile(pool, gj.n_nodes, gj.duration),
+                usage=traces[rank],
+                profile=prof_idx[rank],
             )
         )
     jobs.sort(key=lambda j: j.submit_time)

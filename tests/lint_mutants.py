@@ -309,8 +309,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "UNIT101", "traces/pipeline.py",
-        "        request = int(round(usage.peak() * (1.0 + overestimation)))\n",
-        "        request = usage.peak() * (1.0 + overestimation)\n",
+        "        request = int(round(peaks[rank] * (1.0 + overestimation)))\n",
+        "        request = peaks[rank] * (1.0 + overestimation)\n",
         "an overestimated Grizzly request is a float when it reaches "
         "`mem_request_mb`",
     ),

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import TraceError
-from repro.jobs.usage import UsageTrace
+from repro.jobs.usage import TraceBatch, UsageTrace
 
 
 @pytest.fixture
@@ -222,3 +222,103 @@ def test_window_queries_match_reference(case):
             if np.isfinite(q0) and q0 <= q1:
                 assert trace.max_in(q0, q1) == mx
 
+
+
+# ----------------------------------------------------------------------
+# Ragged batches: one validation pass, steps equal to per-trace steps
+# ----------------------------------------------------------------------
+_time = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.5, -1.0, float("nan"),
+                         float("inf"), -float("inf")])
+
+
+@st.composite
+def _segment(draw):
+    """A (times, mem) pair: a valid trace, or points from a pool that
+    breaks every check (empty, non-finite, late start, unsorted, < 0)."""
+    if draw(st.booleans()):
+        gaps = draw(st.lists(st.floats(0.5, 500.0), max_size=4))
+        times = [0.0] + np.cumsum(gaps).tolist()
+    else:
+        times = draw(st.lists(_time, max_size=4))
+    mem = draw(st.lists(st.integers(-1, 9), min_size=len(times),
+                        max_size=len(times)))
+    return times, mem
+
+
+def _ragged(segments):
+    offsets = np.cumsum([0] + [len(t) for t, _ in segments])
+    times = np.array([x for t, _ in segments for x in t], dtype=np.float64)
+    mem = np.array([x for _, m in segments for x in m], dtype=np.int64)
+    return offsets, times, mem
+
+
+@given(st.lists(_segment(), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_batch_rejects_exactly_when_a_trace_would(segments):
+    """The batch check raises iff some segment fails ``UsageTrace``, with
+    the first failing segment's message, prefixed by its job id."""
+    ids = [100 + i for i in range(len(segments))]
+    first_error = None
+    for jid, (times, mem) in zip(ids, segments):
+        try:
+            UsageTrace(times, mem)
+        except TraceError as exc:
+            first_error = f"job {jid}: {exc}"
+            break
+    offsets, times, mem = _ragged(segments)
+    if first_error is None:
+        batch = TraceBatch(offsets, times, mem, ids)
+        assert [(tr.times.tolist(), tr.mem_mb.tolist())
+                for tr in batch.traces()] == [
+            (np.asarray(t, dtype=float).tolist(), m) for t, m in segments]
+    else:
+        with pytest.raises(TraceError) as err:
+            TraceBatch(offsets, times, mem, ids)
+        assert str(err.value) == first_error
+
+
+@st.composite
+def _batch_and_queries(draw):
+    traces = [draw(_trace_and_window())[0]
+              for _ in range(draw(st.integers(1, 5)))]
+    end = max(float(t.times[-1]) for t in traces)
+    owner = draw(st.lists(st.integers(0, len(traces) - 1), max_size=12))
+    point = st.floats(-100.0, end + 200.0)
+    p0 = [draw(point) for _ in owner]
+    p1 = [a + draw(st.floats(0.0, 300.0)) for a in p0]
+    factors = [draw(st.floats(0.0, 3.0)) for _ in traces]
+    epsilons = [draw(st.floats(0.0, 50_000.0)) for _ in traces]
+    return traces, owner, p0, p1, factors, epsilons
+
+
+def _same(a, b):
+    return a.times.tolist() == b.times.tolist() and \
+        a.mem_mb.tolist() == b.mem_mb.tolist()
+
+
+@given(_batch_and_queries())
+@settings(max_examples=200, deadline=None)
+def test_batch_steps_match_each_trace_alone(case):
+    """Every batch step answers, trace for trace, what the trace's own
+    (batch-of-one) step answers: the ragged indexing loses nothing."""
+    traces, owner, p0, p1, factors, epsilons = case
+    batch = TraceBatch.of(traces, ids=range(len(traces)))
+    assert batch.peaks().tolist() == [t.peak() for t in traces]
+    assert batch.window_max(owner, p0, p1).tolist() == [
+        traces[k].max_in(a, b) for k, a, b in zip(owner, p0, p1)]
+    assert batch.usage_at_many(owner, p0).tolist() == [
+        traces[k].usage_at(a) for k, a in zip(owner, p0)]
+    spans = [float(t.times[-1]) + 1.0 for t in traces]
+    pairs = [
+        (batch.rescaled(spans, [2 * s for s in spans]),
+         [t.rescaled(s, 2 * s) for t, s in zip(traces, spans)]),
+        (batch.scaled_mem(factors),
+         [t.scaled_mem(f) for t, f in zip(traces, factors)]),
+        (batch.compressed(epsilons),
+         [t.compressed(e) for t, e in zip(traces, epsilons)]),
+        (batch.take([len(traces) - 1, 0, 0]),
+         [traces[-1], traces[0], traces[0]]),
+    ]
+    for got, want in pairs:
+        assert len(got) == len(want)
+        assert all(_same(g, w) for g, w in zip(got.traces(), want))

@@ -84,6 +84,29 @@ def test_workload_profile_index_out_of_range_rejected(shared_workload):
     assert workload_from_dict(data).jobs[3].profile == n_profiles - 1
 
 
+def test_workload_boolean_node_count_rejected(shared_workload):
+    # ``True`` compared as 1 and loaded as a one-node job.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][2]["jid"]
+    data["jobs"][2]["n_nodes"] = True
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'n_nodes'"):
+        workload_from_dict(data)
+    data["jobs"][2]["n_nodes"] = np.int64(3)
+    assert workload_from_dict(data).jobs[2].n_nodes == 3
+
+
+def test_workload_fractional_memory_request_rejected(shared_workload):
+    # A fractional request used to run and leave floats in the records,
+    # although memory is accounted in whole MB.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][4]["jid"]
+    data["jobs"][4]["mem_request_mb"] = 1024.5
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'mem_request_mb'"):
+        workload_from_dict(data)
+    data["jobs"][4]["mem_request_mb"] = np.int64(1024)
+    assert workload_from_dict(data).jobs[4].mem_request_mb == 1024
+
+
 def test_load_workload_rejects_non_finite_usage_time(tmp_path, shared_workload):
     # Python's json reads and writes NaN, so a hand-edited or foreign
     # file can carry one; it must fail to load, not simulate wrongly.
