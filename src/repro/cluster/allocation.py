@@ -273,8 +273,10 @@ class JobAllocation:
 
         * ``local_mb`` keys are compute nodes of the job with
           non-negative amounts;
-        * ``remote_mb`` keys are compute nodes, lender amounts are
-          strictly positive, and a node never lends to itself;
+        * ``remote_mb`` keys are compute nodes, each with a non-empty
+          lender map (a full return deletes the node's map), lender
+          amounts are strictly positive, and a node never lends to
+          itself;
         * a ``sized_for_mb`` mark is a non-negative reading on a sealed
           record (only sealed records route every change through
           :meth:`_bump_local` / :meth:`_bump_remote`, which clear it).
@@ -295,6 +297,8 @@ class JobAllocation:
         for node, lender_map in self.remote_mb.items():
             if node not in node_set:
                 raise ValueError(f"remote_mb entry for non-compute node {node}")
+            if not lender_map:
+                raise ValueError(f"empty remote_mb map on node {node}")
             for lender, mb in lender_map.items():
                 if mb <= 0:
                     raise ValueError(

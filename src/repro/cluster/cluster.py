@@ -370,6 +370,8 @@ class Cluster:
         for node, lender_map in alloc.remote_mb.items():
             if node not in node_set:
                 raise AllocationError(f"remote map for non-compute node {node}")
+            if not lender_map:
+                raise AllocationError(f"empty remote map on node {node}")
             held = 0
             for lender, mb in lender_map.items():
                 if mb <= 0:

@@ -17,8 +17,8 @@ attributes by how a rollback treats them:
     a declared object (or ``None``): the reference is put back and the
     object is rolled back in place from its own declaration;
 ``object_maps``
-    a dict of declared objects: the dict is copied and every member is
-    rolled back in place;
+    a dict of declared objects: the dict is copied and every member
+    that is not final (below) is rolled back in place;
 ``fixed``
     bound while the simulation is built and wired, never rebound, and
     never captured;
@@ -32,6 +32,14 @@ every cross-reference in the graph stays valid.  Each class compiles to
 one capture and one restore function on first use.  A class whose state
 is plain values only (:class:`repro.jobs.Job`) captures one tuple and
 restores it with one zip/setattr loop, without per-field dispatch.
+
+A declaration may also give ``final``, a predicate saying that an
+instance has reached a state nothing writes again (a job that ended:
+:data:`repro.jobs.states.TERMINAL`).  An ``object_maps`` dict captures
+``(member, state)`` pairs only for the members that are not final at
+capture, and a restore rewrites only those: the dict itself is still
+copied back whole, so a member a fork added is dropped, but a rollback
+costs the live members, not all of them.
 
 A subclass that adds state extends its base's declaration with
 :meth:`ForkState.extend`; a subclass without state of its own (the
@@ -57,9 +65,12 @@ KINDS = ("values", "copies", "nested", "objects", "object_maps", "fixed",
 class ForkState:
     """The fork-state declaration of one class (see the module docstring)."""
 
-    __slots__ = KINDS
+    __slots__ = KINDS + ("final",)
 
-    def __init__(self, **kinds: Tuple[str, ...]):
+    def __init__(self, *, final: Optional[Callable[[Any], bool]] = None,
+                 **kinds: Tuple[str, ...]):
+        #: ``instance -> True`` once nothing writes the instance again
+        self.final = final
         unknown = set(kinds) - set(KINDS)
         if unknown:
             raise TypeError(f"unknown fork-state kinds {sorted(unknown)}")
@@ -81,7 +92,7 @@ class ForkState:
 
     def extend(self, **kinds: Tuple[str, ...]) -> "ForkState":
         """This declaration plus ``kinds`` (a subclass's own attributes)."""
-        return ForkState(**{
+        return ForkState(final=self.final, **{
             kind: getattr(self, kind) + tuple(kinds.get(kind, ()))
             for kind in KINDS
         })
@@ -92,9 +103,11 @@ class ForkState:
 # ----------------------------------------------------------------------
 Capture = Callable[[Any], Any]
 Restore = Callable[[Any, Any], None]
-#: ``(capture, restore, value names)``; the names are set when the class
-#: declares plain values only, so dicts of such objects restore inline
-Plan = Tuple[Capture, Restore, Optional[Tuple[str, ...]]]
+#: ``(capture, restore, value names, final)``; the names are set when the
+#: class declares plain values only, so dicts of such objects restore
+#: inline; ``final`` is the declaration's predicate (or ``None``)
+Plan = Tuple[Capture, Restore, Optional[Tuple[str, ...]],
+             Optional[Callable[[Any], bool]]]
 
 
 def _copy(value):
@@ -163,22 +176,30 @@ def _object_maps_step(names: Tuple[str, ...]) -> Tuple[Capture, Restore]:
     get = _getter(names)
     plans = _PLANS
 
+    def capture_live(members):
+        """``(member, state)`` for each member not final at capture."""
+        live = []
+        cls = None
+        for member in members.values():
+            if type(member) is not cls:
+                cls = type(member)
+                capture_member, _, _, final = plans[cls]
+            if final is None or not final(member):
+                live.append((member, capture_member(member)))
+        return live
+
     def capture_maps(obj):
-        return tuple([
-            (members.copy(),
-             [plans[type(member)][0](member) for member in members.values()])
-            for members in get(obj)
-        ])
+        return tuple([(members.copy(), capture_live(members))
+                      for members in get(obj)])
 
     def restore_maps(obj, saved):
-        for name, (members, states) in zip(names, saved):
-            members = members.copy()
-            setattr(obj, name, members)
+        for name, (members, live) in zip(names, saved):
+            setattr(obj, name, members.copy())
             cls = None
-            for member, state in zip(members.values(), states):
+            for member, state in live:
                 if type(member) is not cls:
                     cls = type(member)
-                    _, restore_member, fields = plans[cls]
+                    _, restore_member, fields, _ = plans[cls]
                 if fields is None:
                     restore_member(member, state)
                 else:  # plain values (the jobs): no call per member
@@ -207,7 +228,7 @@ def _set_rng_state(rng, state) -> None:
 def _compile(cls: type) -> Plan:
     if issubclass(cls, np.random.Generator):
         # A Monitor's noise stream: rolled back through its bit generator.
-        return _rng_state, _set_rng_state, None
+        return _rng_state, _set_rng_state, None, None
     decl = getattr(cls, "fork_state", None)
     if not isinstance(decl, ForkState):
         raise TypeError(f"{cls.__qualname__} declares no fork_state")
@@ -223,10 +244,10 @@ def _compile(cls: type) -> Plan:
     if decl.object_maps:
         steps.append(_object_maps_step(decl.object_maps))
     if not steps:
-        return _no_state, _restore_nothing, None
+        return _no_state, _restore_nothing, None, decl.final
     if len(steps) == 1:
         plain = decl.values if decl.values else None
-        return steps[0] + (plain,)
+        return steps[0] + (plain, decl.final)
     captures = tuple(step[0] for step in steps)
     restores = tuple(step[1] for step in steps)
 
@@ -237,7 +258,7 @@ def _compile(cls: type) -> Plan:
         for step, part in zip(restores, state):
             step(obj, part)
 
-    return capture_all, restore_all, None
+    return capture_all, restore_all, None, decl.final
 
 
 class _Plans(dict):

@@ -10,15 +10,14 @@ converts wall time to progress at rate ``1/s`` (see
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..core.errors import TraceError
 from ..core.state import ForkState
-from .states import JobState, check_transition
+from .states import TERMINAL, JobState, check_transition
 from .usage import UsageTrace
 
 
@@ -83,7 +82,10 @@ class Job:
     #: wall time at which ``work_done`` was last brought up to date
     last_progress_time: float = 0.0
 
-    #: a fork rolls back the runtime bookkeeping; the description is fixed
+    #: a fork rolls back the runtime bookkeeping; the description is
+    #: fixed.  Only pending and running jobs are written (by the
+    #: controller and :meth:`reset_for_restart`), so a rollback skips the
+    #: jobs that had ended at capture.
     fork_state = ForkState(
         values=(
             "state", "queue_time", "start_time", "finish_time",
@@ -95,14 +97,28 @@ class Job:
             "walltime_limit", "mem_request_mb", "usage", "profile",
             "node_scale", "user",
         ),
+        final=lambda job: job.state in TERMINAL,
     )
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_nodes, (bool, np.bool_)):
+        n_nodes = self.n_nodes
+        if (isinstance(n_nodes, bool)
+                or not isinstance(n_nodes, numbers.Integral)):
             raise TraceError(
-                f"job {self.jid}: field 'n_nodes' = {self.n_nodes!r} is not "
+                f"job {self.jid}: field 'n_nodes' = {n_nodes!r} is not "
                 "a node count"
             )
+        for name in ("submit_time", "base_runtime", "walltime_limit"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:  # not a number at all
+                finite = False
+            if not finite:
+                raise TraceError(
+                    f"job {self.jid}: field {name!r} = {value!r} is not a "
+                    "finite number of seconds"
+                )
         request = self.mem_request_mb
         if not (isinstance(request, numbers.Integral)
                 or isinstance(request, float) and request.is_integer()):

@@ -35,6 +35,10 @@ TRANSITIONS = {
 }
 
 
+#: States with no way out: nothing writes a job in one of them again.
+TERMINAL = frozenset(state for state, out in TRANSITIONS.items() if not out)
+
+
 def check_transition(old: JobState, new: JobState) -> None:
     """Raise ``ValueError`` if ``old -> new`` is not a legal transition."""
     if new not in TRANSITIONS[old]:

@@ -84,6 +84,13 @@ def workload_to_dict(workload: Workload) -> Dict:
     }
 
 
+#: Keys every job entry of a workload file must carry (the others
+#: default: ``profile`` and ``user`` to 0, ``node_scale`` to ``None``).
+_REQUIRED_JOB_KEYS = ("jid", "submit_time", "n_nodes", "base_runtime",
+                      "walltime_limit", "mem_request_mb", "usage_times",
+                      "usage_mem_mb")
+
+
 def workload_from_dict(data: Dict) -> Workload:
     """Inverse of :func:`workload_to_dict` (validates the schema)."""
     if data.get("kind") != "repro-workload":
@@ -95,7 +102,13 @@ def workload_from_dict(data: Dict) -> Workload:
         )
     profiles = [AppProfile(**p) for p in data["profiles"]]
     jobs: List[Job] = []
-    for rec in data["jobs"]:
+    for i, rec in enumerate(data["jobs"]):
+        missing = [key for key in _REQUIRED_JOB_KEYS if key not in rec]
+        if missing:
+            raise TraceError(
+                f"job {rec.get('jid', f'#{i}')}: required key "
+                f"{missing[0]!r} is missing"
+            )
         profile = rec.get("profile", 0)
         if profile >= len(profiles):
             raise TraceError(

@@ -41,16 +41,15 @@ _EXTRA_METRICS = ("mean_wait_s", "p50_wait_s", "mean_slowdown")
 
 
 def _metrics(result: SimulationResult) -> Dict[str, float]:
-    """The summary dict plus wait/slowdown aggregates."""
-    m = result.summary()
-    waits = result.wait_times()
+    """The summary dict plus wait/slowdown aggregates, all read from one
+    list of the completed records."""
+    done = result.completed()
+    m = result._summary(done)
+    waits = np.array([r.wait_time for r in done], dtype=np.float64)
     m["mean_wait_s"] = float(np.mean(waits)) if len(waits) else float("nan")
     m["p50_wait_s"] = float(np.median(waits)) if len(waits) else float("nan")
-    slowdowns = [
-        r.slowdown_experienced
-        for r in result.completed()
-        if r.slowdown_experienced is not None
-    ]
+    slowdowns = [s for s in (r.slowdown_experienced for r in done)
+                 if s is not None]
     m["mean_slowdown"] = float(np.mean(slowdowns)) if slowdowns else float("nan")
     return m
 

@@ -89,6 +89,23 @@ def test_self_lending_rejected(cluster):
         cluster.apply(1, alloc)
 
 
+def test_empty_borrow_map_rejected(cluster):
+    """A node that borrows nothing has no remote map at all."""
+    alloc = simple_alloc([10, 11], 1000, remote={10: {0: 512}, 11: {}})
+    with pytest.raises(AllocationError, match="empty remote map on node 11"):
+        cluster.apply(1, alloc)
+    assert not cluster.busy.any() and not cluster.lent_mb.any()
+
+
+def test_empty_borrow_map_fails_the_invariant_check(cluster):
+    cluster.apply(1, simple_alloc([10, 11], 1000, remote={10: {0: 512}}))
+    cluster.check_invariants()
+    cluster.allocations[1].remote_mb[11] = {}
+    with pytest.raises(AllocationError,
+                       match="job 1: empty remote_mb map on node 11"):
+        cluster.check_invariants()
+
+
 def test_lending_from_own_other_node_allowed(cluster):
     """A job's big node may lend to its small node (cross-node access)."""
     alloc = JobAllocation(nodes=[0, 31])  # large + normal

@@ -25,6 +25,7 @@ from repro.cluster.allocation import JobAllocation
 from repro.core.config import SystemConfig
 from repro.core.state import ForkState, capture, restore
 from repro.jobs.job import Job
+from repro.jobs.states import TERMINAL
 from repro.obs.provenance import ProvenanceEvent
 from repro.obs.registry import Counter, Gauge, Histogram
 from repro.obs.telemetry import Telemetry
@@ -213,9 +214,13 @@ def test_declared_name_missing_from_an_instance_fails():
                           "instance") for p in problems)
 
 
-#: (memory level, pause time): lending under way at the pause; at level
-#: 25 the suffix also OOM-kills and restarts a job
-FORK_POINTS = [(50, PAUSE_AT), (25, 20000.0)]
+#: (memory level, pause time): lending under way at every pause.  The
+#: pause at 34000 s is late: 54 of the 60 jobs have ended (one after an
+#: OOM restart), so the rollback skips them and rewrites the six still
+#: running.
+FORK_POINTS = [(50, PAUSE_AT), (25, 20000.0), (25, 34000.0)]
+#: the fork points whose suffix also OOM-kills and restarts a job
+KILLING_SUFFIXES = {(25, 20000.0)}
 
 
 @pytest.mark.parametrize("level,pause_at", FORK_POINTS)
@@ -228,6 +233,7 @@ def test_a_fork_and_rollback_restores_the_whole_graph(level, pause_at):
     handle = build_simulation(wl.fresh_jobs(), config, policy="dynamic",
                               profiles=wl.profiles, telemetry=Telemetry())
     handle.run_until(pause_at, inclusive=False)
+    assert handle.cluster.lent_total > 0
     snap = SimSnapshot.capture(handle)
     before = fingerprint(handle)
     kills = []
@@ -241,7 +247,25 @@ def test_a_fork_and_rollback_restores_the_whole_graph(level, pause_at):
         after = fingerprint(handle)
         diff = [(b, a) for b, a in zip(before, after) if b != a]
         assert not diff and len(before) == len(after), diff[:5]
-    assert level == 50 or max(kills) > handle.controller.result.oom_kills
+    if (level, pause_at) in KILLING_SUFFIXES:
+        assert max(kills) > handle.controller.result.oom_kills
+
+
+def test_late_fork_captures_only_the_jobs_still_live():
+    """A rollback's job map holds the pending and running jobs only;
+    the jobs that had ended are never written again."""
+    wl = _workload()
+    config = SystemConfig.from_memory_level(25, n_nodes=48)
+    handle = build_simulation(wl.fresh_jobs(), config, policy="dynamic",
+                              profiles=wl.profiles)
+    handle.run_until(34000.0, inclusive=False)
+    jobs = handle.controller.jobs
+    # the controller's last captured step is its one object map, ``jobs``
+    members, live = capture(handle.controller)[-1][0]
+    assert members == jobs and members is not jobs
+    assert [job for job, _ in live] == [
+        job for job in jobs.values() if job.state not in TERMINAL]
+    assert len(live) == 6 and len(jobs) - len(live) >= 0.9 * len(jobs)
 
 
 def test_capture_restore_round_trips_a_declared_object():

@@ -1,5 +1,6 @@
 """Job record semantics."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import TraceError
@@ -25,6 +26,35 @@ def test_negative_profile_index_rejected():
     # last profile.
     with pytest.raises(TraceError, match=r"job 7: negative profile index -1"):
         make_job(jid=7, profile=-1)
+
+
+@pytest.mark.parametrize("field", ["submit_time", "base_runtime",
+                                   "walltime_limit"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   "60", None])
+def test_time_that_is_not_a_finite_number_rejected(field, value):
+    # NaN passed every comparison and ran; inf overflowed in the engine;
+    # a string failed in some later comparison with a TypeError.
+    fields = dict(jid=3, submit_time=0.0, n_nodes=2, base_runtime=60.0,
+                  walltime_limit=120.0, mem_request_mb=1024,
+                  usage=UsageTrace.constant(1024))
+    fields[field] = value
+    with pytest.raises(TraceError, match=rf"job 3: field '{field}'"):
+        Job(**fields)
+
+
+@pytest.mark.parametrize("n_nodes", ["4", 4.0, 2.5])
+def test_non_integer_node_count_rejected(n_nodes):
+    with pytest.raises(TraceError, match=r"job 5: field 'n_nodes'"):
+        make_job(jid=5, n_nodes=n_nodes)
+
+
+def test_numpy_scalars_still_load():
+    job = Job(jid=np.int64(9), submit_time=np.float64(5.0),
+              n_nodes=np.int64(2), base_runtime=np.float64(60.0),
+              walltime_limit=np.float32(90.0), mem_request_mb=np.int32(512),
+              usage=UsageTrace.constant(512))
+    assert job.n_nodes == 2 and job.walltime_limit == 90.0
 
 
 def test_walltime_clamped_to_runtime():

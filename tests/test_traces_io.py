@@ -107,6 +107,46 @@ def test_workload_fractional_memory_request_rejected(shared_workload):
     assert workload_from_dict(data).jobs[4].mem_request_mb == 1024
 
 
+def test_workload_missing_job_key_rejected(shared_workload):
+    # A missing key used to surface as a bare KeyError.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][5]["jid"]
+    del data["jobs"][5]["walltime_limit"]
+    with pytest.raises(TraceError,
+                       match=rf"job {jid}: required key 'walltime_limit'"):
+        workload_from_dict(data)
+    del data["jobs"][5]["jid"]
+    with pytest.raises(TraceError, match=r"job #5: required key 'jid'"):
+        workload_from_dict(data)
+
+
+def test_workload_infinite_submit_time_rejected(shared_workload):
+    # An infinite submit time used to raise OverflowError from the engine.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][6]["jid"]
+    data["jobs"][6]["submit_time"] = float("inf")
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'submit_time'"):
+        workload_from_dict(data)
+
+
+def test_workload_nan_submit_time_rejected(shared_workload):
+    # A NaN submit time used to load and fail mid-run with a ValueError.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][7]["jid"]
+    data["jobs"][7]["submit_time"] = float("nan")
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'submit_time'"):
+        workload_from_dict(data)
+
+
+def test_workload_string_node_count_rejected(shared_workload):
+    # A string node count used to raise TypeError from a comparison.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][8]["jid"]
+    data["jobs"][8]["n_nodes"] = "4"
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'n_nodes'"):
+        workload_from_dict(data)
+
+
 def test_load_workload_rejects_non_finite_usage_time(tmp_path, shared_workload):
     # Python's json reads and writes NaN, so a hand-edited or foreign
     # file can carry one; it must fail to load, not simulate wrongly.

@@ -93,6 +93,30 @@ def test_submit_fork_matches_fresh_run(frac, seed):
     assert forked.summary() == fresh.summary()
 
 
+def test_late_submit_fork_matches_fresh_run():
+    """A fork at 0.9 x makespan, where the rollback skips every job that
+    had ended, still equals the job baked in from t=0."""
+    wl = _workload(n_jobs=40, seed=1)
+    base = simulate(wl.fresh_jobs(), CONFIG, policy="dynamic",
+                    profiles=wl.profiles)
+    at = 0.9 * base.makespan
+    assert not any(j.submit_time == at for j in wl.jobs)
+
+    session = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=at,
+                     profiles=wl.profiles)
+    ended = [j for j in session.handle.controller.jobs.values()
+             if j.finish_time is not None and j.finish_time < at]
+    assert len(ended) >= 0.9 * len(wl.jobs)
+    pert = SubmitJob(n_nodes=4, base_runtime=1800.0, mem_request_mb=32768)
+    forked = session.query(pert).result
+
+    jobs = wl.fresh_jobs()
+    fresh = simulate(jobs + [_extra_job(jobs, at)], CONFIG,
+                     policy="dynamic", profiles=wl.profiles)
+    assert forked.records == fresh.records
+    assert forked.summary() == fresh.summary()
+
+
 def test_fork_parity_includes_observability():
     """Telemetry, provenance, blame and event streams all match."""
     wl = _workload()
