@@ -437,9 +437,10 @@ def _cmd_whatif(args) -> int:
     report = session.query(perturbation)
     console.result(report.render())
     stats = session.stats()
+    suffix = report.events_replayed - session.snapshot.events_processed
     console.detail(
-        f"replayed {report.events_replayed} events; restored "
-        f"{report.pages_restored} COW pages "
+        f"replayed {suffix} of the run's {report.events_replayed} events; "
+        f"restored {report.pages_restored} COW pages "
         f"({stats['cow_bytes_copied']} bytes copied since fork)")
     return 0
 

@@ -44,15 +44,16 @@ from ..core.config import SystemConfig
 from ..core.errors import AllocationError
 from ..core.state import ForkState
 from .allocation import JobAllocation
-from .columns import ColumnPageStore, NodeColumns
+from .columns import PAGE_NODES, ColumnPageStore, NodeColumns
 
 
 class Cluster:
     """Mutable cluster state shared by scheduler and allocation policies."""
 
-    #: The python-side ledgers.  The columnar arrays are bound once and
-    #: roll back page by page through the copy-on-write store instead
-    #: (:class:`~repro.cluster.columns.ColumnPageStore`), so a restore
+    #: The python-side ledgers.  The columnar arrays and the per-lender
+    #: ``lender_jobs`` maps are bound once and roll back through the
+    #: copy-on-write store instead (page by page and lender by lender:
+    #: :class:`~repro.cluster.columns.ColumnPageStore`), so a restore
     #: writes every ledger here wholesale, with no mutator and no demand
     #: notification: the contention model's demand cache is captured at
     #: the same instant and restored with it.
@@ -62,13 +63,12 @@ class Cluster:
             "lent_total", "memory_node_count", "startable_count",
             "_total_capacity",
         ),
-        nested=("lender_jobs",),
         object_maps=("allocations",),
         fixed=(
             "config", "columns", "is_large", "capacity_mb", "local_used_mb",
-            "lent_mb", "remote_held_mb", "busy", "job_on_node", "_n_large",
-            "_free_local", "_free_view", "_memnode", "_memnode_view",
-            "_demand_listeners", "_prov_tap",
+            "lent_mb", "remote_held_mb", "busy", "job_on_node", "lender_jobs",
+            "_n_large", "_free_local", "_free_view", "_memnode",
+            "_memnode_view", "_demand_listeners", "_prov_tap",
         ),
         # lazy interconnect caches (pure functions of the node count) and
         # the copy-on-write store that performs the rollback
@@ -147,13 +147,12 @@ class Cluster:
     # ------------------------------------------------------------------
     # Copy-on-write arming (the snapshot/fork primitive)
     # ------------------------------------------------------------------
-    def arm_cow(self, page_nodes: Optional[int] = None) -> ColumnPageStore:
-        """Arm (or return the armed) COW page store over the columns."""
+    def arm_cow(self, page_nodes: int = PAGE_NODES) -> ColumnPageStore:
+        """Arm (or return the armed) COW store over the columns and the
+        lender maps."""
         if self._cow is None:
-            if page_nodes is None:
-                self._cow = ColumnPageStore(self.columns)
-            else:
-                self._cow = ColumnPageStore(self.columns, page_nodes)
+            self._cow = ColumnPageStore(self.columns, self.lender_jobs,
+                                        page_nodes)
         return self._cow
 
     def disarm_cow(self) -> None:
@@ -298,6 +297,10 @@ class Cluster:
     def _touch_lent_many(self, nodes: np.ndarray, deltas: np.ndarray) -> None:
         """Lent-column write funnel for a batch (``nodes`` must be unique).
 
+        The only place an armed copy-on-write store learns of lenders:
+        every write to ``lender_jobs[L]`` follows a call whose ``nodes``
+        hold ``L``.
+
         Net-equivalent to per-node touches, ``deltas`` being each node's
         net change.  Lending need not be monotone across the steps a net
         change sums (a :meth:`resize` may return memory to a lender and
@@ -306,7 +309,7 @@ class Cluster:
         the stored one keeps the counts exact.
         """
         if self._cow is not None:
-            self._cow.touch_many(nodes)
+            self._cow.touch_lent(nodes)
         self.lent_mb[nodes] += deltas
         self._free_local[nodes] -= deltas
         self.lent_total += int(deltas.sum())
@@ -735,11 +738,19 @@ class Cluster:
             )
         if busy_nodes != set(np.flatnonzero(self.busy)):
             raise AllocationError("busy mask out of sync with allocations")
-        for lender, rec in enumerate(self.lender_jobs):
-            expected = expected_lender_jobs.get(lender, {})
-            if rec != expected:
-                raise AllocationError(
-                    f"lender_jobs[{lender}] {rec} != {expected} rebuilt from "
-                    "the live allocations"
-                )
+        # Every map equals its rebuilt one exactly when the lenders with
+        # borrowers match and no other map is non-empty; the full scan
+        # runs only to name the first map that differs.
+        lender_jobs = self.lender_jobs
+        if (len(lender_jobs) - lender_jobs.count({})
+                != len(expected_lender_jobs)
+                or any(lender_jobs[lender] != expected
+                       for lender, expected in expected_lender_jobs.items())):
+            for lender, rec in enumerate(lender_jobs):
+                expected = expected_lender_jobs.get(lender, {})
+                if rec != expected:
+                    raise AllocationError(
+                        f"lender_jobs[{lender}] {rec} != {expected} rebuilt "
+                        "from the live allocations"
+                    )
         self._check_aggregates()

@@ -9,9 +9,10 @@ module only provides the storage layout plus whole-state operations
 that are natural on arrays:
 
 * :class:`ColumnPageStore` — the page-granular copy-on-write store
-  behind what-if forks (:mod:`repro.whatif`).  Its rollback writes
-  **in place**, so every alias and read-only view held by ``Cluster``
-  stays valid across it.
+  behind what-if forks (:mod:`repro.whatif`), which also keeps the
+  cluster's per-lender borrower maps lender by lender.  Its rollback
+  writes **in place**, so every alias and read-only view held by
+  ``Cluster`` stays valid across it.
 * :meth:`NodeColumns.content_hash` — a stable digest of the per-node
   state (the fork cache's dedupe key).
 * :meth:`NodeColumns.validate` — brute-force coherence check of the
@@ -38,7 +39,7 @@ column              dtype      meaning
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -163,6 +164,13 @@ class ColumnPageStore:
 
     ``pages_copied`` / ``bytes_copied`` account actual allocations for
     the COW-memory benchmark; :meth:`full_copy_bytes` is the comparator.
+
+    ``lender_jobs``, the cluster's per-lender ``{job id: MB}`` maps, is
+    kept the same way one lender at a time: :meth:`touch_lent` saves a
+    lender's map on its first write since arming and marks it dirty, and
+    :meth:`rollback` writes back the dirty maps only, insertion order
+    included.  Every write to a lender's map follows a lent-column write
+    that touches that lender, so the store sees each one.
     """
 
     __slots__ = (
@@ -173,9 +181,14 @@ class ColumnPageStore:
         "_dirty",
         "pages_copied",
         "bytes_copied",
+        "lender_jobs",
+        "_lender_maps",
+        "_dirty_lenders",
     )
 
-    def __init__(self, columns: NodeColumns, page_nodes: int = PAGE_NODES):
+    def __init__(self, columns: NodeColumns,
+                 lender_jobs: List[Dict[int, int]],
+                 page_nodes: int = PAGE_NODES):
         if page_nodes <= 0:
             raise ValueError(f"page_nodes must be positive, got {page_nodes}")
         self.columns = columns
@@ -185,6 +198,10 @@ class ColumnPageStore:
         self._dirty = np.zeros(self.n_pages, dtype=bool)
         self.pages_copied = 0
         self.bytes_copied = 0
+        self.lender_jobs = lender_jobs
+        #: each touched lender's map as it was at arming
+        self._lender_maps: Dict[int, Dict[int, int]] = {}
+        self._dirty_lenders: Set[int] = set()
 
     # -- capture -------------------------------------------------------
     def _copy_page(self, page: int) -> None:
@@ -208,6 +225,17 @@ class ColumnPageStore:
                 self._copy_page(p)
             self._dirty[p] = True
 
+    def touch_lent(self, nodes: np.ndarray) -> None:
+        """:meth:`touch_many`, and preserve the lender maps of ``nodes``."""
+        self.touch_many(nodes)
+        saved = self._lender_maps
+        maps = self.lender_jobs
+        lenders = nodes.tolist()
+        for lender in lenders:
+            if lender not in saved:
+                saved[lender] = maps[lender].copy()
+        self._dirty_lenders.update(lenders)
+
     # -- restore -------------------------------------------------------
     def rollback(self) -> int:
         """Restore all pages dirtied since capture/last rollback.
@@ -224,6 +252,12 @@ class ColumnPageStore:
             for name, saved in zip(COW_COLUMNS, slices):
                 getattr(self.columns, name)[lo:hi] = saved
         self._dirty[:] = False
+        maps = self.lender_jobs
+        for lender in self._dirty_lenders:
+            rec = maps[lender]
+            rec.clear()
+            rec.update(self._lender_maps[lender])
+        self._dirty_lenders.clear()
         return int(len(dirty))
 
     def full_copy_bytes(self) -> int:

@@ -12,7 +12,7 @@ attributes by how a rollback treats them:
     copied at capture and again at every restore, so one capture can be
     restored any number of times;
 ``nested``
-    a list or dict of such containers; both levels are copied;
+    a dict of such containers; both levels are copied;
 ``objects``
     a declared object (or ``None``): the reference is put back and the
     object is rolled back in place from its own declaration;
@@ -117,9 +117,7 @@ def _copy(value):
 def _copy_nested(value):
     if value is None:
         return None
-    if isinstance(value, dict):
-        return {key: inner.copy() for key, inner in value.items()}
-    return [inner.copy() for inner in value]
+    return {key: inner.copy() for key, inner in value.items()}
 
 
 def _getter(names: Tuple[str, ...]) -> Capture:

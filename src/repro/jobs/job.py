@@ -20,6 +20,18 @@ from ..core.state import ForkState
 from .states import TERMINAL, JobState, check_transition
 from .usage import UsageTrace
 
+#: Job ids share an int64 column with -1, the idle-node mark
+#: (``Cluster.job_on_node``).
+_MAX_JID = 2**63 - 1
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool; NumPy integers count.  A plain
+    ``int`` skips the ``numbers.Integral`` check, an ABC lookup that
+    costs several times the rest of the test."""
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
 
 @dataclass
 class Job:
@@ -101,9 +113,14 @@ class Job:
     )
 
     def __post_init__(self) -> None:
+        jid = self.jid
+        if not (_is_int(jid) and 0 <= jid <= _MAX_JID):
+            raise TraceError(
+                f"job {jid!r}: field 'jid' = {jid!r} is not a job id (a "
+                "non-negative 64-bit integer)"
+            )
         n_nodes = self.n_nodes
-        if (isinstance(n_nodes, bool)
-                or not isinstance(n_nodes, numbers.Integral)):
+        if not _is_int(n_nodes):
             raise TraceError(
                 f"job {self.jid}: field 'n_nodes' = {n_nodes!r} is not "
                 "a node count"
@@ -119,6 +136,12 @@ class Job:
                     f"job {self.jid}: field {name!r} = {value!r} is not a "
                     "finite number of seconds"
                 )
+        if self.submit_time < 0:
+            # The engine's clock starts at 0: no event can precede it.
+            raise TraceError(
+                f"job {self.jid}: field 'submit_time' = "
+                f"{self.submit_time!r} is negative"
+            )
         request = self.mem_request_mb
         if not (isinstance(request, numbers.Integral)
                 or isinstance(request, float) and request.is_integer()):
@@ -131,10 +154,27 @@ class Job:
         if self.base_runtime <= 0:
             raise TraceError(f"job {self.jid}: base_runtime must be positive")
         if self.mem_request_mb < 0:
-            raise TraceError(f"job {self.jid}: negative memory request")
-        if self.profile < 0:
             raise TraceError(
-                f"job {self.jid}: negative profile index {self.profile}"
+                f"job {self.jid}: field 'mem_request_mb' = {request!r} is "
+                "a negative memory request"
+            )
+        profile = self.profile
+        if not _is_int(profile):
+            # Looked up only once the job borrows remote memory, so a
+            # bad index would surface mid-run.
+            raise TraceError(
+                f"job {self.jid}: field 'profile' = {profile!r} is not a "
+                "profile index"
+            )
+        if profile < 0:
+            raise TraceError(
+                f"job {self.jid}: negative profile index {profile} in "
+                "field 'profile'"
+            )
+        if not _is_int(self.user):
+            raise TraceError(
+                f"job {self.jid}: field 'user' = {self.user!r} is not a "
+                "user id"
             )
         if self.walltime_limit < self.base_runtime:
             # Users may under-estimate in reality, but the simulator kills
@@ -146,7 +186,11 @@ class Job:
                     f"job {self.jid}: node_scale has {len(self.node_scale)} "
                     f"entries for {self.n_nodes} nodes"
                 )
-            if not all(0.0 < s <= 1.0 for s in self.node_scale):
+            try:
+                in_range = all(0.0 < s <= 1.0 for s in self.node_scale)
+            except TypeError:  # an entry that is not a number
+                in_range = False
+            if not in_range:
                 raise TraceError(f"job {self.jid}: node_scale outside (0, 1]")
             if max(self.node_scale) < 1.0 - 1e-9:
                 raise TraceError(

@@ -9,7 +9,7 @@ response times, utilisation, kill counts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,12 +58,34 @@ def _per_second(n: int, span: float) -> float:
     return 0.0 if span <= 0 else n / span
 
 
-def _response_times(done: List[JobRecord]) -> np.ndarray:
+def completed_of(records: Sequence[JobRecord]) -> List[JobRecord]:
+    """The records of ``records`` that completed, in record order."""
+    # A local: each read of an Enum member through its class costs
+    # more than the rest of one filter step.
+    done = JobState.COMPLETED
+    return [r for r in records if r.state is done]
+
+
+def response_times_of(done: Sequence[JobRecord]) -> np.ndarray:
     return np.array([r.response_time for r in done], dtype=np.float64)
 
 
-def _median(values: np.ndarray) -> float:
+def wait_times_of(done: Sequence[JobRecord]) -> np.ndarray:
+    return np.array([r.wait_time for r in done], dtype=np.float64)
+
+
+def slowdowns_of(done: Sequence[JobRecord]) -> np.ndarray:
+    """The experienced slowdowns of ``done`` that are defined."""
+    return np.array([s for s in (r.slowdown_experienced for r in done)
+                     if s is not None], dtype=np.float64)
+
+
+def median_or_nan(values: np.ndarray) -> float:
     return float(np.median(values)) if len(values) else float("nan")
+
+
+def mean_or_nan(values: np.ndarray) -> float:
+    return float(np.mean(values)) if len(values) else float("nan")
 
 
 @dataclass
@@ -99,10 +121,7 @@ class SimulationResult:
 
     # ------------------------------------------------------------------
     def completed(self) -> List[JobRecord]:
-        # A local: each read of an Enum member through its class costs
-        # more than the rest of one filter step.
-        done = JobState.COMPLETED
-        return [r for r in self.records if r.state is done]
+        return completed_of(self.records)
 
     @property
     def n_completed(self) -> int:
@@ -126,13 +145,13 @@ class SimulationResult:
 
     def response_times(self) -> np.ndarray:
         """Response times of completed jobs, seconds."""
-        return _response_times(self.completed())
+        return response_times_of(self.completed())
 
     def median_response_time(self) -> float:
-        return _median(self.response_times())
+        return median_or_nan(self.response_times())
 
     def wait_times(self) -> np.ndarray:
-        return np.array([r.wait_time for r in self.completed()], dtype=np.float64)
+        return wait_times_of(self.completed())
 
     # ------------------------------------------------------------------
     def cpu_utilization(self) -> float:
@@ -163,15 +182,17 @@ class SimulationResult:
 
     def summary(self) -> Dict[str, float]:
         """Flat metric dict for reports."""
-        return self._summary(self.completed())
+        done = self.completed()
+        return self._summary(len(done), response_times_of(done))
 
-    def _summary(self, done: List[JobRecord]) -> Dict[str, float]:
-        """:meth:`summary` from ``done``, the completed records, built
-        once by the caller."""
+    def _summary(self, n_completed: int,
+                 response_times: np.ndarray) -> Dict[str, float]:
+        """:meth:`summary` from the completed count and the completed
+        records' response times, built by the caller."""
         return {
-            "policy_jobs_completed": float(len(done)),
-            "throughput_jobs_per_s": _per_second(len(done), self.span()),
-            "median_response_s": _median(_response_times(done)),
+            "policy_jobs_completed": float(n_completed),
+            "throughput_jobs_per_s": _per_second(n_completed, self.span()),
+            "median_response_s": median_or_nan(response_times),
             "cpu_utilization": self.cpu_utilization(),
             "memory_utilization": self.memory_utilization(),
             "remote_memory_fraction": self.remote_memory_fraction(),

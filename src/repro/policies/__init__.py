@@ -3,7 +3,7 @@
 from typing import Dict, Type
 
 from ..cluster.cluster import Cluster
-from .base import AllocationPolicy, UpdateOutcome
+from .base import NO_CHANGE, AllocationPolicy, UpdateOutcome
 from .baseline import BaselinePolicy
 from .dynamic import DynamicDisaggregatedPolicy
 from .static import StaticDisaggregatedPolicy
@@ -29,6 +29,7 @@ __all__ = [
     "AllocationPolicy",
     "BaselinePolicy",
     "DynamicDisaggregatedPolicy",
+    "NO_CHANGE",
     "POLICIES",
     "StaticDisaggregatedPolicy",
     "UpdateOutcome",

@@ -16,8 +16,8 @@ Decider on each monitoring window.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..cluster.allocation import JobAllocation
 from ..cluster.cluster import Cluster
@@ -27,15 +27,20 @@ from ..jobs.job import Job
 from ..obs.telemetry import NULL_TELEMETRY
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateOutcome:
-    """Result of one dynamic-policy update for one job."""
+    """Result of one dynamic-policy update for one job (immutable)."""
 
     resized: bool = False
     freed_mb: int = 0
     grown_mb: int = 0
     oom: bool = False
-    touched_nodes: List[int] = field(default_factory=list)
+    touched_nodes: Tuple[int, ...] = ()
+
+
+#: The outcome of every update that changed nothing: one shared value,
+#: so an idle update allocates nothing and callers can skip it by identity.
+NO_CHANGE = UpdateOutcome()
 
 
 class AllocationPolicy(ABC):
@@ -71,7 +76,7 @@ class AllocationPolicy(ABC):
     # ------------------------------------------------------------------
     def update(self, job: Job, progress: float, window: float) -> UpdateOutcome:
         """Dynamic-policy hook; static policies never resize."""
-        return UpdateOutcome()
+        return NO_CHANGE
 
     def on_finish(self, job: Job) -> None:
         """Hook for per-job policy state cleanup."""

@@ -21,7 +21,7 @@ resized.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -29,8 +29,20 @@ from ..cluster.allocation import JobAllocation
 from ..cluster.cluster import Cluster
 from ..core.rng import ensure_rng
 from ..jobs.job import Job
-from .base import UpdateOutcome
+from .base import NO_CHANGE, UpdateOutcome
 from .static import StaticDisaggregatedPolicy
+
+
+class _Actuated:
+    """What one Actuator step did, tallied while it runs."""
+
+    __slots__ = ("freed_mb", "grown_mb", "oom", "touched_nodes")
+
+    def __init__(self) -> None:
+        self.freed_mb = 0
+        self.grown_mb = 0
+        self.oom = False
+        self.touched_nodes: List[int] = []
 
 
 class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
@@ -145,22 +157,23 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         would return the same reading, and ``_observed_peak`` holds it
         already.  With ``monitor_noise > 0`` nothing is recorded and the
         Monitor runs on every update, so its RNG draws once per update.
+        Every update that skips the Decider returns the shared
+        :data:`~repro.policies.base.NO_CHANGE`.
         """
-        out = UpdateOutcome()
         jid = job.jid
         if jid in self._pinned:
-            return out
+            return NO_CHANGE
         alloc = self.cluster.allocations.get(jid)
         if alloc is None:
-            return out
+            return NO_CHANGE
         end = progress + window
         seen = self._readings.get(jid)
         if (seen is not None and seen[0] == alloc.sized_for_mb
                 and seen[1] <= progress < seen[2] and seen[3] <= end < seen[4]):
-            return out
+            return NO_CHANGE
         reference = self._monitor(job, progress, end)
         if reference == alloc.sized_for_mb:
-            return out
+            return NO_CHANGE
         nodes, deltas = self._decide(job, alloc, reference)
         prov = self.obs.provenance
         if len(deltas) and prov.enabled:
@@ -174,15 +187,19 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
                 grow_mb=int(deltas[deltas > 0].sum()),
                 shrink_mb=int(-deltas[deltas < 0].sum()),
             )
+        out = _Actuated()
         self._actuate(jid, alloc, nodes, deltas, out)
         if not out.oom:
-            out.resized = out.freed_mb > 0 or out.grown_mb > 0
             alloc.sized_for_mb = reference
         else:
             # The kill releases the allocation without ``on_finish``.
             alloc.sized_for_mb = None
             self._readings.pop(jid, None)
-        return out
+        return UpdateOutcome(
+            resized=not out.oom and (out.freed_mb > 0 or out.grown_mb > 0),
+            freed_mb=out.freed_mb, grown_mb=out.grown_mb, oom=out.oom,
+            touched_nodes=tuple(out.touched_nodes),
+        )
 
     def _monitor(self, job: Job, progress: float, end: float) -> int:
         """Monitor: the usage reading the Decider will act on."""
@@ -245,9 +262,9 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         return nodes[changed], delta_arr[changed]
 
     def _actuate(self, jid: int, alloc: JobAllocation, nodes: np.ndarray,
-                 deltas: np.ndarray, out: UpdateOutcome) -> None:
+                 deltas: np.ndarray, out: _Actuated) -> None:
         """Actuator: plan the decided resizes in node order, then commit
-        them in one :meth:`Cluster.resize`.
+        them in one :meth:`Cluster.resize`, tallying them in ``out``.
 
         A local-only resize — every shrink on a node that holds no remote
         memory, every grow within its node's free DRAM — touches no node

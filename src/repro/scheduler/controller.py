@@ -31,7 +31,7 @@ from ..obs.blame import (
     WAIT_MEMNODE,
 )
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from ..policies.base import AllocationPolicy
+from ..policies.base import NO_CHANGE, AllocationPolicy
 from ..slowdown.model import ContentionModel, lender_rows
 from .backfill import can_backfill, shadow_time
 from .queue import PendingQueue
@@ -246,18 +246,26 @@ class Controller:
         tick_scope = prov.scope
         affected: Set[int] = set()
         freed = False
+        # Per-tick lookups, hoisted: most updates change nothing.
+        running = self.running
+        is_running = JobState.RUNNING
+        advance = self._advance
+        update = self.policy.update
+        interval = self.config.update_interval
         # Deterministic iteration order over running jobs.
-        for jid in sorted(self.running):
-            job = self.running.get(jid)
-            if job is None or job.state is not JobState.RUNNING:
+        for jid in sorted(running):
+            job = running.get(jid)
+            if job is None or job.state is not is_running:
                 continue
             if prov.enabled:
                 # The policy scopes its events under its own "decide";
                 # each job's loop turn restarts from the tick root.
                 prov.scope = tick_scope
-            self._advance(job, now)
-            window = self.config.update_interval / max(job.slowdown, 1.0)
-            outcome = self.policy.update(job, job.work_done, window)
+            advance(job, now)
+            outcome = update(job, job.work_done,
+                             interval / max(job.slowdown, 1.0))
+            if outcome is NO_CHANGE:
+                continue
             if outcome.oom:
                 affected.update(self._kill(job, now))
                 freed = True
@@ -286,7 +294,8 @@ class Controller:
         # repricing affected finish events (paper Fig. 1a).
         if prov.enabled:
             prov.scope = tick_scope
-        self._reprice(affected, now)
+        if affected:
+            self._reprice(affected, now)
         if freed:
             self._dirty = True
             self._request_sched(now)

@@ -13,7 +13,7 @@ import gzip
 import io as _io
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.errors import TraceError
 from ..jobs.job import Job
@@ -101,39 +101,73 @@ def workload_from_dict(data: Dict) -> Workload:
             f"expected {SCHEMA_VERSION}"
         )
     profiles = [AppProfile(**p) for p in data["profiles"]]
+    records = data["jobs"]
+    if not isinstance(records, list):
+        raise TraceError(
+            f"field 'jobs' is a {type(records).__name__}, not a list of jobs"
+        )
     jobs: List[Job] = []
-    for i, rec in enumerate(data["jobs"]):
+    # job id -> index of the job that has it
+    first: Dict[int, int] = {}
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise TraceError(
+                f"job #{i} of field 'jobs' is a {type(rec).__name__}, not a "
+                "mapping of fields"
+            )
         missing = [key for key in _REQUIRED_JOB_KEYS if key not in rec]
         if missing:
             raise TraceError(
                 f"job {rec.get('jid', f'#{i}')}: required key "
                 f"{missing[0]!r} is missing"
             )
-        profile = rec.get("profile", 0)
-        if profile >= len(profiles):
+        jid = rec["jid"]
+        job = Job(
+            jid=jid,
+            submit_time=rec["submit_time"],
+            n_nodes=rec["n_nodes"],
+            base_runtime=rec["base_runtime"],
+            walltime_limit=rec["walltime_limit"],
+            mem_request_mb=rec["mem_request_mb"],
+            profile=rec.get("profile", 0),
+            user=rec.get("user", 0),
+            usage=_usage_of(jid, rec),
+            node_scale=_node_scale_of(jid, rec),
+        )
+        if first.setdefault(job.jid, i) != i:
             raise TraceError(
-                f"job {rec['jid']}: field 'profile' = {profile} is out of "
+                f"job {jid}: field 'jid' repeats the id of job "
+                f"#{first[job.jid]}"
+            )
+        if job.profile >= len(profiles):
+            raise TraceError(
+                f"job {jid}: field 'profile' = {job.profile} is out of "
                 f"range for {len(profiles)} profiles"
             )
-        jobs.append(
-            Job(
-                jid=rec["jid"],
-                submit_time=rec["submit_time"],
-                n_nodes=rec["n_nodes"],
-                base_runtime=rec["base_runtime"],
-                walltime_limit=rec["walltime_limit"],
-                mem_request_mb=rec["mem_request_mb"],
-                profile=profile,
-                user=rec.get("user", 0),
-                usage=UsageTrace(rec["usage_times"], rec["usage_mem_mb"]),
-                node_scale=(
-                    tuple(rec["node_scale"])
-                    if rec.get("node_scale") is not None
-                    else None
-                ),
-            )
-        )
+        jobs.append(job)
     return Workload(jobs=jobs, profiles=profiles, meta=dict(data.get("meta", {})))
+
+
+def _usage_of(jid, rec: Dict) -> UsageTrace:
+    """A job entry's usage trace; an error names the job and the fields."""
+    try:
+        return UsageTrace(rec["usage_times"], rec["usage_mem_mb"])
+    except (TraceError, TypeError, ValueError, OverflowError) as exc:
+        raise TraceError(
+            f"job {jid}: fields 'usage_times' and 'usage_mem_mb' are not a "
+            f"usage trace: {exc}"
+        ) from None
+
+
+def _node_scale_of(jid, rec: Dict) -> Optional[tuple]:
+    scale = rec.get("node_scale")
+    if scale is None:
+        return None
+    if not isinstance(scale, list):
+        raise TraceError(
+            f"job {jid}: field 'node_scale' = {scale!r} is not a list"
+        )
+    return tuple(scale)
 
 
 def save_workload(workload: Workload, path: PathLike) -> None:

@@ -19,14 +19,24 @@ same state come from the fork cache without replaying anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import SystemConfig
+from ..core.errors import SimulationError
 from ..jobs.job import Job
-from ..metrics.records import SimulationResult
+from ..metrics.records import (
+    JobRecord,
+    SimulationResult,
+    completed_of,
+    mean_or_nan,
+    median_or_nan,
+    response_times_of,
+    slowdowns_of,
+    wait_times_of,
+)
 from ..obs.export import metrics_jsonl
 from ..obs.provenance import lifecycle_jsonl
 from ..scheduler.simulator import SimulationHandle, build_simulation
@@ -36,22 +46,46 @@ from .snapshot import SimSnapshot
 
 __all__ = ["WhatIf", "WhatIfReport", "fork"]
 
-#: Metrics reported beyond ``SimulationResult.summary()``.
-_EXTRA_METRICS = ("mean_wait_s", "p50_wait_s", "mean_slowdown")
 
+class _PrefixColumns:
+    """The report columns of the records a run had written by the fork.
 
-def _metrics(result: SimulationResult) -> Dict[str, float]:
-    """The summary dict plus wait/slowdown aggregates, all read from one
-    list of the completed records."""
-    done = result.completed()
-    m = result._summary(done)
-    waits = np.array([r.wait_time for r in done], dtype=np.float64)
-    m["mean_wait_s"] = float(np.mean(waits)) if len(waits) else float("nan")
-    m["p50_wait_s"] = float(np.median(waits)) if len(waits) else float("nan")
-    slowdowns = [s for s in (r.slowdown_experienced for r in done)
-                 if s is not None]
-    m["mean_slowdown"] = float(np.mean(slowdowns)) if slowdowns else float("nan")
-    return m
+    Every run forked from one snapshot keeps the records of its prefix,
+    in order, and appends its own.  So the response, wait and slowdown
+    columns of the prefix's completed records are built once, at
+    capture; a report builds them for the records after the prefix only
+    and concatenates, before the same reductions: every float equals
+    the one computed over the whole record list.
+    """
+
+    def __init__(self, records: List[JobRecord]):
+        self.n_records = len(records)
+        #: the prefix's last record, checked by identity in each report
+        self.boundary = records[-1] if records else None
+        self.columns = self._columns(completed_of(records))
+
+    @staticmethod
+    def _columns(done: List[JobRecord]) -> Tuple[np.ndarray, ...]:
+        return (response_times_of(done), wait_times_of(done),
+                slowdowns_of(done))
+
+    def metrics(self, result: SimulationResult) -> Dict[str, float]:
+        """The summary dict plus wait/slowdown aggregates of ``result``."""
+        records = result.records
+        k = self.n_records
+        if len(records) < k or (k and records[k - 1] is not self.boundary):
+            raise SimulationError(
+                f"the run's records do not start with the {k} records "
+                "written by the fork point"
+            )
+        suffix = self._columns(completed_of(records[k:]))
+        responses, waits, slowdowns = (
+            np.concatenate(pair) for pair in zip(self.columns, suffix))
+        m = result._summary(len(responses), responses)
+        m["mean_wait_s"] = mean_or_nan(waits)
+        m["p50_wait_s"] = median_or_nan(waits)
+        m["mean_slowdown"] = mean_or_nan(slowdowns)
+        return m
 
 
 def _detach_result(result: SimulationResult) -> SimulationResult:
@@ -103,7 +137,9 @@ class WhatIfReport:
     cached: bool = False
     #: columnar pages rolled back to reach the fork point
     pages_restored: int = 0
-    #: events replayed in the perturbed suffix
+    #: events the perturbed run processed, counted from t=0 (prefix
+    #: included); the suffix replayed the part after
+    #: ``SimSnapshot.events_processed``
     events_replayed: int = 0
 
     def render(self) -> str:
@@ -171,8 +207,9 @@ class WhatIf:
 
         self.handle.run_until(at, inclusive=False)
         self.snapshot = SimSnapshot.capture(self.handle)
+        self._prefix = _PrefixColumns(self.handle.controller.result.records)
         base_result = self.handle.finish()
-        self.base_metrics = _metrics(base_result)
+        self.base_metrics = self._prefix.metrics(base_result)
         self.base_report = WhatIfReport(
             perturbation="base",
             at=self.snapshot.now,
@@ -202,7 +239,7 @@ class WhatIf:
         pages = self.snapshot.restore()
         perturbation.apply(self.handle)
         result = self.handle.finish()
-        variant = _metrics(result)
+        variant = self._prefix.metrics(result)
         report = WhatIfReport(
             perturbation=perturbation.key(),
             at=self.snapshot.now,

@@ -20,10 +20,11 @@ This is what makes forked replays byte-identical to fresh runs: the
 object graph after a rollback is indistinguishable — field by field —
 from the graph of a fresh simulation paused at the same instant.
 
-Cost model: the columnar arrays (the bulk at scale) are *not* copied;
-instead the cluster's copy-on-write store is armed and preserves only
-the pages the fork actually dirties.  Restore writes back exactly those
-pages plus the captured python state.
+Cost model: the columnar arrays (the bulk at scale) and the per-lender
+borrower maps are *not* copied; instead the cluster's copy-on-write
+store is armed and preserves only the pages and lender maps the fork
+actually dirties.  Restore writes back exactly those plus the captured
+python state.
 """
 
 from __future__ import annotations
@@ -94,9 +95,17 @@ class SimSnapshot:
         self._cow = cow
         #: engine clock at capture (the fork point)
         self.now: float = handle.engine.now
+        #: events the run had processed by the fork point (a suffix
+        #: replays the rest of its run's ``events_processed``)
+        self.events_processed: int = handle.engine.events_processed
         self._state = capture(handle)
-        # The columns are live (copy-on-write), so hash them now.
-        self._columns_hash = handle.cluster.columns.content_hash()
+        # The columns and lender maps are live (copy-on-write), so hash
+        # them now.
+        cluster = handle.cluster
+        h = hashlib.blake2b(digest_size=16)
+        h.update(cluster.columns.content_hash().encode())
+        h.update(repr(cluster.lender_jobs).encode())
+        self._live_hash = h.digest()
         self._key: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -121,9 +130,10 @@ class SimSnapshot:
     def restore(self) -> int:
         """Rewind the handle to the captured instant.
 
-        Returns the number of columnar pages rolled back (the O(changed)
-        part).  Safe to call repeatedly; each call leaves the simulation
-        exactly at the fork point, ready to run a (new) suffix.
+        Returns the number of columnar pages rolled back (with the
+        dirtied lender maps, the O(changed) part).  Safe to call
+        repeatedly; each call leaves the simulation exactly at the fork
+        point, ready to run a (new) suffix.
         """
         pages = self._cow.rollback()
         restore(self.handle, self._state)
@@ -140,7 +150,7 @@ class SimSnapshot:
         """
         if self._key is None:
             h = hashlib.blake2b(digest_size=16)
-            h.update(self._columns_hash.encode())
+            h.update(self._live_hash)
             _digest(h, self._state)
             self._key = h.hexdigest()
         return self._key

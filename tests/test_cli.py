@@ -359,3 +359,12 @@ def test_campaign_telemetry_flag_and_eta(tmp_path, capsys):
     assert (tel_dir / "metrics.prom").exists()
     dumps = list((tel_dir / "scenarios").glob("*.json"))
     assert len(dumps) == 3  # one per policy
+
+
+def test_whatif_late_fork_prints_the_suffix_event_count(capsys):
+    """At 0.9 x makespan the suffix replays a few dozen of the run's
+    events; the CLI prints that count out of the whole run's."""
+    rc = main(["whatif", "--jobs", "120", "--nodes", "96", "--at", "158000",
+               "--submit", "8:3600:65536", "-v"])
+    assert rc == 0
+    assert "replayed 68 of the run's 1050 events;" in capsys.readouterr().out

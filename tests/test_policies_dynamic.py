@@ -1,6 +1,7 @@
 """Dynamic disaggregated policy: Decider/Actuator resizing and OOM."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.core.config import SystemConfig
 from repro.core.state import capture, restore
 from repro.jobs.usage import UsageTrace
 from repro.obs.provenance import ProvenanceLog
-from repro.policies.base import UpdateOutcome
+from repro.policies.base import NO_CHANGE, UpdateOutcome
 from repro.policies.dynamic import DynamicDisaggregatedPolicy
 from repro.scheduler.simulator import simulate
 from repro.traces.pipeline import synthetic_workload
@@ -279,6 +280,23 @@ def _spy_monitor(policy, monkeypatch):
 
     monkeypatch.setattr(policy, "_monitor", spy)
     return calls
+
+
+def test_unchanged_reading_returns_the_shared_immutable_outcome(
+    policy, cluster
+):
+    """An update that changes nothing allocates no outcome: it returns
+    the one shared ``NO_CHANGE``, which nothing can mutate."""
+    job = varying_job(n_nodes=2)
+    start(policy, cluster, job)
+    assert policy.update(job, 0.0, 100.0) is not NO_CHANGE  # shrinks
+    out = policy.update(job, 100.0, 100.0)  # still reads 10k
+    assert out is NO_CHANGE and out == UpdateOutcome()
+    with pytest.raises(FrozenInstanceError):
+        out.resized = True
+    with pytest.raises(AttributeError):
+        out.touched_nodes.append(0)
+    assert NO_CHANGE == UpdateOutcome() and NO_CHANGE.touched_nodes == ()
 
 
 def test_unchanged_reading_skips_decider(policy, cluster, monkeypatch):

@@ -118,6 +118,35 @@ def test_dynamic_oom_restart_completes_eventually(config):
     assert rec.restarts >= 1
 
 
+def test_idle_update_ticks_reprice_nothing(config, monkeypatch):
+    """An update tick whose updates all change nothing skips the
+    Executor: a tick never reprices an empty set of jobs."""
+    from repro.scheduler.controller import Controller
+
+    ticks, priced = [], []
+    on_tick, reprice = Controller._on_mem_update, Controller._reprice
+
+    def tick(self, engine, ev):
+        ticks.append(len(priced))
+        on_tick(self, engine, ev)
+
+    def spy(self, jids, now):
+        if ticks:  # a finish before the first tick does not count
+            priced.append(set(jids))
+        reprice(self, jids, now)
+
+    monkeypatch.setattr(Controller, "_on_mem_update", tick)
+    monkeypatch.setattr(Controller, "_reprice", spy)
+    job = make_job(runtime=3000.0, request_mb=40_000)
+    job.usage = UsageTrace([0.0, 1000.0], [10_000, 30_000])
+    res = simulate([job], config, policy="dynamic")
+    assert res.n_completed == 1
+    # Two resizes (shrink to 10k, grow to 30k) reprice the job; the
+    # idle ticks between them reprice nothing.
+    assert len(ticks) > 3 and priced[:2] == [{job.jid}, {job.jid}]
+    assert set() not in priced[:-1]  # the last is the job's own finish
+
+
 def test_utilization_accounting_single_job(config):
     job = make_job(n_nodes=2, runtime=1000.0, request_mb=1000)
     res = run([job], config)

@@ -1,12 +1,18 @@
 """Workload/result serialisation round-trips."""
 
+import copy
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.errors import TraceError
+from repro.experiments import runner
+from repro.experiments.scenarios import Scenario
 from repro.jobs.states import JobState
 from repro.scheduler.simulator import simulate
 from repro.traces.io import (
@@ -158,6 +164,148 @@ def test_load_workload_rejects_non_finite_usage_time(tmp_path, shared_workload):
     assert "NaN" in path.read_text()
     with pytest.raises(TraceError):
         load_workload(path)
+
+
+def test_workload_negative_submit_time_rejected(shared_workload):
+    # Used to load and then raise SimulationError when the run scheduled
+    # the submit event before the clock's start.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][3]["jid"]
+    data["jobs"][3]["submit_time"] = -1.0
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'submit_time'"):
+        workload_from_dict(data)
+
+
+def test_workload_duplicate_job_id_rejected(shared_workload):
+    # Used to load and then raise ValueError when the run started.
+    data = workload_to_dict(shared_workload)
+    data["jobs"][3]["jid"] = data["jobs"][1]["jid"]
+    with pytest.raises(TraceError, match=r"field 'jid' repeats the id of "
+                                         r"job #1"):
+        workload_from_dict(data)
+
+
+@pytest.mark.parametrize("jid", ["3", -1, 2.0, True])
+def test_workload_job_id_that_is_not_an_id_rejected(shared_workload, jid):
+    # A string id used to raise ValueError at run time; -1 is the mark
+    # of an idle node in the cluster's job column.
+    data = workload_to_dict(shared_workload)
+    data["jobs"][3]["jid"] = jid
+    with pytest.raises(TraceError, match=r"field 'jid'"):
+        workload_from_dict(data)
+
+
+@pytest.mark.parametrize("profile", ["1", 1.5, None])
+def test_workload_profile_that_is_not_an_index_rejected(shared_workload,
+                                                        profile):
+    # A string raised TypeError from a comparison; 1.5 loaded and ran
+    # until the job borrowed and its profile was looked up.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][3]["jid"]
+    data["jobs"][3]["profile"] = profile
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'profile'"):
+        workload_from_dict(data)
+
+
+def test_workload_node_scale_that_is_not_a_list_rejected(shared_workload):
+    # Used to raise TypeError from ``tuple()``.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][3]["jid"]
+    data["jobs"][3]["node_scale"] = "1.0"
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'node_scale'"):
+        workload_from_dict(data)
+
+
+def test_workload_usage_that_is_not_numbers_rejected(shared_workload):
+    # Used to raise ValueError from the array conversion.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][3]["jid"]
+    data["jobs"][3]["usage_times"] = "0,1"
+    with pytest.raises(TraceError, match=rf"job {jid}: fields 'usage_times'"):
+        workload_from_dict(data)
+
+
+def test_workload_jobs_that_are_not_a_list_rejected(shared_workload):
+    # A string raised AttributeError; a dict loaded as zero jobs.
+    data = workload_to_dict(shared_workload)
+    for jobs in ("x", {}, None):
+        with pytest.raises(TraceError, match=r"field 'jobs'"):
+            workload_from_dict(dict(data, jobs=jobs))
+
+
+def test_workload_user_that_is_not_an_id_rejected(shared_workload):
+    # Used to load and run, and to reach the records as a string.
+    data = workload_to_dict(shared_workload)
+    jid = data["jobs"][3]["jid"]
+    data["jobs"][3]["user"] = "alice"
+    with pytest.raises(TraceError, match=rf"job {jid}: field 'user'"):
+        workload_from_dict(data)
+
+
+# ----------------------------------------------------------------------
+# Fuzzed workload dicts: fail at load, naming the job and the field, or
+# run to the end
+# ----------------------------------------------------------------------
+_FUZZ_SCENARIO = Scenario(n_nodes=32, n_jobs=30, frac_large=0.25, seed=0)
+#: the intact dict runs 349 events
+_FUZZ_MAX_EVENTS = 5_000
+_JOB_FIELDS = ("jid", "submit_time", "n_nodes", "base_runtime",
+               "walltime_limit", "mem_request_mb", "profile", "user",
+               "usage_times", "usage_mem_mb", "node_scale")
+_WRONG_TYPES = (None, "7", 1.5, True, [], {}, [1.0], ["a"])
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+_OUT_OF_RANGE = (-1, 0, -1e9)
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_base():
+    return workload_to_dict(runner.base_workload(_FUZZ_SCENARIO))
+
+
+@st.composite
+def _broken_workload(draw):
+    """The 32-node x 30-job dict with one field broken: ``(dict, job
+    index, field)``; the field ``jobs`` breaks the job list itself."""
+    data = copy.deepcopy(_fuzz_base())
+    jobs = data["jobs"]
+    i = draw(st.integers(0, len(jobs) - 1))
+    field = draw(st.sampled_from(_JOB_FIELDS + ("jobs",)))
+    if field == "jobs":
+        data["jobs"] = draw(st.sampled_from(_WRONG_TYPES))
+        return data, i, field
+    how = draw(st.sampled_from(("drop", "type", "non-finite", "range")))
+    if how == "drop":
+        del jobs[i][field]
+    elif how == "type":
+        jobs[i][field] = draw(st.sampled_from(_WRONG_TYPES))
+    elif how == "non-finite":
+        jobs[i][field] = draw(st.sampled_from(_NON_FINITE))
+    else:
+        edge = {"profile": len(data["profiles"]),
+                "jid": jobs[(i + 1) % len(jobs)]["jid"]}.get(field, -1)
+        jobs[i][field] = draw(st.sampled_from(_OUT_OF_RANGE + (edge,)))
+    return data, i, field
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_broken_workload())
+def test_broken_workload_dict_fails_at_load_or_runs_to_the_end(case):
+    data, i, field = case
+    try:
+        wl = workload_from_dict(data)
+    except TraceError as exc:
+        message = str(exc)
+        assert field in message, message
+        if field != "jobs":
+            jid = data["jobs"][i].get("jid")
+            assert any(name in message for name in (
+                f"job {jid}:", f"job {jid!r}:", f"job #{i}:")), message
+        return
+    res = simulate(wl.fresh_jobs(), _FUZZ_SCENARIO.system_config(),
+                   policy="dynamic", profiles=wl.profiles,
+                   max_events=_FUZZ_MAX_EVENTS)
+    ended = {r.jid for r in res.records if r.state is JobState.COMPLETED}
+    assert ended | set(res.unrunnable) == {job.jid for job in wl.jobs}
 
 
 def test_result_serialisation(tmp_path, shared_workload):

@@ -12,8 +12,10 @@ regression, and campaign chunk rows against per-cell runs.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,10 @@ from repro.core.config import SystemConfig
 from repro.core.errors import SimulationError
 from repro.core.events import EventKind, EventQueue
 from repro.core.state import capture, restore
+from repro.experiments import runner
+from repro.experiments.scenarios import Scenario
 from repro.jobs.job import Job
+from repro.jobs.states import JobState
 from repro.jobs.usage import UsageTrace
 from repro.experiments.timeline import render_run
 from repro.obs.export import metrics_jsonl, series_of
@@ -204,6 +209,120 @@ def test_add_memnodes_requires_idle_nodes():
                      profiles=wl.profiles)
     with pytest.raises(SimulationError):
         session.query(AddMemNodes(10_000, 1024))
+
+
+# ----------------------------------------------------------------------
+# Reports from the cached prefix columns
+# ----------------------------------------------------------------------
+def _metrics_over_every_record(result):
+    """A report's metrics, computed in one pass over all the records."""
+    done = result.completed()
+    m = result.summary()
+    waits = np.array([r.wait_time for r in done], dtype=np.float64)
+    m["mean_wait_s"] = float(np.mean(waits)) if len(waits) else float("nan")
+    m["p50_wait_s"] = float(np.median(waits)) if len(waits) else float("nan")
+    slowdowns = [s for s in (r.slowdown_experienced for r in done)
+                 if s is not None]
+    m["mean_slowdown"] = (float(np.mean(slowdowns)) if slowdowns
+                          else float("nan"))
+    return m
+
+
+def _ended_early_workload():
+    """30 jobs on 32 nodes with wall limits enforced: job 0 is OOM-killed
+    until it is unrunnable (by t=1890), and jobs 3-5 time out (by
+    t=21927); the run ends near t=68400."""
+    scenario = Scenario(n_nodes=32, n_jobs=30, frac_large=0.25, seed=0)
+    wl = runner.base_workload(scenario)
+    jobs = wl.fresh_jobs()
+    jobs[0].usage = UsageTrace.constant(10**9)
+    for job in jobs[3:6]:
+        job.walltime_limit = job.base_runtime * 0.5
+    config = scenario.system_config().with_(enforce_walltime=True)
+    return jobs, config, wl.profiles
+
+
+@pytest.mark.parametrize("at", [0.0, 3000.0, 23000.0, 61500.0])
+def test_report_metrics_equal_a_pass_over_every_record(at):
+    """Base and variant metrics built from the prefix columns equal the
+    metrics of one pass over the whole record list, float for float, at
+    early and late forks whose prefix holds killed, timed-out and
+    unrunnable records, for every perturbation kind."""
+    jobs, config, profiles = _ended_early_workload()
+    session = WhatIf(jobs, config, policy="dynamic", at=at,
+                     profiles=profiles, max_events=100_000)
+    prefix = session.handle.controller.result.records
+    states = {r.state for r in prefix}
+    if at >= 23000.0:
+        assert {JobState.COMPLETED, JobState.TIMEOUT,
+                JobState.UNRUNNABLE} <= states
+    assert session._prefix.n_records == len(prefix)
+    reports = [session.base_report] + [
+        session.query(pert, use_cache=False) for pert in (
+            SubmitJob(n_nodes=4, base_runtime=1800.0, mem_request_mb=32768),
+            SwapPolicy("static"),
+            AddMemNodes(1, 32768),
+        )]
+    for report in reports:
+        want = _metrics_over_every_record(report.result)
+        assert repr(sorted(report.variant.items())) == repr(
+            sorted(want.items())), report.perturbation
+        assert report.base == session.base_metrics
+
+
+def test_report_rejects_records_that_lost_the_captured_prefix():
+    """A result whose records do not start with the records written by
+    the fork point (same values, other objects) fails loudly instead of
+    reporting from stale columns."""
+    jobs, config, profiles = _ended_early_workload()
+    session = WhatIf(jobs, config, policy="dynamic", at=23000.0,
+                     profiles=profiles, max_events=100_000)
+    result = session.base_report.result
+    k = session._prefix.n_records
+    copied = list(result.records)
+    copied[k - 1] = dataclasses.replace(copied[k - 1])
+    for records in (result.records[:k - 1], copied):
+        with pytest.raises(SimulationError, match="do not start with"):
+            session._prefix.metrics(
+                dataclasses.replace(result, records=records))
+
+
+# ----------------------------------------------------------------------
+# Copy-on-write lender maps
+# ----------------------------------------------------------------------
+_SUFFIX = st.tuples(
+    st.floats(0.0, 30000.0),        # simulated seconds the suffix runs
+    st.integers(1, 12),             # nodes of the job it submits
+    st.integers(1024, 128 * 1024),  # and that job's memory request
+)
+
+
+@settings(max_examples=6, deadline=None)
+@given(pause=st.sampled_from([20000.0, 34000.0]),
+       suffixes=st.lists(_SUFFIX, min_size=1, max_size=4))
+def test_rollback_restores_lender_maps_in_order(pause, suffixes):
+    """After random suffixes, each rolled back in turn, every lender map
+    holds the items it held at capture in the same insertion order, in
+    the same dict object, and the dirtied set is empty again."""
+    wl = _workload(n_jobs=60, seed=7)
+    config = SystemConfig.from_memory_level(25, n_nodes=48)
+    handle = build_simulation(wl.fresh_jobs(), config, policy="dynamic",
+                              profiles=wl.profiles)
+    handle.run_until(pause, inclusive=False)
+    maps = handle.cluster.lender_jobs
+    assert any(maps)
+    snap = SimSnapshot.capture(handle)
+    ids = [id(rec) for rec in maps]
+    captured = [list(rec.items()) for rec in maps]
+    for run_for, n_nodes, mem_mb in suffixes:
+        SubmitJob(n_nodes=n_nodes, base_runtime=1800.0,
+                  mem_request_mb=mem_mb).apply(handle)
+        handle.run_until(pause + run_for)
+        snap.restore()
+        assert [list(rec.items()) for rec in maps] == captured
+        assert [id(rec) for rec in maps] == ids
+        assert not snap._cow._dirty_lenders
+    handle.finish()  # the rolled-back state runs to a consistent end
 
 
 def test_cow_fork_touches_few_pages():
