@@ -232,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="collect per-scenario metric dumps under DIR and "
                            "merge them (deterministically) into "
                            "DIR/metrics.{jsonl,csv,prom}")
-    camp.add_argument("--trace-cache", metavar="DIR",
-                      help="share generated workload traces across runs and "
-                           "pool workers through this on-disk cache "
-                           "directory")
 
     # ------------------------------------------------------------------
     tr = sub.add_parser(
@@ -617,14 +613,6 @@ def _cmd_campaign(args) -> int:
         run_campaign,
     )
 
-    if args.trace_cache:
-        import os
-
-        from .traces.cache import TRACE_CACHE_ENV
-
-        # Environment, not a parameter: pool workers inherit it.
-        os.environ[TRACE_CACHE_ENV] = args.trace_cache
-        console.status(f"sharing generated traces via {args.trace_cache}")
     scale = SCALES[args.scale]
     kw = {}
     if args.memory_levels:

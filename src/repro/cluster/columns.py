@@ -14,7 +14,7 @@ that are natural on arrays:
   writes **in place**, so every alias and read-only view held by
   ``Cluster`` stays valid across it.
 * :meth:`NodeColumns.content_hash` — a stable digest of the per-node
-  state (the fork cache's dedupe key).
+  state, a fingerprint for comparing cluster states.
 * :meth:`NodeColumns.validate` — brute-force coherence check of the
   derived columns (``free_local``, ``memnode``) against the primary
   ledgers, used by ``Cluster.check_invariants``.
@@ -115,7 +115,7 @@ class NodeColumns:
 
         Reads the column bytes without materialising copies; identical
         states (same node count, capacities and ledgers) hash equal, so
-        snapshot consumers can dedupe.
+        two cluster states compare by one string.
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(str(self.n_nodes).encode())

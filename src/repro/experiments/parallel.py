@@ -23,10 +23,7 @@ every record bit-for-bit identical to serial execution:
   their caches (:func:`~repro.experiments.runner.clear_caches`) once at
   pool startup; across chunks the runner's LRU bounds keep them
   memory-safe while letting a lucky worker reuse a trace it already
-  generated.  With ``REPRO_TRACE_CACHE`` set (see
-  :mod:`repro.traces.cache`) workers additionally share generated
-  traces on disk, so each trace is generated once per *campaign* rather
-  than once per worker.
+  generated.
 
 ``run_grid`` is the engine behind ``campaign.run_campaign(workers=N)``,
 ``sweep.sweep(workers=N)`` and the Fig. 5/8 producers' ``workers=``

@@ -16,59 +16,16 @@ pool workers).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, List, Optional
+from typing import List, Optional
 
+from ..core.lru import LRUCache
 from ..core.rng import stable_seed
 from ..metrics.records import SimulationResult
 from ..obs.telemetry import Telemetry
 from ..scheduler.simulator import simulate
-from ..traces import cache as trace_cache
 from ..traces.pipeline import grizzly_workload, synthetic_workload
 from ..traces.workload import Workload
 from .scenarios import Scenario
-
-
-class LRUCache:
-    """Size-bounded mapping evicting the least-recently-used entry.
-
-    ``get`` refreshes recency; ``put`` inserts/refreshes and evicts from
-    the cold end until the bound holds.  Deliberately minimal — only
-    what the runner caches need.
-    """
-
-    def __init__(self, maxsize: int):
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self._data: "OrderedDict[Hashable, object]" = OrderedDict()
-
-    def get(self, key: Hashable, default=None):
-        try:
-            value = self._data[key]
-        except KeyError:
-            return default
-        self._data.move_to_end(key)
-        return value
-
-    def put(self, key: Hashable, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def keys(self) -> List[Hashable]:
-        """Keys from least- to most-recently used."""
-        return list(self._data.keys())
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 #: Default cache bounds.  Workloads dominate memory (per-job usage
@@ -87,20 +44,10 @@ def clear_caches() -> None:
 
 
 def base_workload(scenario: Scenario) -> Workload:
-    """The scenario's generated trace at 0% overestimation (cached).
-
-    Two cache layers: the in-process LRU, and — when the
-    ``REPRO_TRACE_CACHE`` directory is configured — the on-disk cache
-    shared by parallel campaign workers (see :mod:`repro.traces.cache`).
-    """
+    """The scenario's generated trace at 0% overestimation (cached)."""
     key = scenario.workload_key()
     wl = _workload_cache.get(key)
     if wl is not None:
-        return wl
-    disk_key = trace_cache.cache_key("base_workload", *key)
-    wl = trace_cache.load_workload(disk_key)
-    if wl is not None:
-        _workload_cache.put(key, wl)
         return wl
     seed = stable_seed(*scenario.generation_seed_key(), base=1234)
     if scenario.trace == "grizzly":
@@ -121,7 +68,6 @@ def base_workload(scenario: Scenario) -> Workload:
             seed=seed,
         )
     _workload_cache.put(key, wl)
-    trace_cache.store_workload(disk_key, wl)
     return wl
 
 

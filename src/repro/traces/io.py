@@ -9,9 +9,12 @@ results export to JSON and per-job CSV for external analysis.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gzip
 import io as _io
 import json
+import math
+import numbers
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -100,7 +103,7 @@ def workload_from_dict(data: Dict) -> Workload:
             f"unsupported workload schema {data.get('schema')}, "
             f"expected {SCHEMA_VERSION}"
         )
-    profiles = [AppProfile(**p) for p in data["profiles"]]
+    profiles = _profiles_of(data["profiles"])
     records = data["jobs"]
     if not isinstance(records, list):
         raise TraceError(
@@ -146,6 +149,47 @@ def workload_from_dict(data: Dict) -> Workload:
             )
         jobs.append(job)
     return Workload(jobs=jobs, profiles=profiles, meta=dict(data.get("meta", {})))
+
+
+#: Fields of a profile entry, in :class:`AppProfile` order: a ``name``,
+#: then the numbers the contention model and job matching read.
+_PROFILE_FIELDS = tuple(f.name for f in dataclasses.fields(AppProfile))
+
+
+def _profiles_of(entries) -> List[AppProfile]:
+    """The ``profiles`` field as profiles; an error names the entry
+    (``profiles[i]``) and the field."""
+    if not isinstance(entries, list):
+        raise TraceError(
+            f"field 'profiles' is a {type(entries).__name__}, not a list of "
+            "profiles"
+        )
+    profiles = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise TraceError(
+                f"profiles[{i}] is a {type(entry).__name__}, not a mapping "
+                "of fields"
+            )
+        missing = [key for key in _PROFILE_FIELDS if key not in entry]
+        if missing:
+            raise TraceError(
+                f"profiles[{i}]: required field {missing[0]!r} is missing")
+        unknown = [key for key in entry if key not in _PROFILE_FIELDS]
+        if unknown:
+            raise TraceError(f"profiles[{i}]: unknown field {unknown[0]!r}")
+        for key in _PROFILE_FIELDS[1:]:
+            value = entry[key]
+            # Pricing reads them only once a job borrows remote memory,
+            # so a bad value would surface mid-run, or never.
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise TraceError(
+                    f"profiles[{i}]: field {key!r} = {value!r} is not a "
+                    "finite non-negative number"
+                )
+        profiles.append(AppProfile(**entry))
+    return profiles
 
 
 def _usage_of(jid, rec: Dict) -> UsageTrace:

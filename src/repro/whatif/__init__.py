@@ -6,25 +6,21 @@ See ``docs/WHATIF.md``.  The pieces:
   O(changed) via the columnar copy-on-write page store;
 * :class:`Perturbation` subclasses (:class:`SubmitJob`,
   :class:`SwapPolicy`, :class:`AddMemNodes`) — the counterfactual edits;
-* :func:`fork` — low-level rewind + apply;
 * :class:`WhatIf` / :class:`WhatIfReport` — the session API behind
-  ``repro whatif``, with LRU fork-result memoization
-  (:class:`ForkCache`).
+  ``repro whatif``: one snapshot per session, one rollback per query,
+  and reports memoized by perturbation key.
 """
 
-from .api import WhatIf, WhatIfReport, fork
-from .cache import ForkCache
+from .api import WhatIf, WhatIfReport
 from .perturb import AddMemNodes, Perturbation, SubmitJob, SwapPolicy
 from .snapshot import SimSnapshot
 
 __all__ = [
     "AddMemNodes",
-    "ForkCache",
     "Perturbation",
     "SimSnapshot",
     "SubmitJob",
     "SwapPolicy",
     "WhatIf",
     "WhatIfReport",
-    "fork",
 ]

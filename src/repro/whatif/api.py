@@ -2,12 +2,13 @@
 
 A :class:`WhatIf` session runs one *base* simulation to a fork time,
 captures a :class:`~repro.whatif.snapshot.SimSnapshot`, finishes the
-base timeline, and then answers counterfactual queries — each
-:meth:`~WhatIf.query` rewinds to the fork point in O(changed pages),
-applies one :class:`~repro.whatif.perturb.Perturbation`, and replays
-only the divergent suffix.  Reports carry the base/variant metric pairs
-and their deltas; repeated queries of the same perturbation against the
-same state come from the fork cache without replaying anything.
+base timeline, rewinds, and then answers counterfactual queries — each
+:meth:`~WhatIf.query` applies one
+:class:`~repro.whatif.perturb.Perturbation` at the fork point, replays
+only the divergent suffix, and rewinds in O(changed pages).  Reports
+carry the base/variant metric pairs and their deltas; a repeated query
+of the same perturbation comes from the session's fork cache without
+replaying anything.
 
 ::
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from ..core.config import SystemConfig
 from ..core.errors import SimulationError
+from ..core.lru import LRUCache
 from ..jobs.job import Job
 from ..metrics.records import (
     JobRecord,
@@ -39,12 +41,15 @@ from ..metrics.records import (
 )
 from ..obs.export import metrics_jsonl
 from ..obs.provenance import lifecycle_jsonl
-from ..scheduler.simulator import SimulationHandle, build_simulation
-from .cache import ForkCache
+from ..scheduler.simulator import build_simulation
 from .perturb import Perturbation
 from .snapshot import SimSnapshot
 
-__all__ = ["WhatIf", "WhatIfReport", "fork"]
+__all__ = ["WhatIf", "WhatIfReport"]
+
+#: Reports a session memoizes, by perturbation key (LRU-evicted: each
+#: report holds a detached result copy).
+FORK_CACHE_SIZE = 32
 
 
 class _PrefixColumns:
@@ -133,9 +138,8 @@ class WhatIfReport:
     result: Optional[SimulationResult] = None
     #: serialized observability dumps (``capture_observability=True``)
     observability: Optional[Dict[str, object]] = None
-    #: answered from the fork cache (no replay)
-    cached: bool = False
-    #: columnar pages rolled back to reach the fork point
+    #: columnar pages rolled back to park the session at the fork
+    #: point again after the replay
     pages_restored: int = 0
     #: events the perturbed run processed, counted from t=0 (prefix
     #: included); the suffix replayed the part after
@@ -148,24 +152,7 @@ class WhatIfReport:
         for name in sorted(self.deltas):
             b, v, d = self.base[name], self.variant[name], self.deltas[name]
             lines.append(f"  {name:<24} {b:>14.4f} -> {v:>14.4f}  ({d:+.4f})")
-        if self.cached:
-            lines.append("  (from fork cache)")
         return "\n".join(lines)
-
-
-def fork(snapshot: SimSnapshot,
-         perturbation: Optional[Perturbation] = None) -> SimulationHandle:
-    """Rewind to ``snapshot`` and apply ``perturbation`` (low-level).
-
-    Returns the snapshot's handle positioned at the fork point with the
-    perturbation injected, ready for ``run_until``/``finish``.  The
-    rollback touches only the pages/fields the previous suffix dirtied —
-    O(changed), never O(cluster).
-    """
-    snapshot.restore()
-    if perturbation is not None:
-        perturbation.apply(snapshot.handle)
-    return snapshot.handle
 
 
 class WhatIf:
@@ -179,8 +166,6 @@ class WhatIf:
         so a perturbation injected at ``at`` interleaves with them in
         within-tick rank order exactly as a fresh run would — the
         snapshot captured, and the base timeline finished.
-    cache_size:
-        Fork-cache capacity (reports memoized by state + perturbation).
     capture_observability:
         Serialize the metrics/provenance/events/blame dumps into each
         report (requires an enabled ``telemetry=``).
@@ -192,7 +177,6 @@ class WhatIf:
         config: SystemConfig,
         policy: str = "dynamic",
         at: float = 0.0,
-        cache_size: int = 32,
         capture_observability: bool = False,
         **sim_kwargs,
     ):
@@ -201,7 +185,9 @@ class WhatIf:
         self.handle = build_simulation(jobs, config, policy=policy,
                                        **sim_kwargs)
         self.capture_observability = capture_observability
-        self.cache = ForkCache(capacity=cache_size)
+        #: reports by perturbation key: every entry forks from
+        #: :attr:`snapshot`, the session's one capture
+        self.cache = LRUCache(FORK_CACHE_SIZE)
         self.queries = 0
         self.replays = 0
 
@@ -228,35 +214,39 @@ class WhatIf:
     # ------------------------------------------------------------------
     def query(self, perturbation: Perturbation,
               use_cache: bool = True) -> WhatIfReport:
-        """Answer one counterfactual: fork, replay the suffix, diff."""
+        """Answer one counterfactual: replay the suffix, diff, rewind.
+
+        The session is parked at the fork point between queries, so the
+        perturbation applies straight away; one rollback afterwards,
+        also when the perturbation or the replay raises, parks it again.
+        """
         self.queries += 1
-        key = (self.snapshot.content_key, perturbation.key())
+        key = perturbation.key()
         if use_cache:
             hit = self.cache.get(key)
             if hit is not None:
                 return hit
         self.replays += 1
-        pages = self.snapshot.restore()
-        perturbation.apply(self.handle)
-        result = self.handle.finish()
-        variant = self._prefix.metrics(result)
-        report = WhatIfReport(
-            perturbation=perturbation.key(),
-            at=self.snapshot.now,
-            base=self.base_metrics,
-            variant=variant,
-            deltas={k: variant[k] - self.base_metrics[k] for k in variant},
-            result=_detach_result(result),
-            observability=(
-                self._capture_observability()
-                if self.capture_observability else None
-            ),
-            pages_restored=pages,
-            events_replayed=result.events_processed,
-        )
-        # Leave the simulation parked at the fork point so the session
-        # stays reusable (and the next query's rollback is near-free).
-        self.snapshot.restore()
+        try:
+            perturbation.apply(self.handle)
+            result = self.handle.finish()
+            variant = self._prefix.metrics(result)
+            report = WhatIfReport(
+                perturbation=key,
+                at=self.snapshot.now,
+                base=self.base_metrics,
+                variant=variant,
+                deltas={k: variant[k] - self.base_metrics[k] for k in variant},
+                result=_detach_result(result),
+                observability=(
+                    self._capture_observability()
+                    if self.capture_observability else None
+                ),
+                events_replayed=result.events_processed,
+            )
+        finally:
+            pages = self.snapshot.restore()
+        report.pages_restored = pages
         if use_cache:
             self.cache.put(key, report)
         return report

@@ -8,9 +8,8 @@ provisioned* — plus the :meth:`apply` that injects it into a live
 a state a fresh run could also have reached, so forked suffixes stay
 comparable to end-to-end runs.
 
-Every perturbation has a stable :meth:`key` used (together with the
-snapshot's content hash) to memoize fork results in
-:class:`repro.whatif.cache.ForkCache`.
+Every perturbation has a stable :meth:`key`: a session memoizes its
+reports by it (every query of a session forks from the same snapshot).
 """
 
 from __future__ import annotations

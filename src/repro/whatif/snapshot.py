@@ -29,56 +29,11 @@ python state.
 
 from __future__ import annotations
 
-import hashlib
-from collections import deque
-from dataclasses import fields, is_dataclass
-from enum import Enum
-from typing import Optional
-
-import numpy as np
-
 from ..cluster.columns import ColumnPageStore
 from ..core.state import capture, restore
 from ..scheduler.simulator import SimulationHandle
 
 __all__ = ["SimSnapshot"]
-
-_SEQUENCES = (tuple, list, deque)
-_ATOMS = (int, float, str, bytes, type(None), Enum, np.generic)
-
-
-def _digest(h, state) -> None:
-    """Feed a captured state tree into hash ``h``.
-
-    Containers and frozen records are walked; every other object is a
-    reference whose own state is captured elsewhere in the tree, so it
-    is named by class (and job id) rather than by address.
-    """
-    stack = [state]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, _ATOMS):
-            h.update(repr(value).encode())
-        elif isinstance(value, _SEQUENCES):
-            h.update(f"[{len(value)}".encode())
-            stack.extend(value)
-        elif isinstance(value, dict):
-            h.update(f"{{{len(value)}".encode())
-            for key, item in value.items():
-                stack.append(item)
-                stack.append(key)
-        elif isinstance(value, (set, frozenset)):
-            h.update(repr(sorted(map(repr, value))).encode())
-        elif isinstance(value, np.ndarray):
-            h.update(f"<{value.dtype}{value.shape}".encode())
-            h.update(value.tobytes())
-        elif is_dataclass(value) and type(value).__dataclass_params__.frozen:
-            h.update(type(value).__qualname__.encode())
-            stack.extend(getattr(value, f.name) for f in fields(value))
-        else:
-            h.update(
-                f"{type(value).__qualname__}:{getattr(value, 'jid', '')}".encode()
-            )
 
 
 class SimSnapshot:
@@ -99,14 +54,6 @@ class SimSnapshot:
         #: replays the rest of its run's ``events_processed``)
         self.events_processed: int = handle.engine.events_processed
         self._state = capture(handle)
-        # The columns and lender maps are live (copy-on-write), so hash
-        # them now.
-        cluster = handle.cluster
-        h = hashlib.blake2b(digest_size=16)
-        h.update(cluster.columns.content_hash().encode())
-        h.update(repr(cluster.lender_jobs).encode())
-        self._live_hash = h.digest()
-        self._key: Optional[str] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -138,22 +85,6 @@ class SimSnapshot:
         pages = self._cow.rollback()
         restore(self.handle, self._state)
         return pages
-
-    @property
-    def content_key(self) -> str:
-        """Stable digest of the captured state (fork-cache key part).
-
-        Two snapshots of identical simulation states share a key, so
-        identical states dedupe in the fork cache.  Read only from what
-        :meth:`capture` stored, so running the live handle afterwards
-        cannot change it.
-        """
-        if self._key is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(self._live_hash)
-            _digest(h, self._state)
-            self._key = h.hexdigest()
-        return self._key
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimSnapshot(t={self.now:.1f}s)"

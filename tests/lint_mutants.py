@@ -341,36 +341,47 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     # ----------------------------------------------------------- RACE002
     Mutant(
-        "RACE002", "traces/cache.py",
-        "def store_workload(key: str, workload: Workload) -> bool:\n",
-        "#: One scratch file per process, reused by every store.\n"
-        '_SCRATCH = tempfile.NamedTemporaryFile(suffix=".tmp", delete=False)\n'
+        "RACE002", "experiments/runner.py",
+        "def base_workload(scenario: Scenario) -> Workload:\n",
+        "import pickle\n"
+        "import tempfile\n"
+        "#: One scratch file per process: every generated trace round-trips\n"
+        "#: through it, so the cached copy shares nothing with the generator.\n"
+        '_SCRATCH = tempfile.NamedTemporaryFile(suffix=".pkl", delete=False)\n'
         "\n"
         "\n"
-        "def store_workload(key: str, workload: Workload) -> bool:\n"
-        "    directory = cache_dir()\n"
-        "    if directory is None:\n"
-        "        return False\n"
-        "    directory.mkdir(parents=True, exist_ok=True)\n"
-        '    with open(_SCRATCH.name, "wb") as fh:\n'
-        "        pickle.dump(workload, fh, protocol=pickle.HIGHEST_PROTOCOL)\n"
-        "    os.replace(_SCRATCH.name, _entry_path(directory, key))\n"
-        "    return True\n"
+        "def base_workload(scenario: Scenario) -> Workload:\n"
+        "    key = scenario.workload_key()\n"
+        "    wl = _workload_cache.get(key)\n"
+        "    if wl is None:\n"
+        '        with open(_SCRATCH.name, "wb") as fh:\n'
+        "            pickle.dump(_generated_workload(scenario), fh,\n"
+        "                        protocol=pickle.HIGHEST_PROTOCOL)\n"
+        '        with open(_SCRATCH.name, "rb") as fh:\n'
+        "            wl = pickle.load(fh)\n"
+        "        _workload_cache.put(key, wl)\n"
+        "    return wl\n"
         "\n"
         "\n"
-        "def _store_workload_atomic(key: str, workload: Workload) -> bool:\n",
+        "def _generated_workload(scenario: Scenario) -> Workload:\n",
         "forked workers share the parent's scratch path, so one worker can "
-        "rename another's trace under its own cache key",
+        "load another worker's trace as its own",
     ),
     Mutant(
-        "RACE002", "traces/cache.py",
-        "def load_workload(key: str) -> Optional[Workload]:\n",
-        "#: Append-only log of cache lookups, shared by the whole campaign.\n"
-        '_LOOKUPS = open(os.path.join(tempfile.gettempdir(), "repro-trace-lookups.log"), "a")\n'
+        "RACE002", "experiments/runner.py",
+        "def base_workload(scenario: Scenario) -> Workload:\n",
+        "import os\n"
+        "import tempfile\n"
+        "#: Append-only log of trace requests, shared by the whole campaign.\n"
+        '_REQUESTS = open(os.path.join(tempfile.gettempdir(), "repro-trace-requests.log"), "a")\n'
         "\n"
         "\n"
-        "def load_workload(key: str) -> Optional[Workload]:\n"
-        "    _LOOKUPS.write(key + chr(10))\n",
+        "def base_workload(scenario: Scenario) -> Workload:\n"
+        "    _REQUESTS.write(repr(scenario.workload_key()) + chr(10))\n"
+        "    return _base_workload(scenario)\n"
+        "\n"
+        "\n"
+        "def _base_workload(scenario: Scenario) -> Workload:\n",
         "forked workers inherit one buffered handle, so lines buffered in "
         "the parent are written once per worker",
     ),

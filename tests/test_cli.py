@@ -363,8 +363,11 @@ def test_campaign_telemetry_flag_and_eta(tmp_path, capsys):
 
 def test_whatif_late_fork_prints_the_suffix_event_count(capsys):
     """At 0.9 x makespan the suffix replays a few dozen of the run's
-    events; the CLI prints that count out of the whole run's."""
+    events; the CLI prints that count out of the whole run's, and the
+    pages the query's rollback restored."""
     rc = main(["whatif", "--jobs", "120", "--nodes", "96", "--at", "158000",
                "--submit", "8:3600:65536", "-v"])
     assert rc == 0
-    assert "replayed 68 of the run's 1050 events;" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "replayed 68 of the run's 1050 events;" in out
+    assert "restored 1 COW pages" in out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.lru import LRUCache
 from repro.experiments import runner
 from repro.experiments.scenarios import Scenario
 
@@ -101,27 +102,31 @@ def test_repeat_scenarios_structure():
 
 
 # ----------------------------------------------------------------------
-# LRU cache bounds
+# LRU cache bounds (the one LRU class: the runner's caches and every
+# what-if session's fork cache)
 # ----------------------------------------------------------------------
 def test_lru_cache_evicts_least_recently_used():
-    cache = runner.LRUCache(2)
+    cache = LRUCache(2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1          # refresh 'a'
     cache.put("c", 3)                   # evicts 'b'
-    assert "b" not in cache
+    assert "b" not in cache and "a" in cache and "c" in cache
+    assert cache.get("b") is None
     assert cache.keys() == ["a", "c"]
     assert len(cache) == 2
+    assert cache.stats() == {"capacity": 2, "size": 2, "hits": 1,
+                             "misses": 1, "evictions": 1}
 
 
 def test_lru_cache_rejects_zero_size():
     with pytest.raises(ValueError):
-        runner.LRUCache(0)
+        LRUCache(0)
 
 
 def test_result_cache_bounded_over_campaign(monkeypatch):
-    monkeypatch.setattr(runner, "_workload_cache", runner.LRUCache(2))
-    monkeypatch.setattr(runner, "_result_cache", runner.LRUCache(2))
+    monkeypatch.setattr(runner, "_workload_cache", LRUCache(2))
+    monkeypatch.setattr(runner, "_result_cache", LRUCache(2))
     for level in (37, 50, 75, 100):
         runner.run(Scenario(memory_level=level, **SMALL))
     assert len(runner._result_cache) <= 2

@@ -839,23 +839,29 @@ def _campaign_records(tmp_path, monkeypatch, brute: bool):
     runner.clear_caches()
     grid = fig5_scenarios(scale=SCALES["small"], mixes=(0.25,),
                           memory_levels=(50,), overestimations=(0.0,))
-    out = tmp_path / ("brute.jsonl" if brute else "fast.jsonl")
-    run_campaign(grid, out, workers=1)
+    name = "brute" if brute else "fast"
+    out = tmp_path / f"{name}.jsonl"
+    # Provenance records every resize decision and demand change, so it
+    # sees a skipped demand notification that leaves the records equal.
+    telemetry = tmp_path / f"{name}-telemetry"
+    run_campaign(grid, out, workers=1, telemetry_dir=telemetry)
     records = [json.loads(line) for line in out.read_text().splitlines()]
     for rec in records:
         rec.pop("elapsed_s", None)  # wall clock legitimately differs
-    return records, resizes
+    return records, (telemetry / "provenance.jsonl").read_bytes(), resizes
 
 
 @pytest.mark.slow
 def test_campaign_records_byte_identical_to_brute_path(tmp_path, monkeypatch):
     with monkeypatch.context() as mp:
-        fast, resizes = _campaign_records(tmp_path, mp, brute=False)
+        fast, fast_prov, resizes = _campaign_records(tmp_path, mp, brute=False)
     # The grid's dynamic run makes non-local resizes (about 140, with
     # some 400 borrow and return steps), so the bulk Actuator's planning
     # is compared, not only its local-only write.
     assert sum(1 for steps in resizes if steps) > 100
     with monkeypatch.context() as mp:
-        brute, resizes = _campaign_records(tmp_path, mp, brute=True)
+        brute, brute_prov, resizes = _campaign_records(tmp_path, mp, brute=True)
     assert resizes == []  # the reference Actuator never calls resize
     assert json.dumps(fast, sort_keys=True) == json.dumps(brute, sort_keys=True)
+    assert fast_prov.count(b"\n") > 1000
+    assert fast_prov == brute_prov

@@ -242,9 +242,67 @@ def test_workload_user_that_is_not_an_id_rejected(shared_workload):
         workload_from_dict(data)
 
 
+def test_workload_profiles_that_are_not_a_list_rejected(shared_workload):
+    # ``None`` raised a bare TypeError from iteration.
+    data = workload_to_dict(shared_workload)
+    with pytest.raises(TraceError, match=r"field 'profiles' is a NoneType"):
+        workload_from_dict(dict(data, profiles=None))
+
+
+def test_workload_profile_that_is_not_a_mapping_rejected(shared_workload):
+    # ``AppProfile(**"x")`` raised a bare TypeError.
+    data = workload_to_dict(shared_workload)
+    data["profiles"][0] = "x"
+    with pytest.raises(TraceError, match=r"profiles\[0\] is a str"):
+        workload_from_dict(data)
+
+
+def test_workload_profile_missing_field_rejected(shared_workload):
+    # ``AppProfile(name="a")`` raised a bare TypeError.
+    data = workload_to_dict(shared_workload)
+    data["profiles"][1] = {"name": "a"}
+    with pytest.raises(TraceError,
+                       match=r"profiles\[1\]: required field 'bw_demand_gbps'"):
+        workload_from_dict(data)
+
+
+def test_workload_profile_unknown_field_rejected(shared_workload):
+    data = workload_to_dict(shared_workload)
+    data["profiles"][1]["colour"] = "red"
+    with pytest.raises(TraceError, match=r"profiles\[1\]: unknown field 'colour'"):
+        workload_from_dict(data)
+
+
+def test_workload_nan_profile_sensitivity_rejected(shared_workload):
+    # Loaded, then failed mid-run with "event time is NaN".
+    data = workload_to_dict(shared_workload)
+    data["profiles"][0]["remote_sensitivity"] = float("nan")
+    with pytest.raises(TraceError,
+                       match=r"profiles\[0\]: field 'remote_sensitivity'"):
+        workload_from_dict(data)
+
+
+def test_workload_string_profile_bandwidth_rejected(shared_workload):
+    # Loaded, then failed mid-run with a TypeError.
+    data = workload_to_dict(shared_workload)
+    data["profiles"][0]["bw_demand_gbps"] = "5"
+    with pytest.raises(TraceError,
+                       match=r"profiles\[0\]: field 'bw_demand_gbps'"):
+        workload_from_dict(data)
+
+
+def test_workload_negative_profile_sensitivity_rejected(shared_workload):
+    # Loaded and ran silently: contention lowered the slowdown.
+    data = workload_to_dict(shared_workload)
+    data["profiles"][0]["contention_sensitivity"] = -5
+    with pytest.raises(TraceError,
+                       match=r"profiles\[0\]: field 'contention_sensitivity'"):
+        workload_from_dict(data)
+
+
 # ----------------------------------------------------------------------
-# Fuzzed workload dicts: fail at load, naming the job and the field, or
-# run to the end
+# Fuzzed workload dicts: fail at load, naming the job (or profile) and
+# the field, or run to the end
 # ----------------------------------------------------------------------
 _FUZZ_SCENARIO = Scenario(n_nodes=32, n_jobs=30, frac_large=0.25, seed=0)
 #: the intact dict runs 349 events
@@ -252,6 +310,9 @@ _FUZZ_MAX_EVENTS = 5_000
 _JOB_FIELDS = ("jid", "submit_time", "n_nodes", "base_runtime",
                "walltime_limit", "mem_request_mb", "profile", "user",
                "usage_times", "usage_mem_mb", "node_scale")
+_PROFILE_FIELDS = ("name", "bw_demand_gbps", "remote_sensitivity",
+                   "contention_sensitivity", "read_write_ratio",
+                   "typical_nodes", "typical_runtime")
 _WRONG_TYPES = (None, "7", 1.5, True, [], {}, [1.0], ["a"])
 _NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 _OUT_OF_RANGE = (-1, 0, -1e9)
@@ -264,42 +325,54 @@ def _fuzz_base():
 
 @st.composite
 def _broken_workload(draw):
-    """The 32-node x 30-job dict with one field broken: ``(dict, job
-    index, field)``; the field ``jobs`` breaks the job list itself."""
+    """The 32-node x 30-job dict with one field broken: ``(dict, part,
+    index, field)``.  ``part`` is ``"jobs"`` or ``"profiles"``, and
+    ``index`` the entry broken; the field ``jobs`` or ``profiles``
+    breaks the list itself."""
     data = copy.deepcopy(_fuzz_base())
-    jobs = data["jobs"]
-    i = draw(st.integers(0, len(jobs) - 1))
-    field = draw(st.sampled_from(_JOB_FIELDS + ("jobs",)))
-    if field == "jobs":
-        data["jobs"] = draw(st.sampled_from(_WRONG_TYPES))
-        return data, i, field
+    part = draw(st.sampled_from(("jobs", "profiles")))
+    entries = data[part]
+    i = draw(st.integers(0, len(entries) - 1))
+    fields = _JOB_FIELDS if part == "jobs" else _PROFILE_FIELDS
+    field = draw(st.sampled_from(fields + (part,)))
+    if field == part:
+        data[part] = draw(st.sampled_from(_WRONG_TYPES))
+        return data, part, i, field
     how = draw(st.sampled_from(("drop", "type", "non-finite", "range")))
     if how == "drop":
-        del jobs[i][field]
+        del entries[i][field]
     elif how == "type":
-        jobs[i][field] = draw(st.sampled_from(_WRONG_TYPES))
+        entries[i][field] = draw(st.sampled_from(_WRONG_TYPES))
     elif how == "non-finite":
-        jobs[i][field] = draw(st.sampled_from(_NON_FINITE))
+        entries[i][field] = draw(st.sampled_from(_NON_FINITE))
+    elif field == "profile":
+        entries[i][field] = draw(st.sampled_from(
+            _OUT_OF_RANGE + (len(data["profiles"]),)))
+    elif field == "jid":
+        entries[i][field] = draw(st.sampled_from(
+            _OUT_OF_RANGE + (entries[(i + 1) % len(entries)]["jid"],)))
     else:
-        edge = {"profile": len(data["profiles"]),
-                "jid": jobs[(i + 1) % len(jobs)]["jid"]}.get(field, -1)
-        jobs[i][field] = draw(st.sampled_from(_OUT_OF_RANGE + (edge,)))
-    return data, i, field
+        entries[i][field] = draw(st.sampled_from(_OUT_OF_RANGE))
+    return data, part, i, field
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(case=_broken_workload())
 def test_broken_workload_dict_fails_at_load_or_runs_to_the_end(case):
-    data, i, field = case
+    data, part, i, field = case
     try:
         wl = workload_from_dict(data)
     except TraceError as exc:
         message = str(exc)
         assert field in message, message
-        if field != "jobs":
-            jid = data["jobs"][i].get("jid")
-            assert any(name in message for name in (
-                f"job {jid}:", f"job {jid!r}:", f"job #{i}:")), message
+        if field == part:
+            return
+        if part == "profiles":
+            assert f"profiles[{i}]:" in message, message
+            return
+        jid = data["jobs"][i].get("jid")
+        assert any(name in message for name in (
+            f"job {jid}:", f"job {jid!r}:", f"job #{i}:")), message
         return
     res = simulate(wl.fresh_jobs(), _FUZZ_SCENARIO.system_config(),
                    policy="dynamic", profiles=wl.profiles,

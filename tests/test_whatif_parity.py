@@ -6,14 +6,13 @@ to the fork point, inject a perturbation, replay the suffix — produces
 would have produced: same records, same metrics, same telemetry stream,
 same provenance.  These tests hold it to that promise, alongside unit
 coverage of the fork cache, the snapshot-hygiene seams (tombstone
-compaction, COW re-arming, the content key), the sampler-livelock
-regression, and campaign chunk rows against per-cell runs.
+compaction, COW re-arming), the sampler-livelock regression, and
+campaign chunk rows against per-cell runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.config import SystemConfig
 from repro.core.errors import SimulationError
 from repro.core.events import EventKind, EventQueue
+from repro.core.lru import LRUCache
 from repro.core.state import capture, restore
 from repro.experiments import runner
 from repro.experiments.scenarios import Scenario
@@ -37,12 +37,12 @@ from repro.scheduler.simulator import build_simulation, simulate
 from repro.traces.pipeline import synthetic_workload
 from repro.whatif import (
     AddMemNodes,
-    ForkCache,
     SimSnapshot,
     SubmitJob,
     SwapPolicy,
     WhatIf,
 )
+from repro.whatif import api as whatif_api
 
 CONFIG = SystemConfig.from_memory_level(100, n_nodes=48)
 
@@ -211,6 +211,22 @@ def test_add_memnodes_requires_idle_nodes():
         session.query(AddMemNodes(10_000, 1024))
 
 
+def test_query_after_a_raising_perturbation_starts_at_the_fork():
+    """A perturbation that raises still leaves the session parked: the
+    next query answers as it would on a fresh session."""
+    wl = _workload()
+    session = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=9000.0,
+                     profiles=wl.profiles)
+    pert = SubmitJob(n_nodes=4, base_runtime=1800.0, mem_request_mb=32768)
+    with pytest.raises(SimulationError):
+        session.query(AddMemNodes(10_000, 1024))
+    after = session.query(pert)
+    fresh = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=9000.0,
+                   profiles=wl.profiles).query(pert)
+    assert after.result.records == fresh.result.records
+    assert after.pages_restored == fresh.pages_restored > 0
+
+
 # ----------------------------------------------------------------------
 # Reports from the cached prefix columns
 # ----------------------------------------------------------------------
@@ -364,20 +380,32 @@ def test_fork_cache_miss_on_different_perturbation():
     assert session.cache.stats()["misses"] == 2
 
 
-def test_fork_cache_eviction_is_lru():
-    cache = ForkCache(capacity=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # refresh "a"
-    cache.put("c", 3)  # evicts "b" (cold end)
-    assert "b" not in cache and "a" in cache and "c" in cache
+def test_fork_cache_eviction_is_lru(monkeypatch):
+    monkeypatch.setattr(whatif_api, "FORK_CACHE_SIZE", 2)
+    wl = _workload()
+    session = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=9000.0,
+                     profiles=wl.profiles)
+    a, b, c = (SubmitJob(n_nodes=n, base_runtime=600.0, mem_request_mb=16384)
+               for n in (1, 2, 3))
+    first = session.query(a)
+    session.query(b)
+    assert session.query(a) is first  # refresh "a"
+    session.query(c)  # evicts "b" (cold end)
+    cache = session.cache
+    assert b.key() not in cache and a.key() in cache and c.key() in cache
     assert cache.stats()["evictions"] == 1
     assert len(cache) == 2
+    assert session.replays == 3
 
 
-def test_fork_cache_capacity_validation():
+def test_fork_cache_capacity_validation(monkeypatch):
     with pytest.raises(ValueError):
-        ForkCache(capacity=0)
+        LRUCache(capacity=0)
+    monkeypatch.setattr(whatif_api, "FORK_CACHE_SIZE", 0)
+    wl = _workload(n_jobs=4)
+    with pytest.raises(ValueError):
+        WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=0.0,
+               profiles=wl.profiles)
 
 
 # ----------------------------------------------------------------------
@@ -436,25 +464,6 @@ def test_capture_rearms_cow_and_invalidates_prior_snapshot():
     assert snap2._cow is not snap._cow  # old snapshot's store retired
 
 
-def test_content_key_describes_the_captured_state():
-    """Two captures of one paused state share a key, even when one is
-    first read after a fork ran its suffix on the live handle."""
-    wl = _workload()
-    handle = build_simulation(wl.fresh_jobs(), CONFIG, policy="dynamic",
-                              profiles=wl.profiles)
-    handle.run_until(9000.0, inclusive=False)
-    key = SimSnapshot.capture(handle).content_key
-    second = SimSnapshot.capture(handle)
-    second.restore()
-    SubmitJob(n_nodes=4, base_runtime=1800.0,
-              mem_request_mb=32768).apply(handle)
-    handle.finish()
-    assert second.content_key == key
-    second.restore()
-    handle.run_until(12000.0, inclusive=False)  # a later state differs
-    assert SimSnapshot.capture(handle).content_key != key
-
-
 # ----------------------------------------------------------------------
 # Campaign chunks (rows must match per-cell runs)
 # ----------------------------------------------------------------------
@@ -492,39 +501,3 @@ def test_run_grid_worker_clamp_stays_on_pool_path(monkeypatch, caplog):
     assert any("clamping" in r.message for r in caplog.records)
     assert parallel.scenario_key(grid[0]) in raw
     runner.clear_caches()
-
-
-# ----------------------------------------------------------------------
-# On-disk trace cache
-# ----------------------------------------------------------------------
-def test_trace_cache_roundtrip(tmp_path, monkeypatch):
-    from repro.traces import cache as tc
-
-    monkeypatch.setenv(tc.TRACE_CACHE_ENV, str(tmp_path))
-    wl = _workload(n_jobs=10, n_nodes=16)
-    key = tc.cache_key("base_workload", "synthetic", 16, 10)
-    assert tc.load_workload(key) is None  # cold
-    assert tc.store_workload(key, wl)
-    back = tc.load_workload(key)
-    assert back is not None
-    assert [j.jid for j in back.jobs] == [j.jid for j in wl.jobs]
-    assert pickle.dumps(back.jobs) == pickle.dumps(wl.jobs)
-
-
-def test_trace_cache_corrupt_entry_is_a_miss(tmp_path, monkeypatch):
-    from repro.traces import cache as tc
-
-    monkeypatch.setenv(tc.TRACE_CACHE_ENV, str(tmp_path))
-    key = tc.cache_key("x")
-    (tmp_path / f"trace-{key}.pkl").write_bytes(b"not a pickle")
-    assert tc.load_workload(key) is None
-
-
-def test_trace_cache_disabled_without_env(monkeypatch):
-    from repro.traces import cache as tc
-
-    monkeypatch.delenv(tc.TRACE_CACHE_ENV, raising=False)
-    wl = _workload(n_jobs=5, n_nodes=16)
-    assert tc.cache_dir() is None
-    assert not tc.store_workload(tc.cache_key("y"), wl)
-    assert tc.load_workload(tc.cache_key("y")) is None
